@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DegenerateParameters, SingularSystem
 from .report import CheckReport
 from .ring import Poly2
-from .tensor import TensorElem, linear_form, power_sum
+from .tensor import E1, E2, TensorElem, linear_form, linear_forms, normal_order
 
 
 def all_states(L):
@@ -45,15 +45,11 @@ def mpa_weight(tau):
 
 
 def partition_Z(L):
-    """Z_L = L((e1+e2)^L), computed both as the sum of all state weights
-    and directly from the expanded power sum; the two must agree."""
-    direct = linear_form(power_sum(L))
-    summed = Poly2.const(0)
-    for tau in all_states(L):
-        summed = summed + mpa_weight(tau)
-    if direct != summed:
-        raise RuntimeError("partition function paths disagree")
-    return direct
+    """Z_L = L((e1+e2)^L), as the L-th power of e1 + e2 in the shock ring:
+    time polynomial in L, no sum over the 2^L states."""
+    if L < 0:
+        raise ValueError("L must be nonnegative")
+    return linear_form(normal_order(E1 + E2) ** L)
 
 
 @dataclass
@@ -89,8 +85,13 @@ class StationaryTable:
 def stationary_mpa(L, a, b):
     """Exact matrix-product stationary distribution at rational (a, b)."""
     a, b = Fraction(a), Fraction(b)
-    weights = {tau: mpa_weight(tau) for tau in all_states(L)}
+    words = {tau: state_word(tau) for tau in all_states(L)}
+    values = linear_forms(words.values())
+    weights = {tau: values[w] for tau, w in words.items()}
     Z = partition_Z(L)
+    # two paths to Z_L: the sum of the weights and the shock-ring power
+    if sum(weights.values(), Poly2.const(0)) != Z:
+        raise RuntimeError("partition function paths disagree")
     zval = Z.eval(a, b)
     if zval == 0:
         raise DegenerateParameters(f"Z_{L}({a},{b}) = 0")

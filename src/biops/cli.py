@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import BiopsError, ParseError
 from . import expr as expr_mod
-from .tensor import linear_form
+from .tensor import ShockElem, TensorElem, linear_form
 from .bimoment import build_bimoment, det_fraction_free, det_closed_form
 from .biortho import (p_explicit, q_explicit, lambda_n,
                       first_moment_matrices)
@@ -70,8 +70,8 @@ def _flat(v):
     return v
 
 
-def _parse_expr(src):
-    return expr_mod.eval_expr(expr_mod.parse(src))
+def _parse_expr(src, algebra=TensorElem):
+    return expr_mod.eval_expr(expr_mod.parse(src), algebra)
 
 
 def _fraction(text):
@@ -79,6 +79,24 @@ def _fraction(text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+
+
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}: {value}")
+        return value
+    return parse
+
+
+_length = _int_at_least(1)   # --L, a number of sites
+_index = _int_at_least(0)    # --n and --max-n
 
 
 def build_parser():
@@ -98,19 +116,19 @@ def build_parser():
 
     s = sub.add_parser("bimoment", help="emit the truncated bi-moment matrix "
                                         "and its determinant")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_index, required=True)
 
     s = sub.add_parser("det", help="fraction-free determinant of the "
                                    "bi-moment matrix, checked against the "
                                    "closed form")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_index, required=True)
 
     s = sub.add_parser("poly", help="emit P_n or Q_n")
     s.add_argument("--which", choices=("P", "Q"), required=True)
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_index, required=True)
 
     s = sub.add_parser("lambda", help="emit the normalization Lambda_n")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_index, required=True)
 
     s = sub.add_parser("moments", help="emit the six first-moment bands")
     s.add_argument("--dim", type=int, default=6)
@@ -126,24 +144,24 @@ def build_parser():
     s.add_argument("--dim", type=int, default=6)
 
     s = sub.add_parser("cheb", help="Chebyshev-like polynomials of W")
-    s.add_argument("--max-n", type=int, default=6)
+    s.add_argument("--max-n", type=_index, default=6)
     s.add_argument("--reading", choices=("corrected", "printed"),
                    default="corrected")
 
     s = sub.add_parser("stationary", help="stationary TASEP distribution")
-    s.add_argument("--L", type=int, required=True)
+    s.add_argument("--L", type=_length, required=True)
     s.add_argument("--alpha", type=_fraction, required=True)
     s.add_argument("--beta", type=_fraction, required=True)
     s.add_argument("--symbolic", action="store_true")
 
     s = sub.add_parser("compare", help="verify matrix-product vs Markov "
                                        "oracle stationary distributions")
-    s.add_argument("--L", type=int, required=True)
+    s.add_argument("--L", type=_length, required=True)
     s.add_argument("--alpha", type=_fraction, required=True)
     s.add_argument("--beta", type=_fraction, required=True)
 
     s = sub.add_parser("check", help="run the aggregated invariant suites")
-    s.add_argument("--max-n", type=int, default=6)
+    s.add_argument("--max-n", type=_index, default=6)
     s.add_argument("--seed", type=int, default=0)
 
     return p
@@ -155,7 +173,7 @@ def run(argv=None):
     fmt = args.format
 
     if args.command == "L":
-        value = linear_form(_parse_expr(args.expr))
+        value = linear_form(_parse_expr(args.expr, ShockElem))
         _emit({"expr": args.expr, "L": value.to_obj(), "text": str(value)}, fmt)
         return 0
 
@@ -229,7 +247,15 @@ def run(argv=None):
 
 def main(argv=None):
     try:
-        return run(argv)
+        code = run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so that
+        # the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

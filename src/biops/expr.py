@@ -223,32 +223,41 @@ def pretty(node):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def eval_expr(node):
-    """Expand an AST into a TensorElem."""
+def eval_expr(node, algebra=TensorElem):
+    """Evaluate an AST in `algebra`: TensorElem expands it into words;
+    ShockElem evaluates it in the shock ring, where a power stays a
+    product of normal-ordered factors instead of expanding into words
+    (normal ordering is a ring homomorphism)."""
     if isinstance(node, Gen):
-        return TensorElem.generator(node.which)
+        return algebra.generator(node.which)
     if isinstance(node, ScalarPoly):
         if node.source == "a":
-            return TensorElem.scalar(ALPHA)
+            return algebra.scalar(ALPHA)
         if node.source == "b":
-            return TensorElem.scalar(BETA)
-        return TensorElem.scalar(Poly2.const(int(node.source)))
-    if isinstance(node, PPoly):
-        return p_explicit(node.n).to_tensor()
-    if isinstance(node, QPoly):
-        return q_explicit(node.n).to_tensor()
+            return algebra.scalar(BETA)
+        return algebra.scalar(Poly2.const(int(node.source)))
+    if isinstance(node, (PPoly, QPoly)):
+        # Horner in the generator: P_n is a polynomial in e1, Q_n in e2
+        if isinstance(node, PPoly):
+            poly, gen = p_explicit(node.n), algebra.generator(1)
+        else:
+            poly, gen = q_explicit(node.n), algebra.generator(2)
+        out = algebra.zero()
+        for c in reversed(poly.coeffs):
+            out = out * gen + algebra.scalar(c)
+        return out
     if isinstance(node, Sum):
-        out = TensorElem.zero()
+        out = algebra.zero()
         for p in node.parts:
-            out = out + eval_expr(p)
+            out = out + eval_expr(p, algebra)
         return out
     if isinstance(node, Product):
-        out = TensorElem.unit()
+        out = algebra.unit()
         for p in node.parts:
-            out = out * eval_expr(p)
+            out = out * eval_expr(p, algebra)
         return out
     if isinstance(node, Power):
-        return eval_expr(node.base) ** node.exponent
+        return eval_expr(node.base, algebra) ** node.exponent
     if isinstance(node, Negation):
-        return -eval_expr(node.inner)
+        return -eval_expr(node.inner, algebra)
     raise TypeError(f"not an AST node: {node!r}")

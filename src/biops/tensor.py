@@ -2,16 +2,19 @@
 linear form L defined by the two-parameter stationarity equations.
 
 Words are tuples over {1, 2} (1 = e1, 2 = e2); the empty tuple is the
-ring unit.  Normal ordering rewrites every adjacent e1*e2 pair via
-e1*e2 -> alpha*beta*(e1 + e2) until only words of the form e2^n e1^m
-remain.  On those words, L(e2^n e1^m) = beta^n * alpha^m.
+ring unit.  Normal ordering reduces modulo e1*e2 = alpha*beta*(e1 + e2)
+to the shock ring, whose basis is the words e2^n e1^m.  It is computed
+as a left fold over a word's letters with closed-form right products by
+e1 and e2, so it costs time polynomial in the word length; rewriting
+adjacent e1*e2 pairs is kept as the reference `normal_order_word`.  On
+the basis, L(e2^n e1^m) = beta^n * alpha^m.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .ring import Poly2, ZERO, ONE, ALPHA, BETA, AB
+from .ring import Poly2, ZERO, ONE, AB
 
 Word = tuple  # tuple of ints in {1, 2}
 
@@ -38,9 +41,24 @@ class _LinComb:
     """Shared machinery for finite linear combinations with Poly2 coefficients."""
 
     __slots__ = ("_t",)
+    _UNIT = None  # key of the ring unit
 
     def __init__(self, terms=None):
         self._t = _clean(dict(terms or {}))
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def unit(cls):
+        return cls({cls._UNIT: ONE})
+
+    @classmethod
+    def scalar(cls, p):
+        if isinstance(p, int):
+            p = Poly2.const(p)
+        return cls({cls._UNIT: p})
 
     @property
     def terms(self):
@@ -102,13 +120,7 @@ class _LinComb:
 class TensorElem(_LinComb):
     """Element of the tensor algebra: map word -> nonzero Poly2."""
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def unit(cls):
-        return cls({(): ONE})
+    _UNIT = ()
 
     @classmethod
     def generator(cls, i):
@@ -119,12 +131,6 @@ class TensorElem(_LinComb):
     @classmethod
     def from_word(cls, w, coeff=ONE):
         return cls({tuple(w): coeff})
-
-    @classmethod
-    def scalar(cls, p):
-        if isinstance(p, int):
-            p = Poly2.const(p)
-        return cls({(): p})
 
     def __mul__(self, other):
         if isinstance(other, (Poly2, int)):
@@ -175,6 +181,14 @@ E2 = TensorElem.generator(2)
 class ShockElem(_LinComb):
     """Element of the shock ring: map (n, m) -> coefficient of e2^n e1^m."""
 
+    _UNIT = (0, 0)
+
+    @classmethod
+    def generator(cls, i):
+        if i not in (1, 2):
+            raise ValueError("generator index must be 1 or 2")
+        return cls({(0, 1) if i == 1 else (1, 0): ONE})
+
     @classmethod
     def basis(cls, n, m, coeff=ONE):
         return cls({(n, m): coeff})
@@ -191,6 +205,14 @@ class ShockElem(_LinComb):
             return self.scale(other)
         return NotImplemented
 
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        out = ShockElem.unit()
+        for _ in range(n):
+            out = shock_mul(out, self)
+        return out
+
     def __repr__(self):
         if not self._t:
             return "ShockElem(0)"
@@ -201,9 +223,6 @@ class ShockElem(_LinComb):
 
 
 # --- normal ordering ---------------------------------------------------
-
-_NF_CACHE = {}
-
 
 def _find_pair(word, leftmost=True):
     rng = range(len(word) - 1)
@@ -224,31 +243,62 @@ def _tail_form(word):
     return (len(word) - m, m)
 
 
-def _nf_word(word):
-    """Normal-ordered form of a single word, as a (n,m)->Poly2 dict. Memoized."""
-    cached = _NF_CACHE.get(word)
-    if cached is not None:
-        return cached
-    pos = _find_pair(word)
-    if pos is None:
-        res = {_tail_form(word): ONE}
-    else:
-        u, v = word[:pos], word[pos + 2:]
-        res = {}
-        for sub in (u + (1,) + v, u + (2,) + v):
-            for k, c in _nf_word(sub).items():
-                s = res.get(k, ZERO) + AB * c
-                if s:
-                    res[k] = s
-                elif k in res:
-                    del res[k]
-    _NF_CACHE[word] = res
-    return res
+def _times_e2(t):
+    """x*e2 for x = sum of t[(n, m)] e2^n e1^m, in the shock ring.
+
+    e2^n e1^m e2 = sum_{k=1..m} (ab)^(m-k+1) e2^n e1^k + (ab)^m e2^(n+1),
+    so within one power n of e2 the coefficient of e1^k is the suffix sum
+    S_k = ab (c_k + S_(k+1)), and e2^(n+1) gets c_0 + S_1.  Every output
+    key comes from exactly one n.
+    """
+    rows = {}
+    for (n, m), c in t.items():
+        rows.setdefault(n, {})[m] = c
+    out = {}
+    for n, row in rows.items():
+        s = ZERO
+        for k in range(max(row), 0, -1):
+            c = row.get(k)
+            s = AB * (s + c if c is not None else s)
+            if s:
+                out[(n, k)] = s
+        c = row.get(0)
+        s = s + c if c is not None else s
+        if s:
+            out[(n + 1, 0)] = s
+    return out
+
+
+def _times_gen(t, g):
+    """Right product of a normal-ordered dict by the generator e_g."""
+    if g == 1:
+        return {(n, m + 1): c for (n, m), c in t.items()}
+    return _times_e2(t)
+
+
+def _fold_words(words):
+    """Yield (word, normal-ordered (n,m)->Poly2 dict) for each of the
+    distinct `words`, in sorted order.  A word's form is the left fold of
+    generator products from the unit; a stack holds the forms of the
+    current word's prefixes, so each node of the word trie costs one
+    product."""
+    stack = [{(0, 0): ONE}]  # stack[i] = form of prev[:i]
+    prev = ()
+    for w in sorted(words):
+        i, top = 0, min(len(prev), len(w))
+        while i < top and prev[i] == w[i]:
+            i += 1
+        del stack[i + 1:]
+        for g in w[i:]:
+            stack.append(_times_gen(stack[-1], g))
+        prev = w
+        yield w, stack[-1]
 
 
 def normal_order_word(word, strategy="leftmost", max_steps=None):
-    """Uncached single-word normal ordering with a selectable rewrite
-    strategy; used to test confluence and termination.
+    """Uncached single-word normal ordering by rewriting, with a selectable
+    strategy; the reference the fold is tested against, and the test of
+    confluence and termination.
 
     Returns (result dict, rewrite step count).  Raises RuntimeError if the
     step budget (default 2**len(word)) is exceeded.
@@ -279,56 +329,35 @@ def normal_order_word(word, strategy="leftmost", max_steps=None):
     return done, steps
 
 
+def _accumulate(t, terms, c):
+    """t += c * terms, in place, dropping zero coefficients."""
+    for k, ck in terms.items():
+        s = t.get(k, ZERO) + c * ck
+        if s:
+            t[k] = s
+        elif k in t:
+            del t[k]
+
+
 def normal_order(x):
     """Project a TensorElem onto the shock ring (normal-ordered form)."""
     t = {}
-    for w, c in x.items():
-        for k, cw in _nf_word(w).items():
-            s = t.get(k, ZERO) + c * cw
-            if s:
-                t[k] = s
-            elif k in t:
-                del t[k]
+    for w, nf in _fold_words(x._t):
+        _accumulate(t, nf, x._t[w])
     return ShockElem(t)
 
 
 # --- shock ring product -------------------------------------------------
 
-_SMUL_CACHE = {}
-
-
-def _smul_basis(n, m, k, l):
-    if m == 0:
-        return {(n + k, l): ONE}
-    if k == 0:
-        return {(n, m + l): ONE}
-    key = (n, m, k, l)
-    cached = _SMUL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    res = {}
-    for part in (_smul_basis(n, m, k - 1, l), _smul_basis(n, m - 1, k, l)):
-        for kk, c in part.items():
-            s = res.get(kk, ZERO) + AB * c
-            if s:
-                res[kk] = s
-            elif kk in res:
-                del res[kk]
-    _SMUL_CACHE[key] = res
-    return res
-
-
 def shock_mul(x, y):
-    """Product in the shock ring, by the normal-ordering recursion."""
+    """Product in the shock ring: x * e2^k e1^l is x times e2 k times,
+    shifted by l in the power of e1."""
     t = {}
-    for (n, m), c1 in x.items():
-        for (k, l), c2 in y.items():
-            for kk, c in _smul_basis(n, m, k, l).items():
-                s = t.get(kk, ZERO) + c1 * c2 * c
-                if s:
-                    t[kk] = s
-                elif kk in t:
-                    del t[kk]
+    xk, k = x._t, 0  # xk = x * e2^k
+    for (kk, l), c in sorted(y.items()):
+        while k < kk:
+            xk, k = _times_e2(xk), k + 1
+        _accumulate(t, {(n, m + l): cx for (n, m), cx in xk.items()}, c)
     return ShockElem(t)
 
 
@@ -337,21 +366,32 @@ def shock_mul(x, y):
 _L_CACHE = {}
 
 
-def _L_word(word):
-    cached = _L_CACHE.get(word)
-    if cached is None:
-        out = ZERO
-        for (n, m), c in _nf_word(word).items():
-            out = out + c * BETA**n * ALPHA**m
-        _L_CACHE[word] = cached = out
-    return cached
+def _L_nf(t):
+    """L on a normal-ordered dict: L(e2^n e1^m) = beta^n alpha^m."""
+    out = ZERO
+    for (n, m), c in t.items():
+        out = out + c * Poly2.monomial(m, n)
+    return out
+
+
+def linear_forms(words):
+    """{word: L(word)} for an iterable of words.  Words missing from the
+    per-word cache are normal-ordered together, sharing prefix folds."""
+    words = set(words)
+    for w, nf in _fold_words(w for w in words if w not in _L_CACHE):
+        _L_CACHE[w] = _L_nf(nf)
+    return {w: _L_CACHE[w] for w in words}
 
 
 def linear_form(x):
-    """L(x): evaluate via normal ordering, L(e2^n e1^m) = beta^n alpha^m."""
+    """L(x) for a TensorElem or a ShockElem: evaluate via normal ordering,
+    L(e2^n e1^m) = beta^n alpha^m."""
+    if isinstance(x, ShockElem):
+        return _L_nf(x._t)
+    values = linear_forms(x._t)
     out = ZERO
     for w, c in x.items():
-        out = out + c * _L_word(w)
+        out = out + c * values[w]
     return out
 
 

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from biops.ring import Poly2, ALPHA, BETA, AB
+from biops.ring import Poly2, ZERO, ALPHA, BETA, AB
+from biops.tensor import normal_order_word
 from biops.asep import (all_states, state_index, state_from_index, state_word,
                         mpa_weight, partition_Z, stationary_mpa,
                         build_generator, stationary_oracle, compare)
@@ -46,6 +48,40 @@ class TestWeights:
 
     def test_partition_small(self):
         assert partition_Z(1) == ALPHA + BETA
+
+
+def dehp_Z(L):
+    """Derrida-Evans-Hakim-Pasquier, J. Phys. A 26 (1993) 1493:
+    Z_L = sum_{p=1..L} p (2L-1-p)! / (L! (L-p)!)
+          * sum_{k=0..p} alpha^(L-k) beta^(L-p+k)."""
+    out = ZERO
+    for p in range(1, L + 1):
+        count, rem = divmod(p * factorial(2 * L - 1 - p),
+                            factorial(L) * factorial(L - p))
+        assert rem == 0
+        out = out + count * sum((ALPHA**(L - k) * BETA**(L - p + k)
+                                 for k in range(p + 1)), ZERO)
+    return out
+
+
+def enumerated_Z(L):
+    """Sum of L over all 2^L state words, each normal-ordered by rewriting."""
+    out = ZERO
+    for tau in all_states(L):
+        nf, _ = normal_order_word(state_word(tau))
+        for (n, m), c in nf.items():
+            out = out + c * BETA**n * ALPHA**m
+    return out
+
+
+class TestPartitionFunction:
+    def test_dehp_closed_form(self):
+        for L in range(1, 31):
+            assert partition_Z(L) == dehp_Z(L), L
+
+    def test_enumeration(self):
+        for L in range(1, 11):
+            assert partition_Z(L) == enumerated_Z(L), L
 
 
 class TestGenerator:

@@ -1,8 +1,23 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import biops
 from biops.cli import main
+from biops.ring import Poly2, ALPHA, BETA, AB
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(biops.__file__)))
+
+
+def run_subprocess(*argv, stdout=subprocess.PIPE):
+    """Run the CLI in a fresh interpreter, as a shell user would."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "biops.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          timeout=120)
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +33,15 @@ class TestSmoke:
         obj = json.loads(out)
         assert obj["expr"] == "e1*e2"
         assert sorted(obj["text"].replace(" ", "")) == sorted("a^2*b+a*b^2")
+
+    def test_L_long_word(self, capsys):
+        m = 1000
+        code, out, _ = run_cli(capsys, "L", f"e1^{m}*e2")
+        assert code == 0
+        expected = AB**m * BETA
+        for j in range(1, m + 1):
+            expected = expected + AB**j * ALPHA**(m - j + 1)
+        assert Poly2.from_obj(json.loads(out)["L"]) == expected
 
     def test_bimoment(self, capsys):
         code, out, _ = run_cli(capsys, "bimoment", "--n", "2")
@@ -126,6 +150,33 @@ class TestErrors:
         with pytest.raises(SystemExit) as e:
             main(["stationary", "--L", "1", "--alpha", "x", "--beta", "1/2"])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("stationary", "--L", "0", "--alpha", "1/2", "--beta", "1/3"),
+        ("compare", "--L", "-2", "--alpha", "1/2", "--beta", "1/3"),
+        ("det", "--n", "-1"),
+        ("bimoment", "--n", "-1"),
+        ("lambda", "--n", "x"),
+        ("check", "--max-n", "-1"),
+    ], ids=" ".join)
+    def test_bad_size_exit_2(self, argv):
+        r = run_subprocess(*argv)
+        err = r.stderr.decode()
+        assert r.returncode == 2, err
+        assert "usage:" in err
+        assert "Traceback" not in err
+        assert r.stdout == b""
+
+    def test_closed_stdout(self):
+        # the reader is gone before the first write: every write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = run_subprocess("L", "(e1+e2)^8", stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert r.returncode == 1
+        assert r.stderr == b""
 
     def test_max_dim_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("BIOPS_MAX_DIM", "5")

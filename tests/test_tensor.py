@@ -1,11 +1,27 @@
+import itertools
 import random
 
 import pytest
 
+from biops import tensor
 from biops.ring import Poly2, ZERO, ONE, ALPHA, BETA, AB
 from biops.tensor import (TensorElem, ShockElem, E1, E2, normal_order,
                           normal_order_word, shock_mul, linear_form,
-                          power_sum, word_from_str, word_to_str)
+                          linear_forms, power_sum, word_from_str, word_to_str)
+
+# every word of length <= 10: 2047 words
+ALL_WORDS = [w for n in range(11) for w in itertools.product((1, 2), repeat=n)]
+
+
+@pytest.fixture(scope="module")
+def rewritten():
+    """Normal form of every word in ALL_WORDS by leftmost rewriting."""
+    return {w: ShockElem(normal_order_word(w, "leftmost")[0])
+            for w in ALL_WORDS}
+
+
+def rewritten_L(nf):
+    return sum((c * BETA**n * ALPHA**m for (n, m), c in nf.items()), ZERO)
 
 
 def rand_word(rng, max_len):
@@ -48,6 +64,27 @@ class TestNormalOrder:
             right, _ = normal_order_word(w, "rightmost")
             assert left == right
 
+    def test_fold_equals_rewriting_on_all_short_words(self, rewritten):
+        for w in ALL_WORDS:
+            fold = normal_order(TensorElem.from_word(w))
+            assert fold == rewritten[w], w
+            right, _ = normal_order_word(w, "rightmost")
+            assert fold == ShockElem(right), w
+
+    def test_shared_prefix_fold_on_power_sums(self, rewritten):
+        for n in range(11):
+            expected = ShockElem()
+            for w in itertools.product((1, 2), repeat=n):
+                expected = expected + rewritten[w]
+            assert normal_order(power_sum(n)) == expected, n
+
+    def test_long_word_has_no_recursion_limit(self):
+        m = 3000
+        nf = normal_order(TensorElem.from_word((1,) * m + (2,)))
+        expected = {(0, k): AB**(m - k + 1) for k in range(1, m + 1)}
+        expected[(1, 0)] = AB**m
+        assert nf == ShockElem(expected)
+
     def test_termination_within_budget(self):
         rng = random.Random(6)
         for _ in range(50):
@@ -80,6 +117,18 @@ class TestShockRing:
             assert shock_mul(normal_order(x), normal_order(y)) \
                 == normal_order(TensorElem.from_word(w1 + w2))
 
+    def test_agrees_with_rewriting_of_concat_on_all_short_words(
+            self, rewritten):
+        for w in ALL_WORDS:
+            for i in range(len(w) + 1):
+                assert shock_mul(rewritten[w[:i]], rewritten[w[i:]]) \
+                    == rewritten[w], (w, i)
+
+    def test_power_is_repeated_product(self):
+        x = normal_order(E1 * E2 + ALPHA * E2)
+        assert x ** 0 == ShockElem.unit()
+        assert x ** 3 == normal_order((E1 * E2 + ALPHA * E2) ** 3)
+
     def test_homomorphism_on_linear_combinations(self):
         rng = random.Random(10)
         for _ in range(30):
@@ -109,6 +158,21 @@ class TestLinearForm:
             y = TensorElem.from_word(rand_word(rng, 5))
             assert linear_form(p * x + q * y) \
                 == p * linear_form(x) + q * linear_form(y)
+
+    def test_shock_elem_argument(self):
+        x = E1 * E2 * E2 - BETA * E2 * E1 * E1
+        assert linear_form(normal_order(x)) == linear_form(x)
+
+    def test_cold_words_match_rewriting(self, rewritten, monkeypatch):
+        # an empty cache, so every word goes through the shared fold
+        monkeypatch.setattr(tensor, "_L_CACHE", {})
+        values = linear_forms(ALL_WORDS)
+        for w in ALL_WORDS:
+            assert values[w] == rewritten_L(rewritten[w]), w
+        # the first call filled the cache and the second one reads it
+        assert len(tensor._L_CACHE) == len(ALL_WORDS)
+        again = linear_forms(ALL_WORDS[:5])
+        assert all(again[w] is values[w] for w in ALL_WORDS[:5])
 
     def test_defining_relations(self):
         rng = random.Random(13)
