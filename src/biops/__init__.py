@@ -1,7 +1,6 @@
 """Exact bi-orthogonal-polynomial machinery for the two-parameter
 open-boundary TASEP matrix product ansatz."""
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .errors import (BiopsError, InexactDivision, DegenerateParameters,
                      TruncationTooSmall, SingularSystem, ParseError)
 from .ring import Poly2, KappaElem, poly_add, poly_mul, poly_exact_div, \
@@ -12,7 +11,7 @@ from .tensor import (TensorElem, ShockElem, normal_order, shock_mul,
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND", "__version__",
+    "__version__",
     "BiopsError", "InexactDivision", "DegenerateParameters",
     "TruncationTooSmall", "SingularSystem", "ParseError",
     "Poly2", "KappaElem", "poly_add", "poly_mul", "poly_exact_div",

@@ -120,7 +120,8 @@ def build_generator(L, a, b):
         raise ValueError("L must be at least 1")
     a, b = Fraction(a), Fraction(b)
     if a <= 0 or b <= 0:
-        raise ValueError("rates must be positive")
+        raise DegenerateParameters(
+            f"rates must be positive: alpha={a}, beta={b}")
     dim = 1 << L
     rates = [dict() for _ in range(dim)]
     for idx in range(dim):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from operator import add, sub
 
 from .errors import DegenerateParameters, InexactDivision
 from .report import CheckReport
@@ -24,18 +26,69 @@ from .bimoment import build_bimoment, det_fraction_free
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Polynomial in a single generator; coeffs[k] multiplies generator^k."""
+    """Polynomial in a single variable; coeffs[k] multiplies variable^k.
 
-    variable: str  # "e1" or "e2"
-    coeffs: tuple  # tuple of Poly2, trailing (leading) coefficient nonzero
+    The variable is a generator ("e1", "e2") or a plain "x"; coefficients
+    are Poly2 or KappaElem.  Trailing zero coefficients are dropped, so
+    the last one is the nonzero leading coefficient and 0 is ().
+    """
+
+    variable: str  # "e1", "e2" or "x"
+    coeffs: tuple
 
     def __post_init__(self):
-        if self.variable not in ("e1", "e2"):
-            raise ValueError("variable must be 'e1' or 'e2'")
+        if self.variable not in ("e1", "e2", "x"):
+            raise ValueError("variable must be 'e1', 'e2' or 'x'")
+        coeffs = tuple(self.coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs = coeffs[:-1]
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self):
         return len(self.coeffs) - 1
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def _same_variable(self, other):
+        if other.variable != self.variable:
+            raise ValueError("polynomials in different variables")
+
+    def _termwise(self, other, op):
+        self._same_variable(other)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return UniPoly(self.variable, tuple(op(a, b) for a, b in pairs))
+
+    def __add__(self, other):
+        return self._termwise(other, add)
+
+    def __sub__(self, other):
+        return self._termwise(other, sub)
+
+    def __neg__(self):
+        return UniPoly(self.variable, tuple(-c for c in self.coeffs))
+
+    def __mul__(self, other):
+        """Product by a UniPoly, or by a scalar (Poly2, KappaElem, int)."""
+        p = self.coeffs
+        if not isinstance(other, UniPoly):
+            return UniPoly(self.variable, tuple(other * c for c in p))
+        self._same_variable(other)
+        q = other.coeffs
+        if not p or not q:
+            return UniPoly(self.variable, ())
+        out = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            if a:
+                for j, b in enumerate(q):
+                    if b:
+                        out[i + j] = a * b + out[i + j]
+        # a power that no pair of nonzero coefficients reaches is still int 0
+        return UniPoly(self.variable, tuple(
+            out[-1] * 0 if isinstance(c, int) else c for c in out))
+
+    __rmul__ = __mul__
 
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == ONE
@@ -45,18 +98,8 @@ class UniPoly:
         return TensorElem({(g,) * k: c for k, c in enumerate(self.coeffs) if c})
 
     def shift_mul(self, c):
-        """Multiply by (generator - c)."""
-        coeffs = [ZERO] + list(self.coeffs)
-        for k, ck in enumerate(self.coeffs):
-            coeffs[k] = coeffs[k] - c * ck
-        return UniPoly(self.variable, tuple(coeffs))
-
-    def eval_poly(self, value):
-        """Evaluate with a Poly2 substituted for the generator."""
-        out = ZERO
-        for c in reversed(self.coeffs):
-            out = out * value + c
-        return out
+        """Multiply by (variable - c), as variable*self - c*self."""
+        return UniPoly(self.variable, (ZERO,) + self.coeffs) - self * c
 
     def to_obj(self):
         return {
@@ -304,16 +347,12 @@ def moment_consistency(dim):
                        f"Xhat[{n}][{m}]")
             rep.record(Yhat.entry(n, m) * slam[n] * slam[m] == KappaElem(yval),
                        f"Yhat[{n}][{m}]")
+    e1 = UniPoly("e1", (ZERO, ONE))
     for n in range(dim - 1):
-        lhs = UniPoly("e1", (ZERO,) + tuple(ps[n].coeffs))
-        acc = [ZERO] * (n + 2)
+        rhs = UniPoly("e1", ())
         for k in range(n + 2):
-            coeff = Xbar.entry(n, k)
-            if coeff.is_zero():
-                continue
-            for d, c in enumerate(ps[k].coeffs):
-                acc[d] = acc[d] + coeff.a * c
-        rep.record(tuple(acc) == lhs.coeffs, f"P{n}*e1 expansion")
+            rhs = rhs + ps[k] * Xbar.entry(n, k).a
+        rep.record(rhs == ps[n] * e1, f"P{n}*e1 expansion")
     return rep
 
 

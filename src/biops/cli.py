@@ -27,12 +27,12 @@ from .asep import stationary_mpa, compare
 from .checks import default_suite
 
 
-def _max_dim():
-    return int(os.environ.get("BIOPS_MAX_DIM", "16"))
-
-
-def _cap_dim(dim):
-    cap = _max_dim()
+def _cap_dim(dim, parser):
+    text = os.environ.get("BIOPS_MAX_DIM", "16")
+    try:
+        cap = int(text)
+    except ValueError:
+        parser.error(f"BIOPS_MAX_DIM is not an integer: {text!r}")
     if dim > cap:
         raise BiopsError(
             f"dim {dim} exceeds BIOPS_MAX_DIM={cap}; raise the cap to proceed"
@@ -97,6 +97,7 @@ def _int_at_least(low):
 
 _length = _int_at_least(1)   # --L, a number of sites
 _index = _int_at_least(0)    # --n and --max-n
+_dim = _int_at_least(2)      # --dim of a truncation
 
 
 def build_parser():
@@ -131,17 +132,17 @@ def build_parser():
     s.add_argument("--n", type=_index, required=True)
 
     s = sub.add_parser("moments", help="emit the six first-moment bands")
-    s.add_argument("--dim", type=int, default=6)
+    s.add_argument("--dim", type=_dim, default=6)
 
     s = sub.add_parser("represent", help="matrix representation of an "
                                          "expression")
     s.add_argument("expr")
-    s.add_argument("--dim", type=int, required=True)
+    s.add_argument("--dim", type=_dim, required=True)
     s.add_argument("--rep", choices=GENERATOR_REPS, default="hat")
 
     s = sub.add_parser("second-moment", help="emit the tridiagonal second "
                                              "moment matrix W")
-    s.add_argument("--dim", type=int, default=6)
+    s.add_argument("--dim", type=_int_at_least(3), default=6)
 
     s = sub.add_parser("cheb", help="Chebyshev-like polynomials of W")
     s.add_argument("--max-n", type=_index, default=6)
@@ -202,17 +203,18 @@ def run(argv=None):
         return 0
 
     if args.command == "moments":
-        bands = first_moment_matrices(_cap_dim(args.dim))
+        bands = first_moment_matrices(_cap_dim(args.dim, parser))
         _emit({band.kind: band.to_obj() for band in bands}, fmt)
         return 0
 
     if args.command == "represent":
-        r = represent(_parse_expr(args.expr), _cap_dim(args.dim), args.rep)
+        r = represent(_parse_expr(args.expr), _cap_dim(args.dim, parser),
+                      args.rep)
         _emit(r.to_obj(), fmt)
         return 0
 
     if args.command == "second-moment":
-        _emit(second_moment(_cap_dim(args.dim)).to_obj(), fmt)
+        _emit(second_moment(_cap_dim(args.dim, parser)).to_obj(), fmt)
         return 0
 
     if args.command == "cheb":

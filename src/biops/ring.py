@@ -11,12 +11,39 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InexactDivision
-from ._kernels import kernel as _K
 
 
 def _grlex_key(ij):
     i, j = ij
     return (i + j, j)
+
+
+def _add_terms(t, u, sign):
+    # t + sign*u for integer coefficients: the loop of `accumulate`, kept
+    # apart because negating u's coefficients on the way in makes
+    # subtraction slower
+    out = dict(t)
+    for k, c in u.items():
+        s = out.get(k, 0) + sign * c
+        if s:
+            out[k] = s
+        elif k in out:
+            del out[k]
+    return out
+
+
+def _lead(t):
+    # graded-lex, alpha before beta
+    return max(t, key=lambda k: (k[0] + k[1], k[0]))
+
+
+def _scaled_powers(p, q, n):
+    """[p^i q^(n-i) for i = 0..n]."""
+    up, down = [1], [1]
+    for _ in range(n):
+        up.append(up[-1] * p)
+        down.append(down[-1] * q)
+    return [u * d for u, d in zip(up, reversed(down))]
 
 
 class Poly2:
@@ -73,7 +100,7 @@ class Poly2:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return Poly2._raw(_K.kadd(self._t, other._t))
+        return Poly2._raw(_add_terms(self._t, other._t, 1))
 
     __radd__ = __add__
 
@@ -81,22 +108,34 @@ class Poly2:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return Poly2._raw(_K.ksub(self._t, other._t))
+        return Poly2._raw(_add_terms(self._t, other._t, -1))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return Poly2._raw(_K.ksub(other._t, self._t))
+        return Poly2._raw(_add_terms(other._t, self._t, -1))
 
     def __neg__(self):
-        return Poly2._raw(_K.kneg(self._t))
+        return Poly2._raw({k: -c for k, c in self._t.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return Poly2._raw(_K.kmul(self._t, other._t))
+        t, u = self._t, other._t
+        if len(t) > len(u):
+            t, u = u, t
+        out = {}
+        for (i1, j1), c1 in t.items():
+            for (i2, j2), c2 in u.items():
+                k = (i1 + i2, j1 + j2)
+                s = out.get(k, 0) + c1 * c2
+                if s:
+                    out[k] = s
+                elif k in out:
+                    del out[k]
+        return Poly2._raw(out)
 
     __rmul__ = __mul__
 
@@ -113,13 +152,37 @@ class Poly2:
         return out
 
     def exact_div(self, other):
+        """Quotient by a divisor that divides exactly; InexactDivision
+        otherwise.
+
+        Long division by a single divisor under the graded-lex order: any
+        nonzero multiple of q has a leading term divisible by lead(q), so a
+        failed term division proves inexactness.
+        """
         other = self._coerce(other)
         if other is NotImplemented or not other:
             raise ZeroDivisionError("polynomial division by zero")
-        try:
-            return Poly2._raw(_K.kexact_div(self._t, other._t))
-        except ValueError as exc:
-            raise InexactDivision(str(exc)) from None
+        q = other._t
+        qi, qj = _lead(q)
+        qc = q[(qi, qj)]
+        rem = dict(self._t)
+        quo = {}
+        while rem:
+            ri, rj = _lead(rem)
+            rc = rem[(ri, rj)]
+            if ri < qi or rj < qj or rc % qc:
+                raise InexactDivision("inexact polynomial division")
+            mi, mj = ri - qi, rj - qj
+            c = rc // qc
+            quo[(mi, mj)] = c
+            for (i, j), cq in q.items():
+                k = (i + mi, j + mj)
+                s = rem.get(k, 0) - c * cq
+                if s:
+                    rem[k] = s
+                elif k in rem:
+                    del rem[k]
+        return Poly2._raw(quo)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -132,12 +195,19 @@ class Poly2:
         return hash(tuple(sorted(self._t.items())))
 
     def eval(self, a, b):
-        """Exact value at alpha=a, beta=b (Fraction arithmetic)."""
+        """Exact value at alpha=a, beta=b, as a Fraction.
+
+        With a = p/q and b = r/s the sum runs over the integers on the
+        common denominator q^I s^J (I, J the largest exponents):
+        sum c p^i q^(I-i) r^j s^(J-j) / (q^I s^J).
+        """
         a, b = Fraction(a), Fraction(b)
-        out = Fraction(0)
-        for (i, j), c in self._t.items():
-            out += c * a**i * b**j
-        return out
+        I = max((i for i, _ in self._t), default=0)
+        J = max((j for _, j in self._t), default=0)
+        pa = _scaled_powers(a.numerator, a.denominator, I)
+        pb = _scaled_powers(b.numerator, b.denominator, J)
+        num = sum(c * pa[i] * pb[j] for (i, j), c in self._t.items())
+        return Fraction(num, a.denominator**I * b.denominator**J)
 
     def subs(self, a, b):
         """Substitute Poly2 values for alpha and beta."""
@@ -189,6 +259,19 @@ BETA = Poly2.monomial(0, 1)
 AB = ALPHA * BETA
 # kappa**2 = alpha*beta*(alpha+beta-1)
 KAPPA_SQ = AB * (ALPHA + BETA - 1)
+
+
+def accumulate(t, pairs):
+    """t[k] += c for each (k, c) in pairs, in place, for a sparse dict of
+    Poly2 coefficients; a key whose sum is zero is dropped, so no zero
+    coefficient is stored.  Returns t."""
+    for k, c in pairs:
+        s = t.get(k, ZERO) + c
+        if s:
+            t[k] = s
+        elif k in t:
+            del t[k]
+    return t
 
 
 class KappaElem:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .ring import Poly2, ZERO, ONE, AB
+from .ring import Poly2, ZERO, ONE, AB, accumulate
 
 Word = tuple  # tuple of ints in {1, 2}
 
@@ -81,27 +81,20 @@ class _LinComb:
     def __hash__(self):
         return hash(frozenset(self._t.items()))
 
-    def _combine(self, other, sign):
-        t = dict(self._t)
-        for k, c in other._t.items():
-            s = t.get(k, ZERO) + (c if sign > 0 else -c)
-            if s:
-                t[k] = s
-            elif k in t:
-                del t[k]
+    def _combine(self, pairs):
         out = object.__new__(type(self))
-        out._t = t
+        out._t = accumulate(dict(self._t), pairs)
         return out
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._combine(other, +1)
+        return self._combine(other._t.items())
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._combine(other, -1)
+        return self._combine((k, -c) for k, c in other._t.items())
 
     def __neg__(self):
         out = object.__new__(type(self))
@@ -137,16 +130,9 @@ class TensorElem(_LinComb):
             return self.scale(other)
         if not isinstance(other, TensorElem):
             return NotImplemented
-        t = {}
-        for w1, c1 in self._t.items():
-            for w2, c2 in other._t.items():
-                w = w1 + w2
-                s = t.get(w, ZERO) + c1 * c2
-                if s:
-                    t[w] = s
-                elif w in t:
-                    del t[w]
-        return TensorElem(t)
+        pairs = ((w1 + w2, c1 * c2) for w1, c1 in self._t.items()
+                 for w2, c2 in other._t.items())
+        return TensorElem(accumulate({}, pairs))
 
     def __rmul__(self, other):
         if isinstance(other, (Poly2, int)):
@@ -313,12 +299,7 @@ def normal_order_word(word, strategy="leftmost", max_steps=None):
         w, coeff = pending.pop()
         pos = _find_pair(w, leftmost=leftmost)
         if pos is None:
-            k = _tail_form(w)
-            s = done.get(k, ZERO) + coeff
-            if s:
-                done[k] = s
-            elif k in done:
-                del done[k]
+            accumulate(done, ((_tail_form(w), coeff),))
             continue
         steps += 1
         if steps > max_steps:
@@ -329,21 +310,12 @@ def normal_order_word(word, strategy="leftmost", max_steps=None):
     return done, steps
 
 
-def _accumulate(t, terms, c):
-    """t += c * terms, in place, dropping zero coefficients."""
-    for k, ck in terms.items():
-        s = t.get(k, ZERO) + c * ck
-        if s:
-            t[k] = s
-        elif k in t:
-            del t[k]
-
-
 def normal_order(x):
     """Project a TensorElem onto the shock ring (normal-ordered form)."""
     t = {}
     for w, nf in _fold_words(x._t):
-        _accumulate(t, nf, x._t[w])
+        c = x._t[w]
+        accumulate(t, ((k, c * ck) for k, ck in nf.items()))
     return ShockElem(t)
 
 
@@ -357,7 +329,7 @@ def shock_mul(x, y):
     for (kk, l), c in sorted(y.items()):
         while k < kk:
             xk, k = _times_e2(xk), k + 1
-        _accumulate(t, {(n, m + l): cx for (n, m), cx in xk.items()}, c)
+        accumulate(t, (((n, m + l), c * cx) for (n, m), cx in xk.items()))
     return ShockElem(t)
 
 

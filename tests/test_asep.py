@@ -103,6 +103,8 @@ class TestGenerator:
     def test_positive_rates_required(self):
         with pytest.raises(ValueError):
             build_generator(2, 0, Fraction(1, 2))
+        with pytest.raises(DegenerateParameters):
+            build_generator(2, Fraction(1, 2), Fraction(-1, 3))
 
 
 class TestStationary:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biops.errors import DegenerateParameters
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
@@ -36,6 +37,68 @@ class TestExplicit:
         for n in range(8):
             p = p_explicit(n)
             assert p.is_monic() and p.degree == n
+
+
+def _poly2s():
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return st.dictionaries(exps, st.integers(-3, 3), max_size=3).map(Poly2)
+
+
+COEFFS = {
+    "Poly2": _poly2s(),
+    "KappaElem": st.builds(KappaElem, _poly2s(), _poly2s()),
+}
+
+
+def _unipolys(coeffs):
+    return st.lists(coeffs, max_size=4).map(
+        lambda cs: UniPoly("x", tuple(cs)))
+
+
+def _no_trailing_zero(p):
+    return not p.coeffs or bool(p.coeffs[-1])
+
+
+@pytest.mark.parametrize("ring", sorted(COEFFS))
+class TestUniPolyArithmetic:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_ring_laws(self, ring, data):
+        p, q, r = (data.draw(_unipolys(COEFFS[ring])) for _ in range(3))
+        assert (p + q) + r == p + (q + r)
+        assert (p * q) * r == p * (q * r)
+        assert p * (q + r) == p * q + p * r
+        assert (p + q) - q == p
+        assert p - p == UniPoly("x", ())
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_no_trailing_zero(self, ring, data):
+        p, q = (data.draw(_unipolys(COEFFS[ring])) for _ in range(2))
+        c = data.draw(COEFFS[ring])
+        for r in (p, p + q, p + (q - p), -p, p * q, p * c, c * p,
+                  p * (q - q)):
+            assert _no_trailing_zero(r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_shift_mul_is_product(self, ring, data):
+        p = data.draw(_unipolys(COEFFS[ring]))
+        c = data.draw(COEFFS[ring])
+        assert p.shift_mul(c) == p * UniPoly("x", (-c, ONE))
+
+
+class TestUniPoly:
+    def test_variables(self):
+        with pytest.raises(ValueError):
+            UniPoly("y", (ONE,))
+        with pytest.raises(ValueError):
+            UniPoly("e1", (ONE,)) + UniPoly("e2", (ONE,))
+
+    def test_trailing_zeros_dropped(self):
+        assert UniPoly("x", (ONE, ZERO, ZERO)).coeffs == (ONE,)
+        assert UniPoly("x", (K_ZERO,)).coeffs == ()
+        assert not UniPoly("e1", ())
 
 
 class TestCramer:

@@ -112,6 +112,12 @@ class TestSmoke:
         lines = [l for l in err.splitlines() if l]
         assert lines and all(l.startswith("PASS") for l in lines)
 
+    @pytest.mark.parametrize("command", ["cheb", "check"])
+    def test_max_n_zero(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--max-n", "0")
+        assert code == 0, err
+        assert json.loads(out)
+
 
 class TestFormats:
     def test_csv_stationary(self, capsys):
@@ -158,6 +164,11 @@ class TestErrors:
         ("bimoment", "--n", "-1"),
         ("lambda", "--n", "x"),
         ("check", "--max-n", "-1"),
+        ("moments", "--dim", "-1"),
+        ("moments", "--dim", "1"),
+        ("represent", "e1", "--dim", "1"),
+        ("second-moment", "--dim", "-1"),
+        ("second-moment", "--dim", "2"),
     ], ids=" ".join)
     def test_bad_size_exit_2(self, argv):
         r = run_subprocess(*argv)
@@ -177,6 +188,20 @@ class TestErrors:
             os.close(write_end)
         assert r.returncode == 1
         assert r.stderr == b""
+
+    def test_bad_max_dim_exit_2(self, monkeypatch):
+        monkeypatch.setenv("BIOPS_MAX_DIM", "abc")
+        r = run_subprocess("moments", "--dim", "4")
+        err = r.stderr.decode()
+        assert r.returncode == 2, err
+        assert "BIOPS_MAX_DIM" in err and "Traceback" not in err
+        assert r.stdout == b""
+
+    def test_nonpositive_rate_exit_1(self, capsys):
+        code, _, err = run_cli(capsys, "compare", "--L", "3",
+                               "--alpha", "0", "--beta", "1/2")
+        assert code == 1
+        assert "rates must be positive" in err
 
     def test_max_dim_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("BIOPS_MAX_DIM", "5")

@@ -232,6 +232,12 @@ class TestChebLike:
         assert not rep.failures
         assert "corrected" in " ".join(rep.notes)
 
+    def test_report_at_zero(self):
+        # T_0 = 1 under both readings: nothing to tell them apart yet
+        rep = cheb_reading_report(0)
+        assert rep.ok
+        assert "N = 0" in " ".join(rep.notes)
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             cheb_like(3, "guessed")

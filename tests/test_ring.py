@@ -64,6 +64,17 @@ class TestPoly2:
         assert (0, 1) not in p.terms
         assert (ALPHA - ALPHA).terms == {}
 
+    @settings(max_examples=200, deadline=None)
+    @given(polys, polys, coeffs)
+    def test_operations_store_no_zero_coefficient(self, p, q, c):
+        # q - p and p - p make whole terms cancel
+        results = [p + q, p + (q - p), p - q, p - p, c - p, p + c, -p,
+                   p * q, p * (q - p), c * p]
+        if q:
+            results.append((p * q).exact_div(q))
+        for r in results:
+            assert 0 not in r.terms.values()
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Poly2({(-1, 0): 1})
@@ -84,13 +95,25 @@ class TestPoly2:
         assert poly_exact_div(p * q, q) == p
 
     def test_eval_is_homomorphism(self):
+        def naive(p, a, b):
+            return sum((c * a**i * b**j for (i, j), c in p.terms.items()),
+                       Fraction(0))
+
         rng = random.Random(7)
-        for _ in range(50):
+        points = [(0, 0), (0, Fraction(-2, 3)), (Fraction(-5, 4), 0),
+                  (-1, Fraction(-7, 9))]
+        for k in range(50):
             p, q = rand_poly(rng), rand_poly(rng)
             a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            assert poly_eval(p * q, a, b) == poly_eval(p, a, b) * poly_eval(q, a, b)
-            assert poly_eval(p + q, a, b) == poly_eval(p, a, b) + poly_eval(q, a, b)
+            for a, b in [(a, b), points[k % len(points)]]:
+                pa, qa = poly_eval(p, a, b), poly_eval(q, a, b)
+                assert poly_eval(p * q, a, b) == pa * qa
+                assert poly_eval(p + q, a, b) == pa + qa
+                for r in (p, q, p * q):
+                    assert poly_eval(r, a, b) == naive(r, a, b)
+        # integer arguments: a^3 - 2b at (-2, 3)
+        assert poly_eval(ALPHA**3 - 2 * BETA, -2, 3) == -14
 
     def test_json_roundtrip(self):
         rng = random.Random(11)
