@@ -3,8 +3,7 @@ open-boundary TASEP matrix product ansatz."""
 
 from .errors import (BiopsError, InexactDivision, DegenerateParameters,
                      TruncationTooSmall, SingularSystem, ParseError)
-from .ring import Poly2, KappaElem, poly_add, poly_mul, poly_exact_div, \
-    kappa_mul, poly_eval
+from .ring import Poly2, KappaElem
 from .tensor import (TensorElem, ShockElem, normal_order, shock_mul,
                      linear_form, power_sum)
 
@@ -14,8 +13,7 @@ __all__ = [
     "__version__",
     "BiopsError", "InexactDivision", "DegenerateParameters",
     "TruncationTooSmall", "SingularSystem", "ParseError",
-    "Poly2", "KappaElem", "poly_add", "poly_mul", "poly_exact_div",
-    "kappa_mul", "poly_eval",
+    "Poly2", "KappaElem",
     "TensorElem", "ShockElem", "normal_order", "shock_mul",
     "linear_form", "power_sum",
 ]

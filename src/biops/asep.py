@@ -82,9 +82,20 @@ class StationaryTable:
         }
 
 
+def require_positive_rates(a, b):
+    """(a, b) as Fractions, refusing a rate that is not positive: only
+    with both rates positive is the chain irreducible, with the one
+    stationary state that the MPA weights describe."""
+    a, b = Fraction(a), Fraction(b)
+    if a <= 0 or b <= 0:
+        raise DegenerateParameters(
+            f"rates must be positive: alpha={a}, beta={b}")
+    return a, b
+
+
 def stationary_mpa(L, a, b):
     """Exact matrix-product stationary distribution at rational (a, b)."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = require_positive_rates(a, b)
     words = {tau: state_word(tau) for tau in all_states(L)}
     values = linear_forms(words.values())
     weights = {tau: values[w] for tau, w in words.items()}
@@ -92,9 +103,7 @@ def stationary_mpa(L, a, b):
     # two paths to Z_L: the sum of the weights and the shock-ring power
     if sum(weights.values(), Poly2.const(0)) != Z:
         raise RuntimeError("partition function paths disagree")
-    zval = Z.eval(a, b)
-    if zval == 0:
-        raise DegenerateParameters(f"Z_{L}({a},{b}) = 0")
+    zval = Z.eval(a, b)  # > 0: positive coefficients at positive rates
     probs = {tau: w.eval(a, b) / zval for tau, w in weights.items()}
     return StationaryTable(L, weights, Z, a, b, probs)
 
@@ -118,10 +127,7 @@ def build_generator(L, a, b):
     (rate beta) if occupied, hop i -> i+1 (rate 1) when (occupied, empty)."""
     if L < 1:
         raise ValueError("L must be at least 1")
-    a, b = Fraction(a), Fraction(b)
-    if a <= 0 or b <= 0:
-        raise DegenerateParameters(
-            f"rates must be positive: alpha={a}, beta={b}")
+    a, b = require_positive_rates(a, b)
     dim = 1 << L
     rates = [dict() for _ in range(dim)]
     for idx in range(dim):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .ring import Poly2, ZERO, ONE, ALPHA, BETA, AB
+from .ring import ZERO, ONE, ALPHA, BETA, AB
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from operator import add, sub
 
-from .errors import DegenerateParameters, InexactDivision
+from .errors import DegenerateParameters
 from .report import CheckReport
 from .ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
                    K_ZERO, K_ONE, KAPPA)
@@ -273,10 +273,6 @@ class MomentBand:
         if i == j + 1:
             return self.sub[j]
         return K_ZERO
-
-    def dense(self):
-        return [[self.entry(i, j) for j in range(self.dim)]
-                for i in range(self.dim)]
 
     def to_obj(self):
         return {

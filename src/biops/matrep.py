@@ -1,19 +1,22 @@
 """Truncated matrix representation of the shock ring.
 
-e1 and e2 map to the bidiagonal band matrices Xhat and Yhat; a product of
-k generator matrices truncated to d x d has an exact top-left
-(d - k) x (d - k) block, recorded as valid_block.  The linear form is the
-(0,0) entry of the representation, giving an independent second
-computation path for L.
+e1 and e2 map to the bidiagonal first-moment bands of `biortho`.  A word's
+matrix is the product of its letters' bands, so the representation of a
+tensor element is a fold over its word trie (`tensor.fold_words`): each
+trie node multiplies the rows of its prefix by one band, and zero band
+entries cost nothing.  Folding the identity rows gives the whole matrix;
+folding the single row e_n gives row n, and e_0 gives the linear form as
+entry (0,0).  A product of k generator matrices truncated to d x d has an
+exact top-left (d - k) x (d - k) block, recorded as valid_block.
 
-Three generator pairs are available:
+Three generator pairs are available, each built from the closed-form bands:
 
 * "hat"      -- (Xhat, Yhat), the bi-orthonormal pair (contains kappa);
-* "bar_col"  -- D (Xhat, Yhat) D^-1 with D = diag(sqrt(Lambda_n)): the
-                kappa-free pair whose e1 image is the column-scaled Xbar
-                (super-diagonal all 1);
-* "bar_row"  -- D^-1 (Xhat, Yhat) D: the kappa-free pair whose e2 image is
-                the row-scaled Ybar (sub-diagonal all 1).
+* "bar_col"  -- (Xbar, Ybar with sub-diagonal k scaled by
+                Lambda_{k+1}/Lambda_k): the kappa-free pair
+                D (Xhat, Yhat) D^-1 with D = diag(sqrt(Lambda_n));
+* "bar_row"  -- (Xbar with super-diagonal k scaled by Lambda_{k+1}/Lambda_k,
+                Ybar): the kappa-free pair D^-1 (Xhat, Yhat) D.
 
 The closed-form P_n / Q_n band matrices live in the bar_col / bar_row
 pictures respectively.
@@ -21,14 +24,13 @@ pictures respectively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import TruncationTooSmall
 from .report import CheckReport
-from .ring import (KappaElem, ZERO, ALPHA, BETA, AB,
-                   K_ZERO, K_ONE, KAPPA, KAPPA_SQ)
-from .tensor import TensorElem
-from .biortho import UniPoly, first_moment_matrices, sqrt_lambda
+from .ring import KappaElem, ZERO, ALPHA, BETA, AB, K_ZERO, K_ONE
+from .tensor import E1, E2, TensorElem, fold_words
+from .biortho import UniPoly, first_moment_matrices, lambda_n, sqrt_lambda
 
 GENERATOR_REPS = ("hat", "bar_col", "bar_row")
 
@@ -52,9 +54,6 @@ class RepMatrix:
     def raw(self, i, j):
         return self.entries[i][j]
 
-    def grid(self):
-        return [list(row) for row in self.entries]
-
     def to_obj(self):
         return {
             "dim": self.dim,
@@ -72,102 +71,91 @@ def _zeros(dim):
     return [[K_ZERO] * dim for _ in range(dim)]
 
 
+def _unit_row(n, dim):
+    row = [K_ZERO] * dim
+    row[n] = K_ONE
+    return row
+
+
 def _identity(dim):
-    rows = _zeros(dim)
-    for i in range(dim):
-        rows[i][i] = K_ONE
-    return rows
-
-
-def _matmul(a, b):
-    dim = len(a)
-    out = _zeros(dim)
-    for i in range(dim):
-        arow = a[i]
-        orow = out[i]
-        for k in range(dim):
-            aik = arow[k]
-            if aik.is_zero():
-                continue
-            brow = b[k]
-            for j in range(dim):
-                if not brow[j].is_zero():
-                    orow[j] = orow[j] + aik * brow[j]
-    return out
-
-
-def _madd(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mscale(a, c):
-    return [[c * x for x in row] for row in a]
+    return [_unit_row(i, dim) for i in range(dim)]
 
 
 def generator_matrices(dim, rep="hat"):
-    """Truncated images of (e1, e2) in the chosen picture."""
+    """Truncated images of (e1, e2) in the chosen picture, as MomentBands."""
     if rep not in GENERATOR_REPS:
         raise ValueError(f"unknown generator picture {rep!r}")
-    _, _, _, _, Xhat, Yhat = first_moment_matrices(dim)
-    x = [[Xhat.entry(i, j) for j in range(dim)] for i in range(dim)]
-    y = [[Yhat.entry(i, j) for j in range(dim)] for i in range(dim)]
+    _, _, Xbar, Ybar, Xhat, Yhat = first_moment_matrices(dim)
     if rep == "hat":
-        return x, y
-    # conjugate by D = diag(sqrt(Lambda_n)); ratios of consecutive
-    # sqrt(Lambda) are kappa at index 0->1 and alpha*beta afterwards.
-    up = [KAPPA] + [KappaElem(AB)] * (dim - 2)  # sqrt(L_{k+1})/sqrt(L_k)
-    for k in range(dim - 1):
-        r = up[k]
-        if rep == "bar_col":
-            # superdiag entry /= ratio, subdiag entry *= ratio
-            x[k][k + 1] = _div_ratio(x[k][k + 1], r)
-            y[k + 1][k] = y[k + 1][k] * r
-        else:
-            x[k][k + 1] = x[k][k + 1] * r
-            y[k + 1][k] = _div_ratio(y[k + 1][k], r)
-    return x, y
+        return Xhat, Yhat
+    # Lambda_{k+1}/Lambda_k: conjugating by D = diag(sqrt(Lambda_n)) moves
+    # this ratio onto one off-diagonal of the bar pair
+    ratio = [KappaElem(lambda_n(k + 1).exact_div(lambda_n(k)))
+             for k in range(dim - 1)]
+    if rep == "bar_col":
+        return Xbar, replace(Ybar, kind="Ybar_col", sub=tuple(
+            s * r for s, r in zip(Ybar.sub, ratio)))
+    return replace(Xbar, kind="Xbar_row", sup=tuple(
+        s * r for s, r in zip(Xbar.sup, ratio))), Ybar
 
 
-def _div_ratio(e, r):
-    # divide by kappa (r = kappa) or by the polynomial alpha*beta
-    if r == KAPPA:
-        # e is c*kappa on the band; c*kappa/kappa = c
-        if not e.a.is_zero():
-            return KappaElem(ZERO, e.a.exact_div(KAPPA_SQ))
-        return KappaElem(e.b)
-    return KappaElem(e.a.exact_div(r.a), e.b.exact_div(r.a))
+def _times_band(rows, band):
+    """rows * band for dense rows and a MomentBand; a zero entry of either
+    costs nothing.  Row entry i meets sub[i-1], diag[i] and sup[i] at
+    columns i-1, i and i+1."""
+    dim = band.dim
+    links = [[(j, band.entry(i, j)) for j in (i - 1, i, i + 1)
+              if 0 <= j < dim and band.entry(i, j)] for i in range(dim)]
+    out = []
+    for row in rows:
+        new = [K_ZERO] * dim
+        for i, r in enumerate(row):
+            if r:
+                for j, b in links[i]:
+                    new[j] = new[j] + r * b
+        out.append(new)
+    return out
+
+
+def _fold_rows(x, rows, rep):
+    """Sum over the words w of x of coeff(w) * rows * M(w), where M(w) is
+    the product of w's generator bands; one band product per trie node."""
+    dim = len(rows[0])
+    bands = generator_matrices(dim, rep)
+    total = [[K_ZERO] * dim for _ in rows]
+    terms = x.terms
+    for w, prod in fold_words(terms, rows,
+                              lambda m, g: _times_band(m, bands[g - 1])):
+        c = KappaElem(terms[w])
+        for trow, prow in zip(total, prod):
+            for j, e in enumerate(prow):
+                if e:
+                    trow[j] = trow[j] + c * e
+    return total
 
 
 def represent(x, dim, rep="hat"):
     """Substitute the generator matrices into every word of x and sum.
 
     Requires dim >= (max word length) + 2 so the (0,0) entry is exact."""
-    if isinstance(x, TensorElem):
-        words = x.terms
-    else:
+    if not isinstance(x, TensorElem):
         raise TypeError("represent expects a TensorElem")
-    maxlen = max((len(w) for w in words), default=0)
+    maxlen = x.max_word_len()
     if dim < maxlen + 2:
         raise TruncationTooSmall(
             f"dim {dim} < max word length {maxlen} + 2"
         )
-    g1, g2 = generator_matrices(dim, rep)
-    total = _zeros(dim)
-    for w, coeff in words.items():
-        m = _identity(dim)
-        for letter in w:
-            m = _matmul(m, g1 if letter == 1 else g2)
-        total = _madd(total, _mscale(m, KappaElem(coeff)))
-    return _freeze(total, dim - maxlen)
+    return _freeze(_fold_rows(x, _identity(dim), rep), dim - maxlen)
 
 
 def eval_L_matrix(x):
-    """L(x) as the (0,0) entry of the matrix representation.
+    """L(x) as the (0,0) entry of the matrix representation, from row e_0
+    alone.
 
     The result is always kappa-free; a nonzero kappa part is an internal
     bug and raises RuntimeError."""
     dim = max(x.max_word_len() + 2, 2)
-    e = represent(x, dim).entry(0, 0)
+    e = _fold_rows(x, [_unit_row(0, dim)], "hat")[0][0]
     if not e.b.is_zero():
         raise RuntimeError("kappa part of L did not cancel")
     return e.a
@@ -202,31 +190,35 @@ def pq_rep(n, which, dim):
 
 def matrix_moment(n, m, g, dim=None):
     """G[n][m] where G = represent(g) in the normalized picture; equals
-    L(Phat_n g Qhat_m), i.e. L(P_n g Q_m)/sqrt(Lambda_n Lambda_m)."""
+    L(Phat_n g Qhat_m), i.e. L(P_n g Q_m)/sqrt(Lambda_n Lambda_m).  Only
+    row e_n of G is computed."""
     maxlen = g.max_word_len()
     need = max(n, m) + maxlen + 2
     if dim is None:
         dim = need
     elif dim < need:
         raise TruncationTooSmall(f"dim {dim} < required {need}")
-    return represent(g, dim).entry(n, m)
+    return _fold_rows(g, [_unit_row(n, dim)], "hat")[0][m]
 
 
 def similarity_check(dim):
-    """Assert the three generator pictures are diagonal-similar on valid
-    blocks: bar_col = D hat D^-1 and bar_row = D^-1 hat D."""
+    """Assert the three generator pictures are diagonal-similar:
+    bar_col = D hat D^-1 and bar_row = D^-1 hat D.  The bar pictures come
+    from the closed-form bar bands and Lambda ratios, the hat picture from
+    the bi-orthonormal bands, so this compares two constructions."""
     rep = CheckReport(f"diagonal similarity dim {dim}")
     slam = [sqrt_lambda(k) for k in range(dim)]
     hat = generator_matrices(dim, "hat")
     col = generator_matrices(dim, "bar_col")
     row = generator_matrices(dim, "bar_row")
-    for name, mats, left in (("bar_col", col, True), ("bar_row", row, False)):
+    for name, bands, left in (("bar_col", col, True), ("bar_row", row, False)):
         for which in (0, 1):
             for i in range(dim):
                 for j in range(dim):
                     # D M D^-1 cross-multiplied: out[i][j]*s_j == s_i*M[i][j]
                     si, sj = (slam[i], slam[j]) if left else (slam[j], slam[i])
-                    ok = mats[which][i][j] * sj == si * hat[which][i][j]
+                    ok = (bands[which].entry(i, j) * sj
+                          == si * hat[which].entry(i, j))
                     rep.record(ok, f"{name} gen{which + 1} ({i},{j})")
     return rep
 
@@ -249,9 +241,8 @@ def second_moment(dim):
 
 
 def second_moment_product(dim):
-    """W as the matrix product Xhat * Yhat (valid block dim - 2)."""
-    g1, g2 = generator_matrices(dim, "hat")
-    return _freeze(_matmul(g1, g2), dim - 2)
+    """W as the representation of e1 e2, Xhat * Yhat (valid block dim - 2)."""
+    return represent(E1 * E2, dim)
 
 
 # --- Chebyshev-like polynomials -------------------------------------------

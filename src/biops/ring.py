@@ -374,24 +374,3 @@ K_ZERO = KappaElem(ZERO)
 K_ONE = KappaElem(ONE)
 KAPPA = KappaElem(ZERO, ONE)
 
-
-# Named operation surface (thin aliases over the operator methods).
-
-def poly_add(p, q):
-    return p + q
-
-
-def poly_mul(p, q):
-    return p * q
-
-
-def poly_exact_div(p, q):
-    return p.exact_div(q)
-
-
-def kappa_mul(x, y):
-    return x * y
-
-
-def poly_eval(p, a, b):
-    return p.eval(a, b)

@@ -38,7 +38,10 @@ def _clean(terms):
 
 
 class _LinComb:
-    """Shared machinery for finite linear combinations with Poly2 coefficients."""
+    """Shared machinery for finite linear combinations with Poly2 coefficients.
+
+    A subclass supplies `_mul`, its product with an element of its own
+    type; products by a scalar and powers live here."""
 
     __slots__ = ("_t",)
     _UNIT = None  # key of the ring unit
@@ -109,6 +112,26 @@ class _LinComb:
         out._t = _clean({k: p * c for k, c in self._t.items()})
         return out
 
+    def __mul__(self, other):
+        if isinstance(other, (Poly2, int)):
+            return self.scale(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._mul(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (Poly2, int)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        out = self.unit()
+        for _ in range(n):
+            out = out * self
+        return out
+
 
 class TensorElem(_LinComb):
     """Element of the tensor algebra: map word -> nonzero Poly2."""
@@ -125,27 +148,10 @@ class TensorElem(_LinComb):
     def from_word(cls, w, coeff=ONE):
         return cls({tuple(w): coeff})
 
-    def __mul__(self, other):
-        if isinstance(other, (Poly2, int)):
-            return self.scale(other)
-        if not isinstance(other, TensorElem):
-            return NotImplemented
+    def _mul(self, other):
         pairs = ((w1 + w2, c1 * c2) for w1, c1 in self._t.items()
                  for w2, c2 in other._t.items())
         return TensorElem(accumulate({}, pairs))
-
-    def __rmul__(self, other):
-        if isinstance(other, (Poly2, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = TensorElem.unit()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def max_word_len(self):
         return max((len(w) for w in self._t), default=0)
@@ -179,25 +185,8 @@ class ShockElem(_LinComb):
     def basis(cls, n, m, coeff=ONE):
         return cls({(n, m): coeff})
 
-    def __mul__(self, other):
-        if isinstance(other, (Poly2, int)):
-            return self.scale(other)
-        if not isinstance(other, ShockElem):
-            return NotImplemented
+    def _mul(self, other):
         return shock_mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Poly2, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = ShockElem.unit()
-        for _ in range(n):
-            out = shock_mul(out, self)
-        return out
 
     def __repr__(self):
         if not self._t:
@@ -262,13 +251,14 @@ def _times_gen(t, g):
     return _times_e2(t)
 
 
-def _fold_words(words):
-    """Yield (word, normal-ordered (n,m)->Poly2 dict) for each of the
-    distinct `words`, in sorted order.  A word's form is the left fold of
-    generator products from the unit; a stack holds the forms of the
-    current word's prefixes, so each node of the word trie costs one
-    product."""
-    stack = [{(0, 0): ONE}]  # stack[i] = form of prev[:i]
+def fold_words(words, unit, times_gen):
+    """Yield (word, value) for each of the distinct `words`, in sorted
+    order, where a word's value is the left fold of times_gen(value, g)
+    over its letters g, starting from `unit`.  A stack holds the values of
+    the current word's prefixes, so each node of the word trie costs one
+    product.  Normal ordering folds (n,m)->Poly2 dicts with `_times_gen`;
+    matrix representations fold rows with a band product."""
+    stack = [unit]  # stack[i] = value of prev[:i]
     prev = ()
     for w in sorted(words):
         i, top = 0, min(len(prev), len(w))
@@ -276,7 +266,7 @@ def _fold_words(words):
             i += 1
         del stack[i + 1:]
         for g in w[i:]:
-            stack.append(_times_gen(stack[-1], g))
+            stack.append(times_gen(stack[-1], g))
         prev = w
         yield w, stack[-1]
 
@@ -313,7 +303,7 @@ def normal_order_word(word, strategy="leftmost", max_steps=None):
 def normal_order(x):
     """Project a TensorElem onto the shock ring (normal-ordered form)."""
     t = {}
-    for w, nf in _fold_words(x._t):
+    for w, nf in fold_words(x._t, {(0, 0): ONE}, _times_gen):
         c = x._t[w]
         accumulate(t, ((k, c * ck) for k, ck in nf.items()))
     return ShockElem(t)
@@ -350,7 +340,8 @@ def linear_forms(words):
     """{word: L(word)} for an iterable of words.  Words missing from the
     per-word cache are normal-ordered together, sharing prefix folds."""
     words = set(words)
-    for w, nf in _fold_words(w for w in words if w not in _L_CACHE):
+    missing = (w for w in words if w not in _L_CACHE)
+    for w, nf in fold_words(missing, {(0, 0): ONE}, _times_gen):
         _L_CACHE[w] = _L_nf(nf)
     return {w: _L_CACHE[w] for w in words}
 

@@ -137,7 +137,8 @@ class TestStationary:
         assert all(0 < p < 1 for p in probs.values())
 
     def test_degenerate_Z(self):
-        # alpha = -beta makes Z_1 vanish
+        # alpha = -beta would make Z_1 vanish; the negative rate is
+        # refused before any division
         with pytest.raises(DegenerateParameters):
             stationary_mpa(1, Fraction(1, 2), Fraction(-1, 2))
 

@@ -198,10 +198,15 @@ class TestErrors:
         assert r.stdout == b""
 
     def test_nonpositive_rate_exit_1(self, capsys):
-        code, _, err = run_cli(capsys, "compare", "--L", "3",
-                               "--alpha", "0", "--beta", "1/2")
-        assert code == 1
-        assert "rates must be positive" in err
+        for argv in (("compare", "--L", "3", "--alpha", "0", "--beta", "1/2"),
+                     ("stationary", "--L", "2", "--alpha", "-1",
+                      "--beta", "1/2"),
+                     ("stationary", "--L", "2", "--alpha", "0",
+                      "--beta", "1/2")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1, argv
+            assert "rates must be positive" in err
+            assert out == ""
 
     def test_max_dim_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("BIOPS_MAX_DIM", "5")

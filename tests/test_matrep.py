@@ -3,11 +3,13 @@ import random
 import pytest
 
 from biops.ring import Poly2, ZERO, ONE, ALPHA, BETA, AB, KappaElem, K_ZERO, K_ONE, KAPPA
-from biops.tensor import TensorElem, E1, E2, linear_form
+from biops.tensor import TensorElem, E1, E2, linear_form, power_sum
+from biops.asep import partition_Z
 from biops.biortho import (first_moment_matrices, p_explicit, q_explicit,
                            sqrt_lambda)
-from biops.matrep import (generator_matrices, represent, eval_L_matrix,
-                          pq_rep, matrix_moment, similarity_check,
+from biops.matrep import (GENERATOR_REPS, generator_matrices, represent,
+                          eval_L_matrix, pq_rep, matrix_moment,
+                          similarity_check,
                           second_moment, second_moment_product, cheb_like,
                           principal_minor_polys, cheb_reading_report)
 from biops.checks import random_tensor
@@ -21,30 +23,30 @@ class TestGenerators:
         g1, g2 = generator_matrices(dim, "hat")
         for i in range(dim):
             for j in range(dim):
-                assert g1[i][j] == Xhat.entry(i, j)
-                assert g2[i][j] == Yhat.entry(i, j)
+                assert g1.entry(i, j) == Xhat.entry(i, j)
+                assert g2.entry(i, j) == Yhat.entry(i, j)
 
     def test_hat_band_values(self):
         g1, g2 = generator_matrices(4, "hat")
-        assert g1[0][0] == KappaElem(ALPHA)
-        assert g1[1][1] == KappaElem(AB)
-        assert g1[0][1] == KAPPA
-        assert g1[1][2] == KappaElem(AB)
-        assert g1[1][0] == K_ZERO
-        assert g2[0][0] == KappaElem(BETA)
-        assert g2[1][0] == KAPPA
-        assert g2[2][1] == KappaElem(AB)
-        assert g2[0][1] == K_ZERO
+        assert g1.entry(0, 0) == KappaElem(ALPHA)
+        assert g1.entry(1, 1) == KappaElem(AB)
+        assert g1.entry(0, 1) == KAPPA
+        assert g1.entry(1, 2) == KappaElem(AB)
+        assert g1.entry(1, 0) == K_ZERO
+        assert g2.entry(0, 0) == KappaElem(BETA)
+        assert g2.entry(1, 0) == KAPPA
+        assert g2.entry(2, 1) == KappaElem(AB)
+        assert g2.entry(0, 1) == K_ZERO
 
     def test_bar_pictures_kappa_free_where_expected(self):
         # bar_col has a kappa-free superdiagonal in gen1 and kappa^2 scaled
         # subdiagonal in gen2; bar_row is the mirror image
         g1, g2 = generator_matrices(5, "bar_col")
-        assert g1[0][1] == K_ONE
-        assert g2[1][0] == KAPPA * KAPPA
+        assert g1.entry(0, 1) == K_ONE
+        assert g2.entry(1, 0) == KAPPA * KAPPA
         h1, h2 = generator_matrices(5, "bar_row")
-        assert h2[1][0] == K_ONE
-        assert h1[0][1] == KAPPA * KAPPA
+        assert h2.entry(1, 0) == K_ONE
+        assert h1.entry(0, 1) == KAPPA * KAPPA
 
     def test_unknown_rep_rejected(self):
         with pytest.raises(ValueError):
@@ -90,6 +92,20 @@ class TestRepresent:
         for _ in range(200):
             x = random_tensor(rng, max_len=8)
             assert eval_L_matrix(x) == linear_form(x)
+
+    @pytest.mark.parametrize("rep", GENERATOR_REPS)
+    def test_corner_is_L_in_every_picture(self, rep):
+        # the pictures are diagonal-similar with D[0][0] = 1
+        rng = random.Random(11)
+        for _ in range(40):
+            x = random_tensor(rng, max_len=6)
+            dim = x.max_word_len() + 2 + rng.randint(0, 3)
+            assert represent(x, dim, rep).entry(0, 0) == KappaElem(linear_form(x))
+
+    def test_power_sums(self):
+        # row e_0 folded over all 2^L words against the shock-ring power
+        for L in range(9):
+            assert eval_L_matrix(power_sum(L)) == partition_Z(L), L
 
     def test_two_path_L_examples(self):
         assert eval_L_matrix(E1) == ALPHA
@@ -169,6 +185,15 @@ class TestMatrixMoment:
                                       * q_explicit(m).to_tensor())
                     rhs = matrix_moment(n, m, g) * sqrt_lambda(n) * sqrt_lambda(m)
                     assert KappaElem(lhs) == rhs, (n, m)
+
+    def test_row_fold_equals_full_matrix(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            g = random_tensor(rng, max_len=4)
+            n, m = rng.randint(0, 4), rng.randint(0, 4)
+            dim = max(n, m) + g.max_word_len() + 2
+            full = represent(g, dim)
+            assert matrix_moment(n, m, g) == full.entry(n, m), (n, m)
 
     def test_first_moment_example(self):
         assert matrix_moment(0, 1, E1) == KAPPA
