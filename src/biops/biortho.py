@@ -1,6 +1,11 @@
 """The bi-orthogonal polynomial pair {P_n}, {Q_n}, their normalization,
 and the first-moment band matrices.
 
+Each object of the pair is built once and mirrored by transposition:
+Q_n is Cramer's rule on the transposed bi-moment matrix (B with alpha and
+beta swapped), and each e2 band is its e1 band transposed with alpha and
+beta swapped.
+
 P_n = (e1 - alpha)(e1 - alpha*beta)^(n-1) and
 Q_n = (e2 - beta)(e2 - alpha*beta)^(n-1) (monic, P_0 = Q_0 = 1) satisfy
 L(P_n (x) Q_m) = Lambda_n * delta_{n,m} with
@@ -18,8 +23,8 @@ from operator import add, sub
 
 from .errors import DegenerateParameters
 from .report import CheckReport
-from .ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
-                   K_ZERO, K_ONE, KAPPA)
+from .ring import (KappaElem, ZERO, ONE, ALPHA, BETA, AB, K_ZERO, K_ONE,
+                   KAPPA)
 from .tensor import TensorElem, linear_form
 from .bimoment import build_bimoment, det_fraction_free
 
@@ -132,43 +137,35 @@ def q_explicit(n):
     return _product_form("e2", BETA, n)
 
 
-def _minor_det(grid, skip_row, rows, cols):
-    sub = [[grid[i][j] for j in cols] for i in rows if i != skip_row]
-    return det_fraction_free(sub)
+def _cramer(grid, variable):
+    """Cramer's rule along the symbolic border of an (n+1)x(n+1) grid: the
+    coefficient of variable^i is the signed cofactor of row i in the border
+    column, divided by the leading n x n minor."""
+    n = len(grid) - 1
+    denom = det_fraction_free([row[:n] for row in grid[:n]])
+    coeffs = []
+    for i in range(n + 1):
+        sign = 1 if (i + n) % 2 == 0 else -1
+        minor = det_fraction_free([row[:n] for k, row in enumerate(grid)
+                                   if k != i])
+        coeffs.append((sign * minor).exact_div(denom))
+    return UniPoly(variable, tuple(coeffs))
 
 
 def p_cramer(n):
-    """P_n by Cramer's rule: Laplace expansion of the bordered bi-moment
-    determinant along its symbolic last column, divided by det B^(n-1)."""
+    """P_n by Cramer's rule on the bi-moment matrix B, bordered by the
+    column (1, e1, ..., e1^n)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n == 0:
-        return UniPoly("e1", (ONE,))
-    B = build_bimoment(n).grid()
-    denom = det_fraction_free([row[:n] for row in B[:n]])
-    coeffs = []
-    cols = list(range(n))
-    for i in range(n + 1):
-        sign = 1 if (i + n) % 2 == 0 else -1
-        minor = _minor_det(B, i, range(n + 1), cols)
-        coeffs.append((sign * minor).exact_div(denom))
-    return UniPoly("e1", tuple(coeffs))
+    return _cramer(build_bimoment(n).entries, "e1")
 
 
 def q_cramer(n):
-    """Q_n: mirror of p_cramer with the symbolic bordered last row."""
+    """Q_n by Cramer's rule on the transpose of B (B with alpha and beta
+    swapped), bordered by the column (1, e2, ..., e2^n)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n == 0:
-        return UniPoly("e2", (ONE,))
-    B = build_bimoment(n).grid()
-    denom = det_fraction_free([row[:n] for row in B[:n]])
-    coeffs = []
-    for j in range(n + 1):
-        sign = 1 if (n + j) % 2 == 0 else -1
-        sub = [[B[i][c] for c in range(n + 1) if c != j] for i in range(n)]
-        coeffs.append((sign * det_fraction_free(sub)).exact_div(denom))
-    return UniPoly("e2", tuple(coeffs))
+    return _cramer(tuple(zip(*build_bimoment(n).entries)), "e2")
 
 
 def lambda_n(n):
@@ -188,37 +185,6 @@ def sqrt_lambda(n):
     if n == 0:
         return K_ONE
     return KappaElem(ZERO, AB ** (n - 1))
-
-
-def normalized_p(n):
-    """P_n / sqrt(Lambda_n) as a common-denominator fraction over the
-    kappa ring: numerator coefficients c_i * sqrt(Lambda_n), denominator
-    Lambda_n (since 1/sqrt(Lambda_n) = sqrt(Lambda_n)/Lambda_n)."""
-    return _normalized(p_explicit(n), n)
-
-
-def normalized_q(n):
-    return _normalized(q_explicit(n), n)
-
-
-@dataclass(frozen=True)
-class NormalizedPoly:
-    variable: str
-    numerators: tuple  # KappaElem per power of the generator
-    denominator: Poly2
-
-    def to_obj(self):
-        return {
-            "variable": self.variable,
-            "numerators": [c.to_obj() for c in self.numerators],
-            "denominator": self.denominator.to_obj(),
-        }
-
-
-def _normalized(p, n):
-    s = sqrt_lambda(n)
-    nums = tuple(KappaElem(c) * s for c in p.coeffs)
-    return NormalizedPoly(p.variable, nums, lambda_n(n))
 
 
 def check_orthogonality(N):
@@ -284,10 +250,6 @@ class MomentBand:
         }
 
 
-def _kp(p):
-    return KappaElem(p)
-
-
 def first_moment_matrices(dim):
     """Closed-form X, Y, Xbar, Ybar, Xhat, Yhat truncated to dim x dim.
 
@@ -298,25 +260,22 @@ def first_moment_matrices(dim):
     """
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    lam = [lambda_n(n) for n in range(dim + 1)]
-    zdiag = [_kp(ALPHA * lam[0])] + [_kp(AB * lam[n]) for n in range(1, dim)]
-    xsup = [_kp(lam[n + 1]) for n in range(dim - 1)]
-    X = MomentBand("X", dim, tuple(zdiag), tuple(xsup), (K_ZERO,) * (dim - 1))
-    ydiag = [_kp(BETA * lam[0])] + [_kp(AB * lam[n]) for n in range(1, dim)]
-    ysub = [_kp(lam[n + 1]) for n in range(dim - 1)]
-    Y = MomentBand("Y", dim, tuple(ydiag), (K_ZERO,) * (dim - 1), tuple(ysub))
+    zeros = (K_ZERO,) * (dim - 1)
 
-    bar_diag_x = (_kp(ALPHA),) + tuple(_kp(AB) for _ in range(dim - 1))
-    Xbar = MomentBand("Xbar", dim, bar_diag_x,
-                      (K_ONE,) * (dim - 1), (K_ZERO,) * (dim - 1))
-    bar_diag_y = (_kp(BETA),) + tuple(_kp(AB) for _ in range(dim - 1))
-    Ybar = MomentBand("Ybar", dim, bar_diag_y,
-                      (K_ZERO,) * (dim - 1), (K_ONE,) * (dim - 1))
+    def pair(suffix, tail, off):
+        # the e1 band and its transpose with alpha -> beta: the diagonal
+        # starts with alpha / beta, the off-diagonal is above / below it
+        return (MomentBand("X" + suffix, dim, (KappaElem(ALPHA),) + tail,
+                           off, zeros),
+                MomentBand("Y" + suffix, dim, (KappaElem(BETA),) + tail,
+                           zeros, off))
 
-    hat_off = (KAPPA,) + tuple(_kp(AB) for _ in range(dim - 2))
-    Xhat = MomentBand("Xhat", dim, bar_diag_x, hat_off, (K_ZERO,) * (dim - 1))
-    Yhat = MomentBand("Yhat", dim, bar_diag_y, (K_ZERO,) * (dim - 1), hat_off)
-    return X, Y, Xbar, Ybar, Xhat, Yhat
+    lam = [lambda_n(n) for n in range(1, dim)]
+    ab = (KappaElem(AB),) * (dim - 1)
+    return (*pair("", tuple(KappaElem(AB * x) for x in lam),
+                  tuple(KappaElem(x) for x in lam)),
+            *pair("bar", ab, (K_ONE,) * (dim - 1)),
+            *pair("hat", ab, (KAPPA,) + ab[1:]))
 
 
 def moment_consistency(dim):

@@ -39,12 +39,8 @@ class ScalarPoly:
 
 
 @dataclass(frozen=True)
-class PPoly:
-    n: int
-
-
-@dataclass(frozen=True)
-class QPoly:
+class BiOrtho:
+    which: str  # "P" (a polynomial in e1) or "Q" (in e2)
     n: int
 
 
@@ -178,8 +174,7 @@ class _Parser:
             self.expect("(", "'('")
             n = self.expect("int", "a nonnegative integer index")
             self.expect(")", "')'")
-            node = PPoly if kind == "P" else QPoly
-            return node(int(n[1]))
+            return BiOrtho(kind, int(n[1]))
         if kind == "(":
             e = self.expr()
             self.expect(")", "')'")
@@ -189,7 +184,14 @@ class _Parser:
 
 def parse(src):
     """Parse source text to an AST; raises ParseError with a 1-based column."""
-    return _Parser(src).parse()
+    parser = _Parser(src)
+    try:
+        return parser.parse()
+    except RecursionError:
+        # the limit can strike while the error for a consumed end token
+        # is being built, so the index may be one past the last token
+        tok = parser.tokens[min(parser.i, len(parser.tokens) - 1)]
+        raise ParseError(tok[2], "expression nested too deeply") from None
 
 
 # --- pretty printer and evaluator -------------------------------------------
@@ -199,10 +201,8 @@ def pretty(node):
         return f"e{node.which}"
     if isinstance(node, ScalarPoly):
         return node.source
-    if isinstance(node, PPoly):
-        return f"P({node.n})"
-    if isinstance(node, QPoly):
-        return f"Q({node.n})"
+    if isinstance(node, BiOrtho):
+        return f"{node.which}({node.n})"
     if isinstance(node, Sum):
         out = pretty(node.parts[0])
         for p in node.parts[1:]:
@@ -236,9 +236,9 @@ def eval_expr(node, algebra=TensorElem):
         if node.source == "b":
             return algebra.scalar(BETA)
         return algebra.scalar(Poly2.const(int(node.source)))
-    if isinstance(node, (PPoly, QPoly)):
+    if isinstance(node, BiOrtho):
         # Horner in the generator: P_n is a polynomial in e1, Q_n in e2
-        if isinstance(node, PPoly):
+        if node.which == "P":
             poly, gen = p_explicit(node.n), algebra.generator(1)
         else:
             poly, gen = q_explicit(node.n), algebra.generator(2)

@@ -9,6 +9,7 @@ Rational point evaluation uses fractions.Fraction (exact).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 from .errors import InexactDivision
 
@@ -32,11 +33,6 @@ def _add_terms(t, u, sign):
     return out
 
 
-def _lead(t):
-    # graded-lex, alpha before beta
-    return max(t, key=lambda k: (k[0] + k[1], k[0]))
-
-
 def _scaled_powers(p, q, n):
     """[p^i q^(n-i) for i = 0..n]."""
     up, down = [1], [1]
@@ -57,9 +53,9 @@ class Poly2:
             for (i, j), c in dict(terms).items():
                 if i < 0 or j < 0:
                     raise ValueError("negative exponent")
-                c = int(c)
+                c = index(c)
                 if c:
-                    t[(int(i), int(j))] = c
+                    t[(index(i), index(j))] = c
         self._t = t
 
     @classmethod
@@ -70,7 +66,8 @@ class Poly2:
 
     @classmethod
     def const(cls, c):
-        return cls._raw({(0, 0): int(c)} if c else {})
+        c = index(c)
+        return cls._raw({(0, 0): c} if c else {})
 
     @classmethod
     def monomial(cls, i, j, c=1):
@@ -82,9 +79,6 @@ class Poly2:
 
     def is_zero(self):
         return not self._t
-
-    def total_degree(self):
-        return max((i + j for i, j in self._t), default=-1)
 
     def __bool__(self):
         return bool(self._t)
@@ -163,12 +157,12 @@ class Poly2:
         if other is NotImplemented or not other:
             raise ZeroDivisionError("polynomial division by zero")
         q = other._t
-        qi, qj = _lead(q)
+        qi, qj = max(q, key=_grlex_key)
         qc = q[(qi, qj)]
         rem = dict(self._t)
         quo = {}
         while rem:
-            ri, rj = _lead(rem)
+            ri, rj = max(rem, key=_grlex_key)
             rc = rem[(ri, rj)]
             if ri < qi or rj < qj or rc % qc:
                 raise InexactDivision("inexact polynomial division")

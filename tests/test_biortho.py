@@ -9,7 +9,7 @@ from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
 from biops.tensor import E1, E2, linear_form
 from biops.bimoment import build_bimoment, det_fraction_free
 from biops.biortho import (UniPoly, p_explicit, q_explicit, p_cramer,
-                           q_cramer, lambda_n, sqrt_lambda, normalized_p,
+                           q_cramer, lambda_n, sqrt_lambda,
                            check_orthogonality, recurrence_check,
                            first_moment_matrices, moment_consistency,
                            require_generic_point, lambda_value, band_values)
@@ -147,23 +147,6 @@ class TestOrthogonality:
     def test_recurrences(self):
         rep = recurrence_check(10)
         assert rep.ok
-
-
-class TestNormalized:
-    def test_p1_hat(self):
-        # P1/sqrt(L1) stored as numerators c*sqrt(L1) over denominator L1;
-        # multiplying the fraction by sqrt(L1) must recover P1 exactly
-        np1 = normalized_p(1)
-        s = sqrt_lambda(1)
-        lam = KappaElem(np1.denominator)
-        assert np1.denominator == lambda_n(1)
-        assert [c * s for c in np1.numerators] \
-            == [KappaElem(-ALPHA) * lam, lam]
-
-    def test_p0_trivial(self):
-        np0 = normalized_p(0)
-        assert np0.denominator == lambda_n(0)
-        assert list(np0.numerators) == [K_ONE]
 
 
 class TestMomentBands:

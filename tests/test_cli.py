@@ -178,6 +178,17 @@ class TestErrors:
         assert "Traceback" not in err
         assert r.stdout == b""
 
+    @pytest.mark.parametrize("src", ["(" * 400 + "e1" + ")" * 400,
+                                     "-" * 2000 + "e1"],
+                             ids=["parens", "minus"])
+    def test_deep_nesting_exit_2(self, src):
+        r = run_subprocess("L", "--", src)
+        err = r.stderr.decode()
+        assert r.returncode == 2, err
+        assert "parse error" in err
+        assert "Traceback" not in err
+        assert r.stdout == b""
+
     def test_closed_stdout(self):
         # the reader is gone before the first write: every write fails
         read_end, write_end = os.pipe()

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from biops.ring import Poly2, ALPHA, BETA
 from biops.tensor import TensorElem, E1, E2
 from biops.expr import (parse, pretty, eval_expr, Gen, ScalarPoly, Sum,
-                        Product, Power, Negation, PPoly, QPoly)
+                        Product, Power, Negation, BiOrtho)
 from biops.errors import ParseError
 
 
@@ -15,8 +16,8 @@ class TestParse:
         assert parse("e2") == Gen(2)
         assert parse("a") == ScalarPoly("a")
         assert parse("42") == ScalarPoly("42")
-        assert parse("P(3)") == PPoly(3)
-        assert parse("Q(0)") == QPoly(0)
+        assert parse("P(3)") == BiOrtho("P", 3)
+        assert parse("Q(0)") == BiOrtho("Q", 0)
 
     def test_precedence(self):
         assert parse("e1*e2^2") == Product((Gen(1), Power(Gen(2), 2)))
@@ -48,12 +49,35 @@ class TestParse:
             parse("e1 + @")
         assert "6" in str(e.value)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        for src in ("(" * 400 + "e1" + ")" * 400, "-" * 2000 + "e1"):
+            with pytest.raises(ParseError, match="nested too deeply"):
+                parse(src)
+        assert parse("-" * 950 + "e1") is not None
+        # wherever the limit strikes, also after the end token is consumed
+        for k in range(900, 1100):
+            with pytest.raises(ParseError):
+                parse("-" * k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="e12abPQ()+-*^ 0123456789", max_size=40))
+    @example("(" * 400 + "e1" + ")" * 400)
+    @example("-" * 2000 + "e1")
+    def test_fuzz_ast_or_parse_error(self, src):
+        # any string over the DSL alphabet parses or raises ParseError
+        try:
+            node = parse(src)
+        except ParseError:
+            return
+        assert pretty(node)
+
 
 def random_ast(rng, depth=3):
     if depth == 0 or rng.random() < 0.3:
         return rng.choice([Gen(1), Gen(2), ScalarPoly("a"), ScalarPoly("b"),
                            ScalarPoly(str(rng.randint(0, 9))),
-                           PPoly(rng.randint(0, 3)), QPoly(rng.randint(0, 3))])
+                           BiOrtho("P", rng.randint(0, 3)),
+                           BiOrtho("Q", rng.randint(0, 3))])
     kind = rng.randint(0, 3)
     if kind == 0:
         return Sum(tuple(random_ast(rng, depth - 1)

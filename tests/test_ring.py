@@ -78,6 +78,20 @@ class TestPoly2:
         with pytest.raises(ValueError):
             Poly2({(-1, 0): 1})
 
+    def test_integer_coefficients_only(self):
+        # a Fraction or a float coefficient or exponent is refused, not
+        # truncated
+        with pytest.raises(TypeError):
+            Poly2({(0, 0): Fraction(1, 2), (1, 0): 2.7})
+        with pytest.raises(TypeError):
+            Poly2.monomial(1, 1, Fraction(3, 2))
+        with pytest.raises(TypeError):
+            Poly2.const(Fraction(1, 2))
+        with pytest.raises(TypeError):
+            Poly2({(1.5, 0): 1})
+        assert Poly2.const(True) == ONE
+        assert Poly2({(1, 0): True, (0, 1): 3}) == ALPHA + 3 * BETA
+
     @settings(max_examples=200, deadline=None)
     @given(polys, polys, polys)
     def test_ring_axioms(self, p, q, r):
