@@ -2,7 +2,7 @@
 open-boundary TASEP matrix product ansatz."""
 
 from .errors import (BiopsError, InexactDivision, DegenerateParameters,
-                     TruncationTooSmall, SingularSystem, ParseError)
+                     TruncationTooSmall, ParseError)
 from .ring import Poly2, KappaElem
 from .tensor import (TensorElem, ShockElem, normal_order, shock_mul,
                      linear_form, power_sum)
@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "BiopsError", "InexactDivision", "DegenerateParameters",
-    "TruncationTooSmall", "SingularSystem", "ParseError",
+    "TruncationTooSmall", "ParseError",
     "Poly2", "KappaElem",
     "TensorElem", "ShockElem", "normal_order", "shock_mul",
     "linear_form", "power_sum",

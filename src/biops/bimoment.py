@@ -18,9 +18,6 @@ class BiMomentMatrix:
     def entry(self, i, j):
         return self.entries[i][j]
 
-    def grid(self):
-        return [list(row) for row in self.entries]
-
     def to_obj(self):
         return {
             "n": self.n,

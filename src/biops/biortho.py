@@ -25,7 +25,7 @@ from .errors import DegenerateParameters
 from .report import CheckReport
 from .ring import (KappaElem, ZERO, ONE, ALPHA, BETA, AB, K_ZERO, K_ONE,
                    KAPPA)
-from .tensor import TensorElem, linear_form
+from .tensor import E1, E2, TensorElem, linear_form
 from .bimoment import build_bimoment, det_fraction_free
 
 
@@ -282,8 +282,6 @@ def moment_consistency(dim):
     """Cross-check the closed-form bands against direct evaluations of
     L(P_n e1 Q_m) and L(P_n e2 Q_m), and the expansion identity
     P_n * e1 = sum_k Xbar[n][k] P_k."""
-    from .tensor import E1, E2
-
     rep = CheckReport(f"first-moment consistency dim {dim}")
     X, Y, Xbar, Ybar, Xhat, Yhat = first_moment_matrices(dim)
     ps = [p_explicit(n) for n in range(dim + 1)]

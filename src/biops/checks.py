@@ -6,9 +6,8 @@ import random
 from fractions import Fraction
 
 from .report import CheckReport
-from .ring import Poly2
-from . import tensor
-from .tensor import TensorElem, linear_form, normal_order, shock_mul
+from .ring import Poly2, AB
+from .tensor import E1, E2, TensorElem, linear_form, normal_order, shock_mul
 from .bimoment import build_bimoment, det_fraction_free, det_closed_form
 from .biortho import (check_orthogonality, recurrence_check, p_explicit,
                       q_explicit, p_cramer, q_cramer, moment_consistency)
@@ -41,7 +40,7 @@ def random_tensor(rng, max_words=3, max_len=6):
 def check_determinants(max_n):
     rep = CheckReport(f"bi-moment determinant identity n <= {max_n}")
     for n in range(max_n + 1):
-        d = det_fraction_free(build_bimoment(n).grid())
+        d = det_fraction_free(build_bimoment(n).entries)
         rep.record(d == det_closed_form(n), f"n={n}")
     return rep
 
@@ -77,8 +76,7 @@ def check_cramer(max_n):
 
 def check_diffusion_relation(dim=12):
     rep = CheckReport(f"diffusion algebra relation at dim {dim}")
-    rel = (tensor.E1 * tensor.E2
-           - tensor.AB * (tensor.E1 + tensor.E2))
+    rel = E1 * E2 - AB * (E1 + E2)
     r = represent(rel, dim)
     for i in range(r.valid_block):
         for j in range(r.valid_block):

@@ -154,8 +154,9 @@ def build_parser():
     s.add_argument("--beta", type=_fraction, required=True)
     s.add_argument("--symbolic", action="store_true")
 
-    s = sub.add_parser("compare", help="verify matrix-product vs Markov "
-                                       "oracle stationary distributions")
+    s = sub.add_parser("compare", help="certify the matrix-product "
+                                       "distribution as the Markov "
+                                       "stationary state")
     s.add_argument("--L", type=_length, required=True)
     s.add_argument("--alpha", type=_fraction, required=True)
     s.add_argument("--beta", type=_fraction, required=True)
@@ -180,12 +181,12 @@ def run(argv=None):
     if args.command == "bimoment":
         m = build_bimoment(args.n)
         obj = m.to_obj()
-        obj["det"] = det_fraction_free(m.grid()).to_obj()
+        obj["det"] = det_fraction_free(m.entries).to_obj()
         _emit(obj, fmt)
         return 0
 
     if args.command == "det":
-        d = det_fraction_free(build_bimoment(args.n).grid())
+        d = det_fraction_free(build_bimoment(args.n).entries)
         closed = det_closed_form(args.n)
         _emit({"n": args.n, "det": d.to_obj(), "text": str(d),
                "matches_closed_form": d == closed}, fmt)

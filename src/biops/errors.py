@@ -15,17 +15,13 @@ class InexactDivision(BiopsError, ArithmeticError):
 
 class DegenerateParameters(BiopsError, ValueError):
     """Numeric (alpha, beta) lies on a degenerate locus for the requested
-    construction (alpha*beta = 0 or alpha + beta = 1, or Z_L = 0)."""
+    construction (alpha*beta = 0 or alpha + beta = 1), or a TASEP rate is
+    not positive."""
 
 
 class TruncationTooSmall(BiopsError, ValueError):
     """A matrix truncation is too small for the requested entry or word
     length to be exact."""
-
-
-class SingularSystem(BiopsError, ArithmeticError):
-    """The stationary linear system does not have a one-dimensional
-    nullspace; the generator is malformed."""
 
 
 class ParseError(BiopsError, ValueError):

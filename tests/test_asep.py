@@ -7,8 +7,9 @@ from biops.ring import Poly2, ZERO, ALPHA, BETA, AB
 from biops.tensor import normal_order_word
 from biops.asep import (all_states, state_index, state_from_index, state_word,
                         mpa_weight, partition_Z, stationary_mpa,
-                        build_generator, stationary_oracle, compare)
-from biops.errors import DegenerateParameters, SingularSystem
+                        build_generator, certify_stationary, compare)
+from biops.errors import DegenerateParameters
+from markov_oracle import SingularSystem, stationary_oracle
 
 
 class TestStates:
@@ -121,7 +122,8 @@ class TestStationary:
     def test_compare(self, L):
         rep = compare(L, Fraction(1, 2), Fraction(1, 3))
         assert not rep.failures
-        assert "max discrepancy 0" in " ".join(rep.notes)
+        assert rep.checked == 2**L + 2
+        assert "max residual 0" in " ".join(rep.notes)
 
     def test_compare_other_points(self):
         for a, b in ((Fraction(2, 3), Fraction(1, 4)),
@@ -159,3 +161,57 @@ class TestStationary:
             row.clear()
         with pytest.raises(SingularSystem):
             stationary_oracle(g)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("a, b", [(Fraction(2, 3), Fraction(2, 3)),
+                                      (Fraction(3), Fraction(2))])
+    def test_compare_up_to_L12(self, a, b):
+        for L in range(1, 13):
+            rep = compare(L, a, b)
+            assert rep.ok and rep.checked == 2**L + 2, (L, rep.failures)
+            assert rep.notes == ["max residual 0"], L
+
+    def test_perturbed_vector_rejected(self):
+        a, b = Fraction(1, 2), Fraction(1, 3)
+        probs = dict(stationary_mpa(6, a, b).probabilities)
+        eps = Fraction(1, 1000)
+        probs[(1, 0, 1, 1, 0, 0)] += eps
+        probs[(0, 1, 1, 0, 1, 0)] -= eps
+        assert sum(probs.values()) == 1
+        rep = certify_stationary(build_generator(6, a, b), probs)
+        assert not rep.ok
+        assert all(label.startswith("state ") for label in rep.failures)
+        assert Fraction(rep.notes[0].removeprefix("max residual ")) > 0
+
+    def test_unnormalized_vector_rejected_by_normalization(self):
+        a, b = Fraction(1, 2), Fraction(1, 3)
+        probs = {tau: 2 * p for tau, p in
+                 stationary_mpa(4, a, b).probabilities.items()}
+        rep = certify_stationary(build_generator(4, a, b), probs)
+        assert rep.failures == ["probabilities sum to 1"]
+        assert rep.notes == ["max residual 0"]
+
+    def test_zero_generator_rejected_by_irreducibility(self):
+        a, b = Fraction(1, 2), Fraction(1, 3)
+        g = build_generator(3, a, b)
+        for row in g.rates:
+            row.clear()
+        rep = certify_stationary(g, stationary_mpa(3, a, b).probabilities)
+        assert rep.failures == ["generator is irreducible"]
+        assert rep.checked == 2**3 + 2
+
+    @pytest.mark.parametrize("cut, absorbing", [(Fraction(1, 2), 0),
+                                                (Fraction(1, 3), 1)])
+    def test_absorbing_chain_rejected_by_irreducibility(self, cut, absorbing):
+        # without entries (rate 1/2) the empty state absorbs, without exits
+        # (rate 1/3) the full one: its point mass has pi G = 0 and sum 1
+        g = build_generator(3, Fraction(1, 2), Fraction(1, 3))
+        for i, row in enumerate(g.rates):
+            for j in [j for j, r in row.items() if j != i and r == cut]:
+                del row[j]
+            row[i] = -sum(r for j, r in row.items() if j != i)
+        probs = {tau: Fraction(int(tau == (absorbing,) * 3))
+                 for tau in all_states(3)}
+        rep = certify_stationary(g, probs)
+        assert rep.failures == ["generator is irreducible"]

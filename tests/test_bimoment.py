@@ -53,7 +53,7 @@ class TestDeterminant:
 
     @pytest.mark.parametrize("n", range(9))
     def test_fraction_free_matches_closed_form(self, n):
-        assert det_fraction_free(build_bimoment(n).grid()) == det_closed_form(n)
+        assert det_fraction_free(build_bimoment(n).entries) == det_closed_form(n)
 
     def test_integer_matrices(self):
         m = [[Poly2.const(c) for c in row]

@@ -121,8 +121,8 @@ class TestLambda:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_determinant_ratio(self, n):
-        dn = det_fraction_free(build_bimoment(n).grid())
-        dn1 = det_fraction_free(build_bimoment(n - 1).grid())
+        dn = det_fraction_free(build_bimoment(n).entries)
+        dn1 = det_fraction_free(build_bimoment(n - 1).entries)
         assert dn == lambda_n(n) * dn1
 
     def test_sqrt_lambda_squares(self):
