@@ -5,7 +5,7 @@ from .errors import (BiopsError, InexactDivision, DegenerateParameters,
                      TruncationTooSmall, ParseError)
 from .ring import Poly2, KappaElem
 from .tensor import (TensorElem, ShockElem, normal_order, shock_mul,
-                     linear_form, power_sum)
+                     linear_form)
 
 __version__ = "0.1.0"
 
@@ -15,5 +15,5 @@ __all__ = [
     "TruncationTooSmall", "ParseError",
     "Poly2", "KappaElem",
     "TensorElem", "ShockElem", "normal_order", "shock_mul",
-    "linear_form", "power_sum",
+    "linear_form",
 ]

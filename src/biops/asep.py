@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DegenerateParameters
 from .report import CheckReport
 from .ring import Poly2
-from .tensor import E1, E2, TensorElem, linear_form, linear_forms, normal_order
+from .tensor import E1, E2, linear_form, linear_forms, normal_order
 
 
 def all_states(L):
@@ -37,11 +37,6 @@ def state_from_index(idx, L):
 def state_word(tau):
     # occupied site -> e1, empty site -> e2, in site order
     return tuple(1 if bit else 2 for bit in tau)
-
-
-def mpa_weight(tau):
-    """Unnormalized symbolic stationary weight of a configuration."""
-    return linear_form(TensorElem.from_word(state_word(tau)))
 
 
 def partition_Z(L):

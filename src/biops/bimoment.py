@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .ring import ZERO, ONE, ALPHA, BETA, AB
 
@@ -16,6 +15,8 @@ class BiMomentMatrix:
     entries: tuple
 
     def entry(self, i, j):
+        if not (0 <= i <= self.n and 0 <= j <= self.n):
+            raise IndexError("bi-moment index out of range")
         return self.entries[i][j]
 
     def to_obj(self):
@@ -83,35 +84,3 @@ def det_closed_form(n):
         raise ValueError("order must be nonnegative")
     return AB ** (n * n) * (ALPHA + BETA - 1) ** n
 
-
-def krattenthaler_matrix(n, x, rho, sigma):
-    """The n x n matrix A[i][j] (0 <= i,j <= n-1) with
-    A[i][j] = A[i-1][j] + A[i][j-1] + x*A[i-1][j-1],
-    A[i][0] = rho^i, A[0][j] = sigma^j."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == 0:
-                row.append(sigma**j)
-            elif j == 0:
-                row.append(rho**i)
-            else:
-                row.append(rows[i - 1][j] + row[j - 1] + x * rows[i - 1][j - 1])
-        rows.append(row)
-    return rows
-
-
-def krattenthaler_det_formula(n, x, rho, sigma):
-    """Closed form (1+x)^C(n-1,2) * (x + rho + sigma - rho*sigma)^(n-1).
-
-    The sign of the rho*sigma term is forced by direct computation and by
-    consistency with the bi-moment determinant under row/column scaling
-    (x=0, rho=1/beta, sigma=1/alpha gives ((alpha+beta-1)/(alpha*beta))^(n-1)).
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    one = x**0
-    return (one + x) ** comb(n - 1, 2) * (x + rho + sigma - rho * sigma) ** (n - 1)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .ring import Poly2, ALPHA, BETA
+from .ring import ALPHA, BETA
 from .tensor import TensorElem
 from .biortho import p_explicit, q_explicit
 
@@ -34,8 +34,7 @@ class Gen:
 
 @dataclass(frozen=True)
 class ScalarPoly:
-    # only 'a', 'b' and integer literals occur as parsed scalars
-    source: str
+    value: object  # 'a', 'b' or the int of an integer literal
 
 
 @dataclass(frozen=True)
@@ -104,6 +103,16 @@ def _tokenize(src):
     return tokens
 
 
+def _int(tok):
+    """The value of an integer token.  int() refuses a literal longer
+    than sys.get_int_max_str_digits(), so that is a parse error."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ParseError(tok[2], f"integer literal of {len(tok[1])} digits "
+                         "is too long") from None
+
+
 class _Parser:
     def __init__(self, src):
         self.tokens = _tokenize(src)
@@ -157,11 +166,11 @@ class _Parser:
         if self.peek()[0] == "^":
             self.next()
             tok = self.expect("int", "a nonnegative integer exponent")
-            return Power(base, int(tok[1]))
+            return Power(base, _int(tok))
         return base
 
     def atom(self):
-        kind, text, pos = self.next()
+        kind, text, pos = tok = self.next()
         if kind == "e1":
             return Gen(1)
         if kind == "e2":
@@ -169,12 +178,12 @@ class _Parser:
         if kind in ("a", "b"):
             return ScalarPoly(kind)
         if kind == "int":
-            return ScalarPoly(text)
+            return ScalarPoly(_int(tok))
         if kind in ("P", "Q"):
             self.expect("(", "'('")
             n = self.expect("int", "a nonnegative integer index")
             self.expect(")", "')'")
-            return BiOrtho(kind, int(n[1]))
+            return BiOrtho(kind, _int(n))
         if kind == "(":
             e = self.expr()
             self.expect(")", "')'")
@@ -194,34 +203,7 @@ def parse(src):
         raise ParseError(tok[2], "expression nested too deeply") from None
 
 
-# --- pretty printer and evaluator -------------------------------------------
-
-def pretty(node):
-    if isinstance(node, Gen):
-        return f"e{node.which}"
-    if isinstance(node, ScalarPoly):
-        return node.source
-    if isinstance(node, BiOrtho):
-        return f"{node.which}({node.n})"
-    if isinstance(node, Sum):
-        out = pretty(node.parts[0])
-        for p in node.parts[1:]:
-            if isinstance(p, Negation):
-                out += " - " + pretty(p.inner)
-            else:
-                out += " + " + pretty(p)
-        return f"({out})"
-    if isinstance(node, Product):
-        return "*".join(pretty(p) for p in node.parts)
-    if isinstance(node, Power):
-        base = pretty(node.base)
-        if isinstance(node.base, (Product, Power)):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, Negation):
-        return f"(-{pretty(node.inner)})"
-    raise TypeError(f"not an AST node: {node!r}")
-
+# --- evaluator -------------------------------------------------------------
 
 def eval_expr(node, algebra=TensorElem):
     """Evaluate an AST in `algebra`: TensorElem expands it into words;
@@ -231,11 +213,11 @@ def eval_expr(node, algebra=TensorElem):
     if isinstance(node, Gen):
         return algebra.generator(node.which)
     if isinstance(node, ScalarPoly):
-        if node.source == "a":
+        if node.value == "a":
             return algebra.scalar(ALPHA)
-        if node.source == "b":
+        if node.value == "b":
             return algebra.scalar(BETA)
-        return algebra.scalar(Poly2.const(int(node.source)))
+        return algebra.scalar(node.value)
     if isinstance(node, BiOrtho):
         # Horner in the generator: P_n is a polynomial in e1, Q_n in e2
         if node.which == "P":

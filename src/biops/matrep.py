@@ -5,9 +5,9 @@ matrix is the product of its letters' bands, so the representation of a
 tensor element is a fold over its word trie (`tensor.fold_words`): each
 trie node multiplies the rows of its prefix by one band, and zero band
 entries cost nothing.  Folding the identity rows gives the whole matrix;
-folding the single row e_n gives row n, and e_0 gives the linear form as
-entry (0,0).  A product of k generator matrices truncated to d x d has an
-exact top-left (d - k) x (d - k) block, recorded as valid_block.
+folding the single row e_0 gives the linear form as entry (0,0).  A
+product of k generator matrices truncated to d x d has an exact top-left
+(d - k) x (d - k) block, recorded as valid_block.
 
 Three generator pairs are available, each built from the closed-form bands:
 
@@ -17,9 +17,6 @@ Three generator pairs are available, each built from the closed-form bands:
                 D (Xhat, Yhat) D^-1 with D = diag(sqrt(Lambda_n));
 * "bar_row"  -- (Xbar with super-diagonal k scaled by Lambda_{k+1}/Lambda_k,
                 Ybar): the kappa-free pair D^-1 (Xhat, Yhat) D.
-
-The closed-form P_n / Q_n band matrices live in the bar_col / bar_row
-pictures respectively.
 """
 
 from __future__ import annotations
@@ -45,6 +42,8 @@ class RepMatrix:
     valid_block: int
 
     def entry(self, i, j):
+        if i < 0 or j < 0:
+            raise IndexError("matrix index out of range")
         if i >= self.valid_block or j >= self.valid_block:
             raise TruncationTooSmall(
                 f"entry ({i},{j}) outside valid block {self.valid_block}"
@@ -159,46 +158,6 @@ def eval_L_matrix(x):
     if not e.b.is_zero():
         raise RuntimeError("kappa part of L did not cancel")
     return e.a
-
-
-def pq_rep(n, which, dim):
-    """Closed-form band matrix of P_n (which='P') or Q_n (which='Q').
-
-    P_n: 1 at j = i+n, alpha*(beta-1) at j = i+n-1 with j >= n.
-    Q_n is the transposed pattern with beta*(alpha-1)."""
-    if which not in ("P", "Q"):
-        raise ValueError("which must be 'P' or 'Q'")
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if dim < n + 2:
-        raise TruncationTooSmall(f"dim {dim} < n {n} + 2")
-    if n == 0:
-        return _freeze(_identity(dim), dim)
-    offdiag = ALPHA * (BETA - 1) if which == "P" else BETA * (ALPHA - 1)
-    rows = _zeros(dim)
-    for i in range(dim):
-        j = i + n
-        if j < dim:
-            rows[i][j] = K_ONE
-        j = i + n - 1
-        if n <= j < dim:
-            rows[i][j] = KappaElem(offdiag)
-    if which == "Q":
-        rows = [list(col) for col in zip(*rows)]
-    return _freeze(rows, dim - n)
-
-
-def matrix_moment(n, m, g, dim=None):
-    """G[n][m] where G = represent(g) in the normalized picture; equals
-    L(Phat_n g Qhat_m), i.e. L(P_n g Q_m)/sqrt(Lambda_n Lambda_m).  Only
-    row e_n of G is computed."""
-    maxlen = g.max_word_len()
-    need = max(n, m) + maxlen + 2
-    if dim is None:
-        dim = need
-    elif dim < need:
-        raise TruncationTooSmall(f"dim {dim} < required {need}")
-    return _fold_rows(g, [_unit_row(n, dim)], "hat")[0][m]
 
 
 def similarity_check(dim):

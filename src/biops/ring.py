@@ -203,13 +203,6 @@ class Poly2:
         num = sum(c * pa[i] * pb[j] for (i, j), c in self._t.items())
         return Fraction(num, a.denominator**I * b.denominator**J)
 
-    def subs(self, a, b):
-        """Substitute Poly2 values for alpha and beta."""
-        out = ZERO
-        for (i, j), c in self._t.items():
-            out = out + c * a**i * b**j
-        return out
-
     def sorted_terms(self):
         return sorted(self._t.items(), key=lambda kv: _grlex_key(kv[0]))
 

@@ -5,28 +5,13 @@ Words are tuples over {1, 2} (1 = e1, 2 = e2); the empty tuple is the
 ring unit.  Normal ordering reduces modulo e1*e2 = alpha*beta*(e1 + e2)
 to the shock ring, whose basis is the words e2^n e1^m.  It is computed
 as a left fold over a word's letters with closed-form right products by
-e1 and e2, so it costs time polynomial in the word length; rewriting
-adjacent e1*e2 pairs is kept as the reference `normal_order_word`.  On
-the basis, L(e2^n e1^m) = beta^n * alpha^m.
+e1 and e2, so it costs time polynomial in the word length.  On the
+basis, L(e2^n e1^m) = beta^n * alpha^m.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .ring import Poly2, ZERO, ONE, AB, accumulate
-
-Word = tuple  # tuple of ints in {1, 2}
-
-
-def word_from_str(s):
-    """Parse a word from a string over {1,2}; empty string is the unit."""
-    letters = []
-    for ch in s.strip():
-        if ch not in "12":
-            raise ValueError(f"invalid word letter {ch!r} (expected 1 or 2)")
-        letters.append(int(ch))
-    return tuple(letters)
 
 
 def word_to_str(w):
@@ -199,25 +184,6 @@ class ShockElem(_LinComb):
 
 # --- normal ordering ---------------------------------------------------
 
-def _find_pair(word, leftmost=True):
-    rng = range(len(word) - 1)
-    for i in (rng if leftmost else reversed(rng)):
-        if word[i] == 1 and word[i + 1] == 2:
-            return i
-    return None
-
-
-def _tail_form(word):
-    # a word with no adjacent (1,2) is exactly e2^n e1^m
-    m = 0
-    for x in reversed(word):
-        if x == 1:
-            m += 1
-        else:
-            break
-    return (len(word) - m, m)
-
-
 def _times_e2(t):
     """x*e2 for x = sum of t[(n, m)] e2^n e1^m, in the shock ring.
 
@@ -269,35 +235,6 @@ def fold_words(words, unit, times_gen):
             stack.append(times_gen(stack[-1], g))
         prev = w
         yield w, stack[-1]
-
-
-def normal_order_word(word, strategy="leftmost", max_steps=None):
-    """Uncached single-word normal ordering by rewriting, with a selectable
-    strategy; the reference the fold is tested against, and the test of
-    confluence and termination.
-
-    Returns (result dict, rewrite step count).  Raises RuntimeError if the
-    step budget (default 2**len(word)) is exceeded.
-    """
-    leftmost = strategy == "leftmost"
-    if max_steps is None:
-        max_steps = 2 ** len(word) if word else 1
-    pending = [(word, ONE)]
-    done = {}
-    steps = 0
-    while pending:
-        w, coeff = pending.pop()
-        pos = _find_pair(w, leftmost=leftmost)
-        if pos is None:
-            accumulate(done, ((_tail_form(w), coeff),))
-            continue
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError("rewrite step budget exceeded")
-        u, v = w[:pos], w[pos + 2:]
-        pending.append((u + (1,) + v, AB * coeff))
-        pending.append((u + (2,) + v, AB * coeff))
-    return done, steps
 
 
 def normal_order(x):
@@ -357,9 +294,3 @@ def linear_form(x):
         out = out + c * values[w]
     return out
 
-
-def power_sum(L):
-    """(e1 + e2)^L expanded: all 2^L words of length L with coefficient 1."""
-    if L < 0:
-        raise ValueError("L must be nonnegative")
-    return TensorElem({w: ONE for w in itertools.product((1, 2), repeat=L)})

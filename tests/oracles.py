@@ -1,0 +1,176 @@
+"""Small-size references the tests check the library against: exponential
+or closed-form constructions that the library computes another way.
+
+* `normal_order_word` rewrites adjacent e1*e2 pairs one at a time; the
+  library folds a word's letters with closed-form right products.
+* `power_sum` expands (e1 + e2)^L into its 2^L words; the library takes
+  the L-th power in the shock ring.
+* `pq_rep` writes the band matrices of P_n and Q_n down from their
+  pattern; the library represents P_n and Q_n word by word.
+* `krattenthaler_matrix` and `krattenthaler_det_formula` are the
+  parametric determinant family behind the bi-moment determinant.
+* `pretty` prints an AST back to the DSL, for parser round trips.
+* `swap_ab` exchanges alpha and beta in a Poly2.
+"""
+
+import itertools
+from math import comb
+
+from biops.errors import TruncationTooSmall
+from biops.expr import Gen, ScalarPoly, BiOrtho, Sum, Product, Power, Negation
+from biops.matrep import RepMatrix
+from biops.ring import (Poly2, KappaElem, ONE, AB, ALPHA, BETA, K_ZERO, K_ONE,
+                        accumulate)
+from biops.tensor import TensorElem
+
+
+# --- normal ordering by rewriting ----------------------------------------
+
+def _find_pair(word, leftmost=True):
+    rng = range(len(word) - 1)
+    for i in (rng if leftmost else reversed(rng)):
+        if word[i] == 1 and word[i + 1] == 2:
+            return i
+    return None
+
+
+def _tail_form(word):
+    # a word with no adjacent (1,2) is exactly e2^n e1^m
+    m = 0
+    for x in reversed(word):
+        if x == 1:
+            m += 1
+        else:
+            break
+    return (len(word) - m, m)
+
+
+def normal_order_word(word, strategy="leftmost", max_steps=None):
+    """Single-word normal ordering by rewriting the leftmost or the
+    rightmost e1*e2 pair; the two strategies test confluence, the step
+    count termination.
+
+    Returns (result dict, rewrite step count).  Raises RuntimeError if the
+    step budget (default 2**len(word)) is exceeded.
+    """
+    leftmost = strategy == "leftmost"
+    if max_steps is None:
+        max_steps = 2 ** len(word) if word else 1
+    pending = [(word, ONE)]
+    done = {}
+    steps = 0
+    while pending:
+        w, coeff = pending.pop()
+        pos = _find_pair(w, leftmost=leftmost)
+        if pos is None:
+            accumulate(done, ((_tail_form(w), coeff),))
+            continue
+        steps += 1
+        if steps > max_steps:
+            raise RuntimeError("rewrite step budget exceeded")
+        u, v = w[:pos], w[pos + 2:]
+        pending.append((u + (1,) + v, AB * coeff))
+        pending.append((u + (2,) + v, AB * coeff))
+    return done, steps
+
+
+def power_sum(L):
+    """(e1 + e2)^L expanded: all 2^L words of length L with coefficient 1."""
+    if L < 0:
+        raise ValueError("L must be nonnegative")
+    return TensorElem({w: ONE for w in itertools.product((1, 2), repeat=L)})
+
+
+# --- closed forms ----------------------------------------------------------
+
+def pq_rep(n, which, dim):
+    """Closed-form band matrix of P_n (which='P', in the bar_col picture)
+    or Q_n (which='Q', in the bar_row picture).
+
+    P_n: 1 at j = i+n, alpha*(beta-1) at j = i+n-1 with j >= n.
+    Q_n is the transposed pattern with beta*(alpha-1)."""
+    if which not in ("P", "Q"):
+        raise ValueError("which must be 'P' or 'Q'")
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    if dim < n + 2:
+        raise TruncationTooSmall(f"dim {dim} < n {n} + 2")
+    offdiag = KappaElem(ALPHA * (BETA - 1) if which == "P"
+                        else BETA * (ALPHA - 1))
+    rows = [[K_ZERO] * dim for _ in range(dim)]
+    for i in range(dim):
+        if i + n < dim:
+            rows[i][i + n] = K_ONE
+        if n and i >= 1 and i + n - 1 < dim:  # j = i+n-1 >= n
+            rows[i][i + n - 1] = offdiag
+    if which == "Q":
+        rows = zip(*rows)
+    return RepMatrix(dim, tuple(map(tuple, rows)), dim - n)
+
+
+def krattenthaler_matrix(n, x, rho, sigma):
+    """The n x n matrix A[i][j] (0 <= i,j <= n-1) with
+    A[i][j] = A[i-1][j] + A[i][j-1] + x*A[i-1][j-1],
+    A[i][0] = rho^i, A[0][j] = sigma^j."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == 0:
+                row.append(sigma**j)
+            elif j == 0:
+                row.append(rho**i)
+            else:
+                row.append(rows[i - 1][j] + row[j - 1] + x * rows[i - 1][j - 1])
+        rows.append(row)
+    return rows
+
+
+def krattenthaler_det_formula(n, x, rho, sigma):
+    """Closed form (1+x)^C(n-1,2) * (x + rho + sigma - rho*sigma)^(n-1).
+
+    The sign of the rho*sigma term is forced by direct computation and by
+    consistency with the bi-moment determinant under row/column scaling
+    (x=0, rho=1/beta, sigma=1/alpha gives ((alpha+beta-1)/(alpha*beta))^(n-1)).
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    one = x**0
+    return (one + x) ** comb(n - 1, 2) * (x + rho + sigma - rho * sigma) ** (n - 1)
+
+
+# --- small helpers ---------------------------------------------------------
+
+def pretty(node):
+    """DSL source text that parses back to an AST equal in value to node."""
+    if isinstance(node, Gen):
+        return f"e{node.which}"
+    if isinstance(node, ScalarPoly):
+        return str(node.value)
+    if isinstance(node, BiOrtho):
+        return f"{node.which}({node.n})"
+    if isinstance(node, Sum):
+        out = pretty(node.parts[0])
+        for p in node.parts[1:]:
+            if isinstance(p, Negation):
+                out += " - " + pretty(p.inner)
+            else:
+                out += " + " + pretty(p)
+        return f"({out})"
+    if isinstance(node, Product):
+        return "*".join(pretty(p) for p in node.parts)
+    if isinstance(node, Power):
+        base = pretty(node.base)
+        if isinstance(node.base, (Product, Power)):
+            base = f"({base})"
+        return f"{base}^{node.exponent}"
+    if isinstance(node, Negation):
+        return f"(-{pretty(node.inner)})"
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def swap_ab(p):
+    """p(alpha, beta) -> p(beta, alpha)."""
+    return Poly2({(j, i): c for (i, j), c in p.terms.items()})

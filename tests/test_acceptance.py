@@ -15,13 +15,14 @@ from biops.bimoment import build_bimoment, det_fraction_free, det_closed_form
 from biops.biortho import (p_explicit, q_explicit, p_cramer, q_cramer,
                            lambda_n, sqrt_lambda, first_moment_matrices,
                            require_generic_point, lambda_value)
-from biops.matrep import (represent, eval_L_matrix, pq_rep, matrix_moment,
+from biops.matrep import (represent, eval_L_matrix,
                           second_moment, second_moment_product, cheb_like,
                           principal_minor_polys)
 from biops.asep import stationary_mpa, build_generator, all_states
 from biops.checks import random_tensor
 from biops.errors import DegenerateParameters
 from markov_oracle import stationary_oracle
+from oracles import pq_rep
 
 
 def report(num, title, ok):
@@ -101,11 +102,12 @@ def test_criterion_7_two_path_linear_form():
 def test_criterion_8_matrix_moments_and_extraction():
     ok = True
     for g in (TensorElem.unit(), E1, E2, E1 * E2, E2 * E1):
+        G = represent(g, 5 + g.max_word_len() + 2)
         for n in range(6):
             pt = p_explicit(n).to_tensor()
             for m in range(6):
                 lhs = KappaElem(linear_form(pt * g * q_explicit(m).to_tensor()))
-                rhs = matrix_moment(n, m, g) * sqrt_lambda(n) * sqrt_lambda(m)
+                rhs = G.entry(n, m) * sqrt_lambda(n) * sqrt_lambda(m)
                 ok = ok and lhs == rhs
     rng = random.Random(8)
     dim = 8

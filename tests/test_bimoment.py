@@ -5,9 +5,8 @@ import pytest
 
 from biops.ring import Poly2, ZERO, ONE, ALPHA, BETA, AB
 from biops.tensor import TensorElem, linear_form
-from biops.bimoment import (build_bimoment, det_fraction_free,
-                            det_closed_form, krattenthaler_matrix,
-                            krattenthaler_det_formula)
+from biops.bimoment import build_bimoment, det_fraction_free, det_closed_form
+from oracles import krattenthaler_matrix, krattenthaler_det_formula, swap_ab
 
 
 class TestBuild:
@@ -37,11 +36,17 @@ class TestBuild:
                 w = (1,) * i + (2,) * j
                 assert B.entry(i, j) == linear_form(TensorElem.from_word(w))
 
+    def test_negative_index_rejected(self):
+        B = build_bimoment(3)
+        for i, j in ((-1, 0), (0, -1), (4, 0), (0, 4)):
+            with pytest.raises(IndexError):
+                B.entry(i, j)
+
     def test_swap_symmetry(self):
         B = build_bimoment(6)
         for i in range(7):
             for j in range(7):
-                swapped = B.entry(j, i).subs(BETA, ALPHA)
+                swapped = swap_ab(B.entry(j, i))
                 assert B.entry(i, j) == swapped
 
 

@@ -189,6 +189,19 @@ class TestErrors:
         assert "Traceback" not in err
         assert r.stdout == b""
 
+    @pytest.mark.parametrize("argv", [
+        ("L", "7" * 5000),
+        ("L", "e1^" + "7" * 5000),
+        ("represent", "P(" + "7" * 5000 + ")", "--dim", "4"),
+    ], ids=["scalar", "exponent", "index"])
+    def test_integer_too_long_exit_2(self, argv):
+        r = run_subprocess(*argv)
+        err = r.stderr.decode()
+        assert r.returncode == 2, err
+        assert "parse error" in err
+        assert "Traceback" not in err
+        assert r.stdout == b""
+
     def test_closed_stdout(self):
         # the reader is gone before the first write: every write fails
         read_end, write_end = os.pipe()

@@ -5,9 +5,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from biops.ring import Poly2, ALPHA, BETA
 from biops.tensor import TensorElem, E1, E2
-from biops.expr import (parse, pretty, eval_expr, Gen, ScalarPoly, Sum,
+from biops.expr import (parse, eval_expr, Gen, ScalarPoly, Sum,
                         Product, Power, Negation, BiOrtho)
 from biops.errors import ParseError
+from oracles import pretty
 
 
 class TestParse:
@@ -15,7 +16,7 @@ class TestParse:
         assert parse("e1") == Gen(1)
         assert parse("e2") == Gen(2)
         assert parse("a") == ScalarPoly("a")
-        assert parse("42") == ScalarPoly("42")
+        assert parse("42") == ScalarPoly(42)
         assert parse("P(3)") == BiOrtho("P", 3)
         assert parse("Q(0)") == BiOrtho("Q", 0)
 
@@ -59,10 +60,21 @@ class TestParse:
             with pytest.raises(ParseError):
                 parse("-" * k)
 
+    def test_integer_too_long_for_int_is_a_parse_error(self):
+        # int() converts at most sys.get_int_max_str_digits() digits
+        big = "7" * 5000
+        for src, pos in ((big, 1), ("e1^" + big, 4), (f"P({big})", 3),
+                         (f"e1 + 2*Q({big})", 10)):
+            with pytest.raises(ParseError, match="too long") as e:
+                parse(src)
+            assert e.value.position == pos, src
+        assert parse("9" * 4300) == ScalarPoly(int("9" * 4300))
+
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="e12abPQ()+-*^ 0123456789", max_size=40))
     @example("(" * 400 + "e1" + ")" * 400)
     @example("-" * 2000 + "e1")
+    @example("e1^" + "3" * 5000)
     def test_fuzz_ast_or_parse_error(self, src):
         # any string over the DSL alphabet parses or raises ParseError
         try:
@@ -75,7 +87,7 @@ class TestParse:
 def random_ast(rng, depth=3):
     if depth == 0 or rng.random() < 0.3:
         return rng.choice([Gen(1), Gen(2), ScalarPoly("a"), ScalarPoly("b"),
-                           ScalarPoly(str(rng.randint(0, 9))),
+                           ScalarPoly(rng.randint(0, 9)),
                            BiOrtho("P", rng.randint(0, 3)),
                            BiOrtho("Q", rng.randint(0, 3))])
     kind = rng.randint(0, 3)

@@ -3,17 +3,17 @@ import random
 import pytest
 
 from biops.ring import Poly2, ZERO, ONE, ALPHA, BETA, AB, KappaElem, K_ZERO, K_ONE, KAPPA
-from biops.tensor import TensorElem, E1, E2, linear_form, power_sum
+from biops.tensor import TensorElem, E1, E2, linear_form
 from biops.asep import partition_Z
 from biops.biortho import (first_moment_matrices, p_explicit, q_explicit,
                            sqrt_lambda)
 from biops.matrep import (GENERATOR_REPS, generator_matrices, represent,
-                          eval_L_matrix, pq_rep, matrix_moment,
-                          similarity_check,
+                          eval_L_matrix, similarity_check,
                           second_moment, second_moment_product, cheb_like,
                           principal_minor_polys, cheb_reading_report)
 from biops.checks import random_tensor
 from biops.errors import TruncationTooSmall
+from oracles import power_sum, pq_rep
 
 
 class TestGenerators:
@@ -82,6 +82,13 @@ class TestRepresent:
             r.entry(3, 0)
         with pytest.raises(TruncationTooSmall):
             r.entry(0, 3)
+
+    def test_negative_index_rejected(self):
+        # index -1 would wrap to the last stored row, outside the valid block
+        r = represent(E1 * E2, 5)
+        for i, j in ((-1, 0), (0, -1), (-3, -3)):
+            with pytest.raises(IndexError):
+                r.entry(i, j)
 
     def test_type_guard(self):
         with pytest.raises(TypeError):
@@ -176,32 +183,23 @@ class TestPQRep:
 
 
 class TestMatrixMoment:
+    # G = represent(g) holds the matrix moments L(Phat_n g Qhat_m), that
+    # is L(P_n g Q_m) / sqrt(Lambda_n Lambda_m), in its valid block
     def test_two_path(self):
         words = [TensorElem.unit(), E1, E2, E1 * E2, E2 * E1]
         for g in words:
+            G = represent(g, 3 + g.max_word_len() + 2)
             for n in range(4):
                 for m in range(4):
                     lhs = linear_form(p_explicit(n).to_tensor() * g
                                       * q_explicit(m).to_tensor())
-                    rhs = matrix_moment(n, m, g) * sqrt_lambda(n) * sqrt_lambda(m)
+                    rhs = G.entry(n, m) * sqrt_lambda(n) * sqrt_lambda(m)
                     assert KappaElem(lhs) == rhs, (n, m)
 
-    def test_row_fold_equals_full_matrix(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            g = random_tensor(rng, max_len=4)
-            n, m = rng.randint(0, 4), rng.randint(0, 4)
-            dim = max(n, m) + g.max_word_len() + 2
-            full = represent(g, dim)
-            assert matrix_moment(n, m, g) == full.entry(n, m), (n, m)
-
     def test_first_moment_example(self):
-        assert matrix_moment(0, 1, E1) == KAPPA
-        assert matrix_moment(0, 0, E1) == KappaElem(ALPHA)
-
-    def test_dim_guard(self):
-        with pytest.raises(TruncationTooSmall):
-            matrix_moment(3, 3, E1, dim=4)
+        G = represent(E1, 3)
+        assert G.entry(0, 1) == KAPPA
+        assert G.entry(0, 0) == KappaElem(ALPHA)
 
 
 class TestSecondMoment:
