@@ -57,22 +57,23 @@ class StationaryTable:
     probabilities: dict  # state tuple -> Fraction
 
     def to_obj(self, symbolic=False):
+        # a weight's value is its probability times Z(alpha, beta), so the
+        # numeric table evaluates one polynomial, Z, not all 2^L weights
+        zval = None if symbolic else self.Z.eval(self.alpha, self.beta)
         rows = []
         for tau in sorted(self.weights, key=state_index):
-            row = {
+            p = self.probabilities[tau]
+            rows.append({
                 "state": "".join(str(b) for b in tau),
-                "probability": str(self.probabilities[tau]),
-            }
-            if symbolic:
-                row["weight"] = self.weights[tau].to_obj()
-            else:
-                row["weight"] = str(self.weights[tau].eval(self.alpha, self.beta))
-            rows.append(row)
+                "probability": str(p),
+                "weight": (self.weights[tau].to_obj() if symbolic
+                           else str(p * zval)),
+            })
         return {
             "L": self.L,
             "alpha": str(self.alpha),
             "beta": str(self.beta),
-            "Z": self.Z.to_obj() if symbolic else str(self.Z.eval(self.alpha, self.beta)),
+            "Z": self.Z.to_obj() if symbolic else str(zval),
             "states": rows,
         }
 
@@ -112,9 +113,6 @@ class Generator:
     beta: Fraction
     dim: int
     rates: list  # rates[i] = dict j -> Fraction, including the diagonal
-
-    def row_sum(self, i):
-        return sum(self.rates[i].values(), Fraction(0))
 
 
 def build_generator(L, a, b):

@@ -60,9 +60,9 @@ def det_fraction_free(grid):
     sign = 1
     prev = ONE
     for k in range(n - 1):
-        if m[k][k].is_zero():
+        if not m[k][k]:
             for r in range(k + 1, n):
-                if not m[r][k].is_zero():
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break

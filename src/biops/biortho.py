@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from math import comb
 from operator import add, sub
 
 from .errors import DegenerateParameters
@@ -48,10 +49,6 @@ class UniPoly:
         while coeffs and not coeffs[-1]:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -94,9 +91,6 @@ class UniPoly:
             out[-1] * 0 if isinstance(c, int) else c for c in out))
 
     __rmul__ = __mul__
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == ONE
 
     def to_tensor(self):
         g = 1 if self.variable == "e1" else 2
@@ -199,17 +193,28 @@ def check_orthogonality(N):
     return rep
 
 
+def _binomial_form(variable, first_root, n):
+    """(variable - first_root)(variable - ab)^(n-1), n >= 1, with the power
+    expanded by the binomial theorem instead of by shift_mul."""
+    tail = [comb(n - 1, k) * (-AB) ** (n - 1 - k) for k in range(n)] + [ZERO]
+    return UniPoly(variable, tuple(
+        (tail[k - 1] if k else ZERO) - first_root * tail[k]
+        for k in range(n + 1)))
+
+
 def recurrence_check(N):
-    """Verify P_{n+1} = (e1 - ab) P_n and Q_{n+1} = (e2 - ab) Q_n for
-    1 <= n < N, plus the initial values P_1, Q_1."""
+    """Verify the initial values P_1 = e1 - a, Q_1 = e2 - b and, for
+    2 <= n <= N, the solutions P_n = (e1 - a)(e1 - ab)^(n-1) and
+    Q_n = (e2 - b)(e2 - ab)^(n-1) of the first-order recurrences, against
+    the binomial expansion of the product form."""
     rep = CheckReport(f"first-order recurrences n < {N}")
     rep.record(p_explicit(1) == UniPoly("e1", (-ALPHA, ONE)), "P1 != e1 - a")
     rep.record(q_explicit(1) == UniPoly("e2", (-BETA, ONE)), "Q1 != e2 - b")
-    for n in range(1, N):
-        rep.record(p_explicit(n + 1) == p_explicit(n).shift_mul(AB),
-                   f"P{n + 1} recurrence")
-        rep.record(q_explicit(n + 1) == q_explicit(n).shift_mul(AB),
-                   f"Q{n + 1} recurrence")
+    for n in range(2, N + 1):
+        rep.record(p_explicit(n) == _binomial_form("e1", ALPHA, n),
+                   f"P{n} recurrence")
+        rep.record(q_explicit(n) == _binomial_form("e2", BETA, n),
+                   f"Q{n} recurrence")
     return rep
 
 

@@ -264,6 +264,17 @@ def main(argv=None):
     except BiopsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # Python refuses to convert an integer of more digits than
+        # sys.get_int_max_str_digits() to text; here that integer is part
+        # of an answer, since an over-long input literal is a ParseError
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: an output number has more than "
+              f"{sys.get_int_max_str_digits()} digits, Python's limit for "
+              "printing an integer (PYTHONINTMAXSTRDIGITS raises it)",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

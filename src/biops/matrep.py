@@ -122,7 +122,7 @@ def _fold_rows(x, rows, rep):
     dim = len(rows[0])
     bands = generator_matrices(dim, rep)
     total = [[K_ZERO] * dim for _ in rows]
-    terms = x.terms
+    terms = dict(x.items())
     for w, prod in fold_words(terms, rows,
                               lambda m, g: _times_band(m, bands[g - 1])):
         c = KappaElem(terms[w])
@@ -155,7 +155,7 @@ def eval_L_matrix(x):
     bug and raises RuntimeError."""
     dim = max(x.max_word_len() + 2, 2)
     e = _fold_rows(x, [_unit_row(0, dim)], "hat")[0][0]
-    if not e.b.is_zero():
+    if e.b:
         raise RuntimeError("kappa part of L did not cancel")
     return e.a
 

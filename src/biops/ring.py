@@ -70,15 +70,8 @@ class Poly2:
         return cls._raw({(0, 0): c} if c else {})
 
     @classmethod
-    def monomial(cls, i, j, c=1):
-        return cls({(i, j): c})
-
-    @property
-    def terms(self):
-        return dict(self._t)
-
-    def is_zero(self):
-        return not self._t
+    def monomial(cls, i, j):
+        return cls({(i, j): 1})
 
     def __bool__(self):
         return bool(self._t)
@@ -274,14 +267,8 @@ class KappaElem:
         self.a = a
         self.b = b
 
-    def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
-
-    def is_kappa_free(self):
-        return self.b.is_zero()
-
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.a) or bool(self.b)
 
     @staticmethod
     def _coerce(x):
@@ -347,12 +334,8 @@ class KappaElem:
     def to_obj(self):
         return {"k0": self.a.to_obj(), "k1": self.b.to_obj()}
 
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(Poly2.from_obj(obj["k0"]), Poly2.from_obj(obj["k1"]))
-
     def __repr__(self):
-        if self.b.is_zero():
+        if not self.b:
             return f"KappaElem({self.a!s})"
         return f"KappaElem(({self.a!s}) + ({self.b!s})*k)"
 

@@ -48,15 +48,8 @@ class _LinComb:
             p = Poly2.const(p)
         return cls({cls._UNIT: p})
 
-    @property
-    def terms(self):
-        return dict(self._t)
-
     def items(self):
         return self._t.items()
-
-    def is_zero(self):
-        return not self._t
 
     def __bool__(self):
         return bool(self._t)
@@ -89,24 +82,20 @@ class _LinComb:
         out._t = {k: -c for k, c in self._t.items()}
         return out
 
-    def scale(self, p):
-        """Multiply every coefficient by a Poly2 (or int)."""
-        if isinstance(p, int):
-            p = Poly2.const(p)
-        out = object.__new__(type(self))
-        out._t = _clean({k: p * c for k, c in self._t.items()})
-        return out
-
     def __mul__(self, other):
-        if isinstance(other, (Poly2, int)):
-            return self.scale(other)
+        if isinstance(other, int):
+            other = Poly2.const(other)
+        if isinstance(other, Poly2):
+            out = object.__new__(type(self))
+            out._t = _clean({k: other * c for k, c in self._t.items()})
+            return out
         if not isinstance(other, type(self)):
             return NotImplemented
         return self._mul(other)
 
     def __rmul__(self, other):
         if isinstance(other, (Poly2, int)):
-            return self.scale(other)
+            return self * other
         return NotImplemented
 
     def __pow__(self, n):
@@ -128,10 +117,6 @@ class TensorElem(_LinComb):
         if i not in (1, 2):
             raise ValueError("generator index must be 1 or 2")
         return cls({(i,): ONE})
-
-    @classmethod
-    def from_word(cls, w, coeff=ONE):
-        return cls({tuple(w): coeff})
 
     def _mul(self, other):
         pairs = ((w1 + w2, c1 * c2) for w1, c1 in self._t.items()
@@ -165,10 +150,6 @@ class ShockElem(_LinComb):
         if i not in (1, 2):
             raise ValueError("generator index must be 1 or 2")
         return cls({(0, 1) if i == 1 else (1, 0): ONE})
-
-    @classmethod
-    def basis(cls, n, m, coeff=ONE):
-        return cls({(n, m): coeff})
 
     def _mul(self, other):
         return shock_mul(self, other)

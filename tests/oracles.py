@@ -173,4 +173,4 @@ def pretty(node):
 
 def swap_ab(p):
     """p(alpha, beta) -> p(beta, alpha)."""
-    return Poly2({(j, i): c for (i, j), c in p.terms.items()})
+    return Poly2({(j, i): c for (i, j), c in p.sorted_terms()})

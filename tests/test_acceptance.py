@@ -7,9 +7,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the status lines.
 import random
 from fractions import Fraction
 
-import pytest
-
-from biops.ring import Poly2, ZERO, ONE, ALPHA, BETA, AB, KappaElem, K_ZERO, K_ONE
+from biops.ring import Poly2, ZERO, ALPHA, BETA, AB, KappaElem, K_ZERO
 from biops.tensor import TensorElem, E1, E2, linear_form
 from biops.bimoment import build_bimoment, det_fraction_free, det_closed_form
 from biops.biortho import (p_explicit, q_explicit, p_cramer, q_cramer,
@@ -77,7 +75,7 @@ def test_criterion_5_moment_matrices():
             ok = ok and xv == X.entry(n, m) and yv == Y.entry(n, m)
             ok = ok and Xhat.entry(n, m) * slam[n] * slam[m] == xv
             ok = ok and Yhat.entry(n, m) * slam[n] * slam[m] == yv
-    ok = ok and Xhat.entry(0, 1).a.is_zero() and not Xhat.entry(0, 1).b.is_zero()
+    ok = ok and not Xhat.entry(0, 1).a and Xhat.entry(0, 1).b
     ok = ok and Yhat.entry(1, 0) == Xhat.entry(0, 1)
     report(5, "first-moment bands match direct L values n,m <= 6", ok)
 
@@ -88,7 +86,7 @@ def test_criterion_6_diffusion_algebra():
     ok = r.valid_block >= 10
     for i in range(10):
         for j in range(10):
-            ok = ok and r.entry(i, j).is_zero()
+            ok = ok and not r.entry(i, j)
     report(6, "Xhat Yhat - ab(Xhat + Yhat) vanishes on 10x10 block", ok)
 
 

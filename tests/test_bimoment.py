@@ -34,7 +34,7 @@ class TestBuild:
         for i in range(9):
             for j in range(9):
                 w = (1,) * i + (2,) * j
-                assert B.entry(i, j) == linear_form(TensorElem.from_word(w))
+                assert B.entry(i, j) == linear_form(TensorElem({w: ONE}))
 
     def test_negative_index_rejected(self):
         B = build_bimoment(3)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from biops.errors import DegenerateParameters
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
                         KAPPA, K_ZERO, K_ONE)
-from biops.tensor import E1, E2, linear_form
+from biops.tensor import E1, linear_form
 from biops.bimoment import build_bimoment, det_fraction_free
 from biops.biortho import (UniPoly, p_explicit, q_explicit, p_cramer,
                            q_cramer, lambda_n, sqrt_lambda,
@@ -37,7 +37,7 @@ class TestExplicit:
     def test_monic_degree(self):
         for n in range(8):
             p = p_explicit(n)
-            assert p.is_monic() and p.degree == n
+            assert p.coeffs[-1] == ONE and len(p.coeffs) == n + 1
 
 
 def _poly2s():
@@ -149,6 +149,22 @@ class TestOrthogonality:
         rep = recurrence_check(10)
         assert rep.ok
 
+    def test_recurrence_check_is_independent_of_shift_mul(self, monkeypatch):
+        # p_explicit builds P_n with shift_mul; the check must not, or a
+        # shift_mul that goes wrong above degree 0 would pass
+        shift_mul = UniPoly.shift_mul
+
+        def wrong(self, c):
+            out = shift_mul(self, c)
+            if len(self.coeffs) > 1:
+                out = out + UniPoly(self.variable, (ONE,))
+            return out
+
+        monkeypatch.setattr(UniPoly, "shift_mul", wrong)
+        rep = recurrence_check(4)
+        assert not rep.ok
+        assert rep.checked == 8
+
 
 class TestMomentBands:
     def test_band_structure(self):
@@ -176,7 +192,7 @@ class TestMomentBands:
             for i in range(6):
                 for j in range(6):
                     if (i, j) not in ((0, 1), (1, 0)):
-                        assert band.entry(i, j).is_kappa_free()
+                        assert not band.entry(i, j).b
 
     def test_consistency_report(self):
         rep = moment_consistency(6)

@@ -202,6 +202,16 @@ class TestErrors:
         assert "Traceback" not in err
         assert r.stdout == b""
 
+    def test_output_number_too_long_exit_1(self, monkeypatch):
+        # a short input whose answer, 3^9100, has 4,342 digits
+        monkeypatch.delenv("PYTHONINTMAXSTRDIGITS", raising=False)
+        r = run_subprocess("L", "3^9100")
+        err = r.stderr.decode()
+        assert r.returncode == 1, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert r.stdout == b""
+
     def test_closed_stdout(self):
         # the reader is gone before the first write: every write fails
         read_end, write_end = os.pipe()

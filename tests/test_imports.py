@@ -1,5 +1,6 @@
-"""Every name a biops module imports is used in that module, and every
-top-level function or class of biops is used somewhere else in biops."""
+"""Every name a biops or test module imports is used in that module, every
+top-level function or class of biops is used somewhere else in biops, and
+so is every method of a top-level class."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ import biops
 
 MODULES = sorted(p for p in Path(biops.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source):
@@ -59,6 +61,35 @@ def uncalled_definitions(sources):
                   if not reads.get(name, set()) - {(module, name)})
 
 
+def uncalled_methods(sources):
+    """Non-dunder methods of top-level classes in `sources` (module name ->
+    source) whose name nothing reads outside their own body, as `x.name`
+    or as a bare name."""
+    defined, reads = [], {}
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            is_class = isinstance(stmt, ast.ClassDef)
+            for part in stmt.body if is_class else [stmt]:
+                own = None
+                if (is_class and isinstance(part, (ast.FunctionDef,
+                                                   ast.AsyncFunctionDef))
+                        and not (part.name.startswith("__")
+                                 and part.name.endswith("__"))):
+                    own = f"{module}.{stmt.name}.{part.name}"
+                    defined.append((own, part.name))
+                for node in ast.walk(part):
+                    if isinstance(node, ast.Name):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute):
+                        name = node.attr
+                    else:
+                        continue
+                    if isinstance(node.ctx, ast.Load):
+                        reads.setdefault(name, set()).add(own)
+    return sorted(own for own, name in defined
+                  if not reads.get(name, set()) - {own})
+
+
 def test_every_definition_has_a_caller():
     # the two session entry points are called from outside the package
     sources = {p.stem: p.read_text() for p in MODULES}
@@ -81,7 +112,30 @@ def test_scan_finds_an_uncalled_definition():
                                              "b.main"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_method_has_a_caller():
+    # the session worker rebuilds Poly2 coefficients from JSON
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert uncalled_methods(sources) == ["ring.Poly2.from_obj"]
+
+
+def test_scan_finds_an_uncalled_method():
+    sources = {
+        "a": ("class A:\n"
+              "    def __init__(self): self.helper()\n"
+              "    def helper(self): pass\n"
+              "    def recursive(self): return self.recursive()\n"
+              "    def orphan(self): pass\n"
+              "    def __repr__(self): return 'A'\n"
+              "    def bare(self): pass\n"
+              "    alias = bare\n"
+              "    @property\n"
+              "    def size(self): return 0\n"),
+        "b": "def f(x): return x.size\n",
+    }
+    assert uncalled_methods(sources) == ["a.A.orphan", "a.A.recursive"]
+
+
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from biops.ring import Poly2, ZERO, ONE, ALPHA, BETA, AB, KappaElem, K_ZERO, K_ONE, KAPPA
+from biops.ring import Poly2, ZERO, ALPHA, BETA, AB, KappaElem, K_ZERO, K_ONE, KAPPA
 from biops.tensor import TensorElem, E1, E2, linear_form
 from biops.asep import partition_Z
 from biops.biortho import (first_moment_matrices, p_explicit, q_explicit,
@@ -72,7 +72,7 @@ class TestRepresent:
             assert r.valid_block == dim - 2
             for i in range(r.valid_block):
                 for j in range(r.valid_block):
-                    assert r.entry(i, j).is_zero()
+                    assert not r.entry(i, j)
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationTooSmall):
@@ -167,7 +167,7 @@ class TestPQRep:
             Q = pq_rep(m, "Q", dim)
             got = K_ZERO
             for k in range(dim):
-                if P.raw(0, k).is_zero():
+                if not P.raw(0, k):
                     continue
                 for l in range(dim):
                     got = got + P.raw(0, k) * A[k][l] * Q.raw(l, 0)

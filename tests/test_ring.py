@@ -60,8 +60,8 @@ class TestPoly2:
 
     def test_canonical_no_zero_terms(self):
         p = Poly2({(1, 0): 1, (0, 1): 0})
-        assert (0, 1) not in p.terms
-        assert (ALPHA - ALPHA).terms == {}
+        assert (0, 1) not in dict(p.sorted_terms())
+        assert (ALPHA - ALPHA).sorted_terms() == []
 
     @settings(max_examples=200, deadline=None)
     @given(polys, polys, coeffs)
@@ -72,7 +72,7 @@ class TestPoly2:
         if q:
             results.append((p * q).exact_div(q))
         for r in results:
-            assert 0 not in r.terms.values()
+            assert 0 not in dict(r.sorted_terms()).values()
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -84,7 +84,7 @@ class TestPoly2:
         with pytest.raises(TypeError):
             Poly2({(0, 0): Fraction(1, 2), (1, 0): 2.7})
         with pytest.raises(TypeError):
-            Poly2.monomial(1, 1, Fraction(3, 2))
+            Poly2({(1, 1): Fraction(3, 2)})
         with pytest.raises(TypeError):
             Poly2.const(Fraction(1, 2))
         with pytest.raises(TypeError):
@@ -103,13 +103,13 @@ class TestPoly2:
     @settings(max_examples=100, deadline=None)
     @given(polys, polys)
     def test_div_roundtrip(self, p, q):
-        if q.is_zero():
+        if not q:
             return
         assert (p * q).exact_div(q) == p
 
     def test_eval_is_homomorphism(self):
         def naive(p, a, b):
-            return sum((c * a**i * b**j for (i, j), c in p.terms.items()),
+            return sum((c * a**i * b**j for (i, j), c in p.sorted_terms()),
                        Fraction(0))
 
         rng = random.Random(7)
@@ -162,4 +162,6 @@ class TestKappa:
 
     def test_json_roundtrip(self):
         x = KappaElem(ALPHA + BETA, AB)
-        assert KappaElem.from_obj(json.loads(json.dumps(x.to_obj()))) == x
+        obj = json.loads(json.dumps(x.to_obj()))
+        assert KappaElem(Poly2.from_obj(obj["k0"]),
+                         Poly2.from_obj(obj["k1"])) == x
