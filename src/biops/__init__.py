@@ -9,8 +9,12 @@ from .tensor import (TensorElem, ShockElem, normal_order, shock_mul,
 
 __version__ = "0.1.0"
 
+# the three pictures of the generators e1, e2 that biops.matrep builds; the
+# CLI offers them as --rep choices without loading matrep
+GENERATOR_REPS = ("hat", "bar_col", "bar_row")
+
 __all__ = [
-    "__version__",
+    "__version__", "GENERATOR_REPS",
     "BiopsError", "InexactDivision", "DegenerateParameters",
     "TruncationTooSmall", "ParseError",
     "Poly2", "KappaElem",

@@ -11,7 +11,6 @@ integer encoding is little-endian (site 1 = least significant bit).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateParameters
@@ -47,14 +46,17 @@ def partition_Z(L):
     return linear_form(normal_order(E1 + E2) ** L)
 
 
-@dataclass
 class StationaryTable:
-    L: int
-    weights: dict       # state tuple -> Poly2
-    Z: Poly2
-    alpha: Fraction
-    beta: Fraction
-    probabilities: dict  # state tuple -> Fraction
+    __slots__ = ("L", "weights", "Z", "alpha", "beta", "probabilities")
+    __hash__ = None
+
+    def __init__(self, L, weights, Z, alpha, beta, probabilities):
+        self.L = L
+        self.weights = weights              # state tuple -> Poly2
+        self.Z = Z                          # Poly2
+        self.alpha = alpha                  # Fraction
+        self.beta = beta                    # Fraction
+        self.probabilities = probabilities  # state tuple -> Fraction
 
     def to_obj(self, symbolic=False):
         # a weight's value is its probability times Z(alpha, beta), so the
@@ -104,15 +106,18 @@ def stationary_mpa(L, a, b):
     return StationaryTable(L, weights, Z, a, b, probs)
 
 
-@dataclass
 class Generator:
     """Sparse continuous-time Markov generator over the 2^L states."""
 
-    L: int
-    alpha: Fraction
-    beta: Fraction
-    dim: int
-    rates: list  # rates[i] = dict j -> Fraction, including the diagonal
+    __slots__ = ("L", "alpha", "beta", "dim", "rates")
+    __hash__ = None
+
+    def __init__(self, L, alpha, beta, dim, rates):
+        self.L = L
+        self.alpha = alpha
+        self.beta = beta
+        self.dim = dim
+        self.rates = rates  # rates[i] = dict j -> Fraction, with the diagonal
 
 
 def build_generator(L, a, b):

@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ring import ZERO, ONE, ALPHA, BETA, AB
 
 
-@dataclass(frozen=True)
 class BiMomentMatrix:
     """Truncated (n+1)x(n+1) bi-moment matrix B[i][j] = L(e1^i e2^j)."""
 
-    n: int
-    entries: tuple
+    __slots__ = ("n", "entries")
+    __hash__ = None
+
+    def __init__(self, n, entries):
+        self.n = n
+        self.entries = entries  # a tuple of row tuples of Poly2
 
     def entry(self, i, j):
         if not (0 <= i <= self.n and 0 <= j <= self.n):

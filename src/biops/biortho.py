@@ -16,7 +16,6 @@ sqrt(Lambda_n) is exact in the kappa ring: (alpha*beta)^(n-1) * kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb
@@ -30,7 +29,6 @@ from .tensor import E1, E2, TensorElem, linear_form
 from .bimoment import build_bimoment, det_fraction_free
 
 
-@dataclass(frozen=True)
 class UniPoly:
     """Polynomial in a single variable; coeffs[k] multiplies variable^k.
 
@@ -39,16 +37,21 @@ class UniPoly:
     the last one is the nonzero leading coefficient and 0 is ().
     """
 
-    variable: str  # "e1", "e2" or "x"
-    coeffs: tuple
+    __slots__ = ("variable", "coeffs")
 
-    def __post_init__(self):
-        if self.variable not in ("e1", "e2", "x"):
+    def __init__(self, variable, coeffs):
+        if variable not in ("e1", "e2", "x"):
             raise ValueError("variable must be 'e1', 'e2' or 'x'")
-        coeffs = tuple(self.coeffs)
+        coeffs = tuple(coeffs)
         while coeffs and not coeffs[-1]:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        self.variable = variable
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        return (self.variable, self.coeffs) == (other.variable, other.coeffs)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -220,7 +223,6 @@ def recurrence_check(N):
 
 # --- first-moment band matrices ------------------------------------------
 
-@dataclass(frozen=True)
 class MomentBand:
     """Banded (bandwidth <= 1) truncation of an infinite moment matrix.
 
@@ -228,11 +230,15 @@ class MomentBand:
     (k, k+1) / (k+1, k) respectively). Entries are KappaElem.
     """
 
-    kind: str
-    dim: int
-    diag: tuple
-    sup: tuple
-    sub: tuple
+    __slots__ = ("kind", "dim", "diag", "sup", "sub")
+    __hash__ = None
+
+    def __init__(self, kind, dim, diag, sup, sub):
+        self.kind = kind
+        self.dim = dim
+        self.diag = diag
+        self.sup = sup
+        self.sub = sub
 
     def entry(self, i, j):
         if not (0 <= i < self.dim and 0 <= j < self.dim):

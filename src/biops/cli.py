@@ -3,27 +3,22 @@
 JSON (default) or CSV on stdout, diagnostics on stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage error.  The environment
 variable BIOPS_MAX_DIM (default 16) caps truncation sizes.
+
+Each subcommand imports the modules it runs inside its branch of `run`,
+so a cold process loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from fractions import Fraction
 
+from . import GENERATOR_REPS
 from .errors import BiopsError, ParseError
-from . import expr as expr_mod
 from .tensor import ShockElem, TensorElem, linear_form
-from .bimoment import build_bimoment, det_fraction_free, det_closed_form
-from .biortho import (p_explicit, q_explicit, lambda_n,
-                      first_moment_matrices)
-from .matrep import (represent, second_moment, cheb_like,
-                     cheb_reading_report, GENERATOR_REPS)
-from .asep import stationary_mpa, compare
-from .checks import default_suite
 
 
 def _cap_dim(dim, parser):
@@ -48,6 +43,7 @@ def _emit(obj, fmt):
 
 
 def _emit_csv(obj):
+    import csv
     out = csv.writer(sys.stdout)
     if isinstance(obj, dict) and "states" in obj:
         rows = obj["states"]
@@ -70,7 +66,8 @@ def _flat(v):
 
 
 def _parse_expr(src, algebra=TensorElem):
-    return expr_mod.eval_expr(expr_mod.parse(src), algebra)
+    from .expr import eval_expr, parse
+    return eval_expr(parse(src), algebra)
 
 
 def _fraction(text):
@@ -179,6 +176,7 @@ def run(argv=None):
         return 0
 
     if args.command == "bimoment":
+        from .bimoment import build_bimoment, det_fraction_free
         m = build_bimoment(args.n)
         obj = m.to_obj()
         obj["det"] = det_fraction_free(m.entries).to_obj()
@@ -186,6 +184,8 @@ def run(argv=None):
         return 0
 
     if args.command == "det":
+        from .bimoment import (build_bimoment, det_closed_form,
+                               det_fraction_free)
         d = det_fraction_free(build_bimoment(args.n).entries)
         closed = det_closed_form(args.n)
         _emit({"n": args.n, "det": d.to_obj(), "text": str(d),
@@ -193,31 +193,37 @@ def run(argv=None):
         return 0 if d == closed else 1
 
     if args.command == "poly":
+        from .biortho import p_explicit, q_explicit
         f = p_explicit if args.which == "P" else q_explicit
         _emit(f(args.n).to_obj(), fmt)
         return 0
 
     if args.command == "lambda":
+        from .biortho import lambda_n
         lam = lambda_n(args.n)
         _emit({"n": args.n, "lambda": lam.to_obj(), "text": str(lam)}, fmt)
         return 0
 
     if args.command == "moments":
+        from .biortho import first_moment_matrices
         bands = first_moment_matrices(_cap_dim(args.dim, parser))
         _emit({band.kind: band.to_obj() for band in bands}, fmt)
         return 0
 
     if args.command == "represent":
+        from .matrep import represent
         r = represent(_parse_expr(args.expr), _cap_dim(args.dim, parser),
                       args.rep)
         _emit(r.to_obj(), fmt)
         return 0
 
     if args.command == "second-moment":
+        from .matrep import second_moment
         _emit(second_moment(_cap_dim(args.dim, parser)).to_obj(), fmt)
         return 0
 
     if args.command == "cheb":
+        from .matrep import cheb_like, cheb_reading_report
         report = cheb_reading_report(min(args.max_n, 6))
         obj = cheb_like(args.max_n, args.reading).to_obj()
         obj["oracle_report"] = report.to_obj()
@@ -225,17 +231,20 @@ def run(argv=None):
         return 0 if report.ok else 1
 
     if args.command == "stationary":
+        from .asep import stationary_mpa
         table = stationary_mpa(args.L, args.alpha, args.beta)
         _emit(table.to_obj(symbolic=args.symbolic), fmt)
         return 0
 
     if args.command == "compare":
+        from .asep import compare
         rep = compare(args.L, args.alpha, args.beta)
         print(rep.summary(), file=sys.stderr)
         _emit(rep.to_obj(), fmt)
         return 0 if rep.ok else 1
 
     if args.command == "check":
+        from .checks import default_suite
         reports = default_suite(max_n=args.max_n, seed=args.seed)
         ok = True
         for rep in reports:

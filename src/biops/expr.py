@@ -17,51 +17,78 @@ Precedence: '^' > '*' > unary '-' > binary '+'/'-'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParseError
 from .ring import ALPHA, BETA
 from .tensor import TensorElem
-from .biortho import p_explicit, q_explicit
 
 
 # --- AST -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Gen:
-    which: int  # 1 or 2
+class _Node:
+    """An AST node: equal to a node of the same type with equal fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class ScalarPoly:
-    value: object  # 'a', 'b' or the int of an integer literal
+class Gen(_Node):
+    __slots__ = ("which",)
+
+    def __init__(self, which):
+        self.which = which  # 1 or 2
 
 
-@dataclass(frozen=True)
-class BiOrtho:
-    which: str  # "P" (a polynomial in e1) or "Q" (in e2)
-    n: int
+class ScalarPoly(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value  # 'a', 'b' or the int of an integer literal
 
 
-@dataclass(frozen=True)
-class Sum:
-    parts: tuple
+class BiOrtho(_Node):
+    __slots__ = ("which", "n")
+
+    def __init__(self, which, n):
+        self.which = which  # "P" (a polynomial in e1) or "Q" (in e2)
+        self.n = n
 
 
-@dataclass(frozen=True)
-class Product:
-    parts: tuple
+class Sum(_Node):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = parts  # a tuple of nodes
 
 
-@dataclass(frozen=True)
-class Power:
-    base: object
-    exponent: int
+class Product(_Node):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = parts  # a tuple of nodes
 
 
-@dataclass(frozen=True)
-class Negation:
-    inner: object
+class Power(_Node):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base, exponent):
+        self.base = base
+        self.exponent = exponent
+
+
+class Negation(_Node):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner):
+        self.inner = inner
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -219,7 +246,9 @@ def eval_expr(node, algebra=TensorElem):
             return algebra.scalar(BETA)
         return algebra.scalar(node.value)
     if isinstance(node, BiOrtho):
-        # Horner in the generator: P_n is a polynomial in e1, Q_n in e2
+        # Horner in the generator: P_n is a polynomial in e1, Q_n in e2.
+        # biortho loads here, so an expression without P or Q never needs it
+        from .biortho import p_explicit, q_explicit
         if node.which == "P":
             poly, gen = p_explicit(node.n), algebra.generator(1)
         else:

@@ -21,25 +21,26 @@ Three generator pairs are available, each built from the closed-form bands:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .errors import TruncationTooSmall
 from .report import CheckReport
 from .ring import KappaElem, ZERO, ALPHA, BETA, AB, K_ZERO, K_ONE
 from .tensor import E1, E2, TensorElem, fold_words
-from .biortho import UniPoly, first_moment_matrices, lambda_n, sqrt_lambda
+from .biortho import (MomentBand, UniPoly, first_moment_matrices, lambda_n,
+                      sqrt_lambda)
+from . import GENERATOR_REPS
 
-GENERATOR_REPS = ("hat", "bar_col", "bar_row")
 
-
-@dataclass(frozen=True)
 class RepMatrix:
     """dim x dim truncation with entries in the kappa ring; entries with
     both indices below valid_block agree with the infinite computation."""
 
-    dim: int
-    entries: tuple
-    valid_block: int
+    __slots__ = ("dim", "entries", "valid_block")
+    __hash__ = None
+
+    def __init__(self, dim, entries, valid_block):
+        self.dim = dim
+        self.entries = entries  # a tuple of row tuples of KappaElem
+        self.valid_block = valid_block
 
     def entry(self, i, j):
         if i < 0 or j < 0:
@@ -92,10 +93,10 @@ def generator_matrices(dim, rep="hat"):
     ratio = [KappaElem(lambda_n(k + 1).exact_div(lambda_n(k)))
              for k in range(dim - 1)]
     if rep == "bar_col":
-        return Xbar, replace(Ybar, kind="Ybar_col", sub=tuple(
+        return Xbar, MomentBand("Ybar_col", dim, Ybar.diag, Ybar.sup, tuple(
             s * r for s, r in zip(Ybar.sub, ratio)))
-    return replace(Xbar, kind="Xbar_row", sup=tuple(
-        s * r for s, r in zip(Xbar.sup, ratio))), Ybar
+    return MomentBand("Xbar_row", dim, Xbar.diag, tuple(
+        s * r for s, r in zip(Xbar.sup, ratio)), Xbar.sub), Ybar
 
 
 def _times_band(rows, band):
@@ -206,7 +207,6 @@ def second_moment_product(dim):
 
 # --- Chebyshev-like polynomials -------------------------------------------
 
-@dataclass(frozen=True)
 class ChebLike:
     """Chebyshev-like sequence from the tridiagonal W.
 
@@ -216,8 +216,12 @@ class ChebLike:
     the off-diagonal divisions); with the corrected reading this equals
     the n-th leading principal minor of (xI - W)."""
 
-    reading: str
-    polys: tuple  # polys[n] = tuple of KappaElem coefficients of x^k
+    __slots__ = ("reading", "polys")
+    __hash__ = None
+
+    def __init__(self, reading, polys):
+        self.reading = reading
+        self.polys = polys  # polys[n] = tuple of KappaElem coefficients of x^k
 
     def to_obj(self):
         return {

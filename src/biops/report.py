@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class CheckReport:
-    name: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    __slots__ = ("name", "checked", "failures", "notes")
+    __hash__ = None
+
+    def __init__(self, name):
+        self.name = name
+        self.checked = 0
+        self.failures = []
+        self.notes = []
 
     @property
     def ok(self):

@@ -20,6 +20,49 @@ def run_subprocess(*argv, stdout=subprocess.PIPE):
                           timeout=120)
 
 
+# Runs main(argv) in a fresh interpreter, then writes the sorted names of
+# the loaded biops modules as the last line of stderr.
+LOADED_MODULES = """
+import json, sys
+import biops.cli
+code = biops.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+sys.stdout.flush()
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.partition(".")[0] == "biops")), file=sys.stderr)
+sys.exit(code)
+"""
+
+# what `import biops.cli` loads, and what each subcommand adds to it
+BASE = {"biops", "biops.cli", "biops.errors", "biops.ring", "biops.tensor"}
+EXPR = BASE | {"biops.expr"}
+BIMOMENT = BASE | {"biops.bimoment"}
+BIORTHO = BIMOMENT | {"biops.biortho", "biops.report"}
+MATREP = BIORTHO | {"biops.matrep"}
+ASEP = BASE | {"biops.asep", "biops.report"}
+EVERY = {"biops"} | {f"biops.{name[:-3]}" for name in
+                     os.listdir(os.path.dirname(biops.__file__))
+                     if name.endswith(".py") and name != "__init__.py"}
+COLD_START = [  # the README examples, and L of a power
+    ((), BASE),
+    (("L", "e1*e2"), EXPR),
+    (("L", "(e1*e2)^3"), EXPR),
+    (("bimoment", "--n", "3"), BIMOMENT),
+    (("det", "--n", "5"), BIMOMENT),
+    (("poly", "--which", "P", "--n", "3"), BIORTHO),
+    (("lambda", "--n", "2"), BIORTHO),
+    (("moments", "--dim", "6"), BIORTHO),
+    (("represent", "P(1)*Q(1)", "--dim", "6", "--rep", "hat"), MATREP | EXPR),
+    (("second-moment", "--dim", "6"), MATREP),
+    (("cheb", "--max-n", "6", "--reading", "corrected"), MATREP),
+    (("stationary", "--L", "4", "--alpha", "1/2", "--beta", "1/3"), ASEP),
+    (("stationary", "--L", "4", "--alpha", "1/2", "--beta", "1/3",
+      "--symbolic"), ASEP),
+    (("compare", "--L", "5", "--alpha", "2/3", "--beta", "1/4"), ASEP),
+    # the suites parse no expression
+    (("check", "--max-n", "6", "--seed", "0"), EVERY - {"biops.expr"}),
+]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -117,6 +160,24 @@ class TestSmoke:
         code, out, err = run_cli(capsys, command, "--max-n", "0")
         assert code == 0, err
         assert json.loads(out)
+
+
+class TestColdStart:
+    """Each README example, in a fresh interpreter, loads exactly the
+    modules its subcommand runs; a branch that uses a name it never
+    imported fails here too."""
+
+    @pytest.mark.parametrize("argv, modules", COLD_START, ids=[
+        " ".join(argv) or "import" for argv, _ in COLD_START])
+    def test_loads_only_what_the_subcommand_runs(self, argv, modules):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        r = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                           capture_output=True, env=env, timeout=120)
+        err = r.stderr.decode()
+        assert r.returncode == 0, err
+        if argv:
+            json.loads(r.stdout)
+        assert set(json.loads(err.splitlines()[-1])) == modules
 
 
 class TestFormats:

@@ -1,6 +1,7 @@
 """Every name a biops or test module imports is used in that module, every
 top-level function or class of biops is used somewhere else in biops, and
-so is every method of a top-level class."""
+so is every method of a top-level class.  No biops module imports
+dataclasses."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,17 @@ def unused_imports(source):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
+
+
+def imported_modules(source):
+    """Top-level names of the absolute imports in `source`, at any depth."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
 
 
 def uncalled_definitions(sources):
@@ -145,3 +157,16 @@ def test_scan_finds_an_unused_import():
            "import io\nimport os.path\nfrom .ring import ZERO, ONE as one\n"
            "print(os.path.sep, one)\n")
     assert unused_imports(src) == [(2, "io"), (4, "ZERO")]
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses and its inspect/ast/dis chain cost every cold CLI process
+    package = sorted(Path(biops.__file__).parent.glob("*.py"))
+    offenders = [p.name for p in package
+                 if "dataclasses" in imported_modules(p.read_text())]
+    assert offenders == []
+
+
+def test_scan_finds_an_import_of_dataclasses():
+    src = "import os.path, json\nfrom dataclasses import field\n"
+    assert imported_modules(src) == {"os", "json", "dataclasses"}
