@@ -1,14 +1,27 @@
 """Exact base rings: Z[alpha,beta] and its quadratic extension by kappa.
 
-Poly2 is a sparse integer-coefficient polynomial in the commuting
-variables alpha, beta.  KappaElem is an element a + b*kappa of the
-extension ring with the reduction rule kappa**2 = alpha*beta*(alpha+beta-1).
-Rational point evaluation uses fractions.Fraction (exact).
+Poly2 is a polynomial in the commuting variables alpha, beta with integer
+coefficients, stored as the dict {(i, j): c} of its nonzero terms
+c*alpha^i*beta^j; that dict is its one representation.  Products and exact
+quotients of small or sparse operands are loops over it.  Large ones are
+packed into integers (Kronecker substitution, in biops.kronecker), so
+that one integer product or one divmod does the work, and the answer is
+decoded back into a dict.  A packed product is exact by the size of its
+slots.  A packed quotient is accepted only under a certificate (it lies in
+its exponent box, and no coefficient of quotient times divisor can reach
+the slot bound), which proves quotient * divisor = dividend with no
+multiply-back; otherwise long division, which stays the authority on
+exactness, answers.  PACK_PAIRS sets which path runs.
+
+KappaElem is an element a + b*kappa of the extension ring with the
+reduction rule kappa**2 = alpha*beta*(alpha+beta-1).  Rational point
+evaluation uses fractions.Fraction (exact).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from operator import index
 
 from .errors import InexactDivision
@@ -42,8 +55,23 @@ def _scaled_powers(p, q, n):
     return [u * d for u, d in zip(up, reversed(down))]
 
 
+# A product t*u goes to kronecker.mul when len(t)*len(u) >= PACK_PAIRS +
+# (slots of its box), and a quotient a/d to kronecker.div when
+# len(a)*len(d) >= PACK_PAIRS + (slots of a's box).  Packing costs about
+# what the dict loops pay per term pair for each slot of the box (a dict
+# entry either way), plus a fixed overhead of about PACK_PAIRS term pairs,
+# measured on products and quotients of dense and triangular boxes.  The
+# rule keeps small products and sparse boxes such as (a^40 + b^40)^2 on
+# the loops.
+PACK_PAIRS = 64
+
+
 class Poly2:
-    """Sparse polynomial in Z[alpha, beta], canonical form (no zero terms)."""
+    """Polynomial in Z[alpha, beta] as the dict {(i, j): c} of its nonzero
+    terms (no zero coefficient is stored).  Large products and exact
+    quotients pass through packed integers and come back as such a dict;
+    a packed quotient is kept only under its certificate (see the module
+    docstring and biops.kronecker)."""
 
     __slots__ = ("_t",)
 
@@ -113,6 +141,12 @@ class Poly2:
         t, u = self._t, other._t
         if len(t) > len(u):
             t, u = u, t
+        # before finding the product's box: it has a slot for each term
+        if len(t) * len(u) >= PACK_PAIRS + len(u):
+            from . import kronecker
+            out = kronecker.mul(t, u)
+            if out is not None:
+                return Poly2._raw(out)
         out = {}
         for (i1, j1), c1 in t.items():
             for (i2, j2), c2 in u.items():
@@ -144,19 +178,32 @@ class Poly2:
 
         Long division by a single divisor under the graded-lex order: any
         nonzero multiple of q has a leading term divisible by lead(q), so a
-        failed term division proves inexactness.
+        failed term division proves inexactness.  The remainder's leading
+        term comes from a heap of grlex keys; a key whose term has
+        cancelled is skipped.
         """
         other = self._coerce(other)
         if other is NotImplemented or not other:
             raise ZeroDivisionError("polynomial division by zero")
         q = other._t
+        # before finding the dividend's box: it has a slot for each term
+        if len(self._t) * len(q) >= PACK_PAIRS + len(self._t):
+            from . import kronecker
+            quo = kronecker.div(self._t, q)
+            if quo is not None:
+                return Poly2._raw(quo)
         qi, qj = max(q, key=_grlex_key)
         qc = q[(qi, qj)]
         rem = dict(self._t)
+        heap = [(-i - j, -j) for i, j in rem]
+        heapify(heap)
         quo = {}
         while rem:
-            ri, rj = max(rem, key=_grlex_key)
-            rc = rem[(ri, rj)]
+            neg_deg, neg_j = heappop(heap)
+            ri, rj = neg_j - neg_deg, -neg_j
+            rc = rem.get((ri, rj))
+            if rc is None:
+                continue
             if ri < qi or rj < qj or rc % qc:
                 raise InexactDivision("inexact polynomial division")
             mi, mj = ri - qi, rj - qj
@@ -164,10 +211,13 @@ class Poly2:
             quo[(mi, mj)] = c
             for (i, j), cq in q.items():
                 k = (i + mi, j + mj)
-                s = rem.get(k, 0) - c * cq
+                old = rem.get(k, 0)
+                s = old - c * cq
                 if s:
+                    if not old:
+                        heappush(heap, (-k[0] - k[1], -k[1]))
                     rem[k] = s
-                elif k in rem:
+                elif old:
                     del rem[k]
         return Poly2._raw(quo)
 

@@ -11,12 +11,14 @@ or closed-form constructions that the library computes another way.
   parametric determinant family behind the bi-moment determinant.
 * `pretty` prints an AST back to the DSL, for parser round trips.
 * `swap_ab` exchanges alpha and beta in a Poly2.
+* `schoolbook_mul` and `long_div` multiply and exactly divide Poly2
+  values term by term; the library packs large operands into integers.
 """
 
 import itertools
 from math import comb
 
-from biops.errors import TruncationTooSmall
+from biops.errors import InexactDivision, TruncationTooSmall
 from biops.expr import Gen, ScalarPoly, BiOrtho, Sum, Product, Power, Negation
 from biops.matrep import RepMatrix
 from biops.ring import (Poly2, KappaElem, ONE, AB, ALPHA, BETA, K_ZERO, K_ONE,
@@ -174,3 +176,40 @@ def pretty(node):
 def swap_ab(p):
     """p(alpha, beta) -> p(beta, alpha)."""
     return Poly2({(j, i): c for (i, j), c in p.sorted_terms()})
+
+
+# --- Poly2 products and exact quotients term by term -----------------------
+
+def schoolbook_mul(p, q):
+    """p*q, one term pair at a time."""
+    out = {}
+    for (i1, j1), c1 in p.sorted_terms():
+        for (i2, j2), c2 in q.sorted_terms():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return Poly2(out)
+
+
+def long_div(p, q):
+    """p/q when q divides p exactly, else InexactDivision: long division
+    under the lex order with beta first, rescanning the remainder for its
+    leading term every step."""
+    def lead(terms):
+        return max(terms, key=lambda ij: (ij[1], ij[0]))
+
+    rem = dict(p.sorted_terms())
+    d = dict(q.sorted_terms())
+    di, dj = lead(d)
+    quo = {}
+    while rem:
+        ri, rj = lead(rem)
+        if ri < di or rj < dj or rem[ri, rj] % d[di, dj]:
+            raise InexactDivision("inexact polynomial division")
+        m, c = (ri - di, rj - dj), rem[ri, rj] // d[di, dj]
+        quo[m] = c
+        for (i, j), cd in d.items():
+            k = (i + m[0], j + m[1])
+            rem[k] = rem.get(k, 0) - c * cd
+            if not rem[k]:
+                del rem[k]
+    return Poly2(quo)

@@ -56,7 +56,7 @@ class TestDeterminant:
         assert det_closed_form(1) == AB * (ALPHA + BETA - 1)
         assert det_closed_form(3) == AB**9 * (ALPHA + BETA - 1) ** 3
 
-    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("n", range(13))
     def test_fraction_free_matches_closed_form(self, n):
         assert det_fraction_free(build_bimoment(n).entries) == det_closed_form(n)
 

@@ -47,7 +47,8 @@ COLD_START = [  # the README examples, and L of a power
     (("L", "e1*e2"), EXPR),
     (("L", "(e1*e2)^3"), EXPR),
     (("bimoment", "--n", "3"), BIMOMENT),
-    (("det", "--n", "5"), BIMOMENT),
+    # a 5x5 Bareiss elimination has products large enough to pack
+    (("det", "--n", "5"), BIMOMENT | {"biops.kronecker"}),
     (("poly", "--which", "P", "--n", "3"), BIORTHO),
     (("lambda", "--n", "2"), BIORTHO),
     (("moments", "--dim", "6"), BIORTHO),

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biops import kronecker
 from biops.errors import InexactDivision
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
                         KAPPA, KAPPA_SQ, K_ONE)
+from oracles import long_div, schoolbook_mul
 
 
 def rand_poly(rng, max_deg=3, max_terms=4, max_coeff=6):
@@ -137,6 +139,136 @@ class TestPoly2:
         obj = (AB * (ALPHA + BETA)).to_obj()
         # graded-lex sorted records with string coefficients
         assert obj == [{"a": 2, "b": 1, "c": "1"}, {"a": 1, "b": 2, "c": "1"}]
+
+
+def terms(p):
+    return dict(p.sorted_terms())
+
+
+def packed_product(p, q):
+    """The packed path's p*q, or None where it declines the product."""
+    return kronecker.mul(terms(p), terms(q))
+
+
+def packed_quotient(a, d):
+    """The packed path's a/d, or None where it declines or the quotient
+    fails its certificate; InexactDivision where it proves inexactness."""
+    return kronecker.div(terms(a), terms(d))
+
+
+@st.composite
+def boxed_polys(draw, sparse=False):
+    """Polynomials with three quarters or more of the cells of a box
+    filled, a nonzero least exponent, and coefficients of up to 3, 40, 70
+    or 130 bits of either sign.  The cells are next to each other, 5 to 9
+    by 4 to 6 of them, so that a product of two has more term pairs than
+    the packed path needs in its box; or, if sparse, 2 to 7 apart, 3 to 6
+    by 2 to 4 of them, so that the path depends on the spacing."""
+    i0, j0 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if sparse:
+        width, rows = draw(st.integers(3, 6)), draw(st.integers(2, 4))
+        step = draw(st.integers(2, 7))
+    else:
+        width, rows = draw(st.integers(5, 9)), draw(st.integers(4, 6))
+        step = 1
+    bits = draw(st.sampled_from([3, 40, 70, 130]))
+    coeff = st.integers(-(1 << bits), 1 << bits).filter(bool)
+    cells = [(i0 + step * i, j0 + step * j)
+             for i in range(width) for j in range(rows)]
+    holes = draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 4))
+    return Poly2({k: draw(coeff) for k in cells if k not in holes})
+
+
+def wrapped(p, width):
+    """p with alpha^width replaced by beta: packing with that alpha-width
+    cannot tell the two apart."""
+    out = {}
+    for (i, j), c in p.sorted_terms():
+        k = (i % width, j + i // width)
+        out[k] = out.get(k, 0) + c
+    return Poly2(out)
+
+
+class TestPackedPath:
+    """Large products and quotients go through packed integers; the term
+    by term oracles check them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(boxed_polys(), boxed_polys())
+    def test_product_and_quotient_match_the_oracles(self, p, q):
+        expect = schoolbook_mul(p, q)
+        assert packed_product(p, q) == terms(expect)
+        assert p * q == expect
+        assert packed_quotient(expect, q) in (terms(p), None)
+        assert expect.exact_div(q) == p == long_div(expect, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(boxed_polys(sparse=True), boxed_polys(sparse=True))
+    def test_sparse_boxes_match_the_oracles(self, p, q):
+        expect = schoolbook_mul(p, q)
+        assert p * q == expect
+        assert expect.exact_div(q) == p == long_div(expect, q)
+
+    def test_sparse_box_stays_on_the_loops(self):
+        # 100 term pairs in a box of 91*91 slots
+        p = sum((ALPHA**(10 * k) for k in range(10)), ZERO)
+        q = sum((BETA**(10 * k) for k in range(10)), ZERO)
+        assert packed_product(p, q) is None
+        assert p * q == schoolbook_mul(p, q)
+        assert packed_quotient(p * q, q) is None
+        assert (p * q).exact_div(q) == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(boxed_polys(), boxed_polys(), st.data())
+    def test_remainder_proves_inexact_division(self, p, q, data):
+        # q has two terms or more, so it divides no monomial r
+        a = p * q
+        i, j = data.draw(st.sampled_from(sorted(terms(a))))
+        c = data.draw(st.integers(-(1 << 80), 1 << 80).filter(bool))
+        a = a + Poly2({(i, j): c})
+        with pytest.raises(InexactDivision):
+            packed_quotient(a, q)
+        with pytest.raises(InexactDivision):
+            a.exact_div(q)
+        with pytest.raises(InexactDivision):
+            long_div(a, q)
+
+    def test_empty_quotient_box_proves_inexact_division(self):
+        a = (ALPHA + BETA) ** 12
+        d = ALPHA**3 * (ALPHA + BETA) ** 9
+        with pytest.raises(InexactDivision):
+            packed_quotient(a, d)
+        with pytest.raises(InexactDivision):
+            a.exact_div(d)
+        # every exponent of a is as large as d's least, but a spans fewer
+        # powers of alpha than d
+        d = (1 + ALPHA) ** 4 * (1 + BETA) ** 3
+        a = wrapped(d, 3)
+        with pytest.raises(InexactDivision):
+            packed_quotient(a, d)
+        with pytest.raises(InexactDivision):
+            a.exact_div(d)
+
+    def test_quotient_outside_its_box_is_refused(self):
+        # packed with width 8, a has the image of q*d; but q reaches
+        # alpha^6, and a quotient of a could reach alpha^3 only
+        d = (1 + ALPHA) ** 4 * (1 + BETA) ** 3
+        q = (1 + BETA) ** 2 * sum((ALPHA**k for k in range(7)), ZERO)
+        a = wrapped(q * d, 8)
+        assert max(i for i, _ in terms(a)) == 7
+        assert packed_quotient(a, d) is None
+        with pytest.raises(InexactDivision):
+            a.exact_div(d)
+        with pytest.raises(InexactDivision):
+            long_div(a, d)
+
+    def test_failed_certificate_falls_back_to_long_division(self):
+        # the dividend's coefficients (at most C(20, 10)) are far smaller
+        # than |q|*|d|*21, so the slots are too narrow for the certificate
+        q, d = (1 + ALPHA) ** 20, (1 - ALPHA) ** 20
+        a = q * d
+        assert packed_quotient(a, d) is None
+        assert a.exact_div(d) == q == long_div(a, d)
 
 
 class TestKappa:
