@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import DegenerateParameters
 from .report import CheckReport
-from .ring import Poly2
+from .ring import eval_numerators, poly_sum
 from .tensor import E1, E2, linear_form, linear_forms, normal_order
 
 
@@ -31,11 +31,6 @@ def state_index(tau):
 
 def state_from_index(idx, L):
     return tuple((idx >> i) & 1 for i in range(L))
-
-
-def state_word(tau):
-    # occupied site -> e1, empty site -> e2, in site order
-    return tuple(1 if bit else 2 for bit in tau)
 
 
 def partition_Z(L):
@@ -92,17 +87,26 @@ def require_positive_rates(a, b):
 
 
 def stationary_mpa(L, a, b):
-    """Exact matrix-product stationary distribution at rational (a, b)."""
+    """Exact matrix-product stationary distribution at rational (a, b).
+
+    Z_L and the 2^L weights are evaluated in one pass, on one table of
+    powers and one common denominator, which cancels: each probability is
+    one normalization of two integers.  Z_L comes two ways, as the sum of
+    the weights and as the shock-ring power, and the two must agree
+    term by term."""
     a, b = require_positive_rates(a, b)
-    words = {tau: state_word(tau) for tau in all_states(L)}
-    values = linear_forms(words.values())
-    weights = {tau: values[w] for tau, w in words.items()}
+    states = all_states(L)
+    # occupied site -> e1, empty site -> e2, in site order: the product
+    # over (e2, e1) lists the words in the order of all_states
+    words = list(itertools.product((2, 1), repeat=L))
+    values = linear_forms(words)
+    weights = {tau: values[w] for tau, w in zip(states, words)}
     Z = partition_Z(L)
-    # two paths to Z_L: the sum of the weights and the shock-ring power
-    if sum(weights.values(), Poly2.const(0)) != Z:
+    if poly_sum(weights.values()) != Z:
         raise RuntimeError("partition function paths disagree")
-    zval = Z.eval(a, b)  # > 0: positive coefficients at positive rates
-    probs = {tau: w.eval(a, b) / zval for tau, w in weights.items()}
+    # Z(a, b) > 0: positive coefficients at positive rates
+    (nz, *nums), _ = eval_numerators([Z, *weights.values()], a, b)
+    probs = {tau: Fraction(n, nz) for tau, n in zip(weights, nums)}
     return StationaryTable(L, weights, Z, a, b, probs)
 
 

@@ -24,7 +24,7 @@ from operator import add, sub
 from .errors import DegenerateParameters
 from .report import CheckReport
 from .ring import (KappaElem, ZERO, ONE, ALPHA, BETA, AB, K_ZERO, K_ONE,
-                   KAPPA)
+                   KAPPA, eval_numerators)
 from .tensor import E1, E2, TensorElem, linear_form
 from .bimoment import build_bimoment, det_fraction_free
 
@@ -341,10 +341,12 @@ def lambda_value(n, a, b):
 
 
 def band_values(band, a, b):
-    """Numeric MomentBand entries as (rational, rational) kappa pairs."""
+    """Numeric MomentBand entries as (rational, rational) kappa pairs,
+    every part evaluated on one table of powers (eval_numerators)."""
     a, b = require_generic_point(a, b)
-    return {
-        "diag": [e.eval(a, b) for e in band.diag],
-        "super": [e.eval(a, b) for e in band.sup],
-        "sub": [e.eval(a, b) for e in band.sub],
-    }
+    rows = {"diag": band.diag, "super": band.sup, "sub": band.sub}
+    nums, den = eval_numerators(
+        [x for row in rows.values() for e in row for x in (e.a, e.b)], a, b)
+    parts = iter([Fraction(n, den) for n in nums])
+    return {k: [(next(parts), next(parts)) for _ in row]
+            for k, row in rows.items()}

@@ -14,8 +14,17 @@ multiply-back; otherwise long division, which stays the authority on
 exactness, answers.  PACK_PAIRS sets which path runs.
 
 KappaElem is an element a + b*kappa of the extension ring with the
-reduction rule kappa**2 = alpha*beta*(alpha+beta-1).  Rational point
-evaluation uses fractions.Fraction (exact).
+reduction rule kappa**2 = alpha*beta*(alpha+beta-1).
+
+Evaluation at a rational point a = p/q, b = r/s is exact and runs over the
+integers: eval_numerators takes any number of Poly2 values, builds one
+table of scaled powers p^i q^(I-i) and r^j s^(J-j) up to the largest
+exponents I, J over all of them, and returns each value's integer
+numerator over the one shared denominator q^I s^J.  Poly2.eval and
+KappaElem.eval are calls of it; a caller with many values at one point
+(the 2^L stationary weights, a band of moments) makes one call and keeps
+the shared denominator, so each value costs one integer sum and at most
+one gcd.
 """
 
 from __future__ import annotations
@@ -232,19 +241,12 @@ class Poly2:
         return hash(tuple(sorted(self._t.items())))
 
     def eval(self, a, b):
-        """Exact value at alpha=a, beta=b, as a Fraction.
-
-        With a = p/q and b = r/s the sum runs over the integers on the
-        common denominator q^I s^J (I, J the largest exponents):
-        sum c p^i q^(I-i) r^j s^(J-j) / (q^I s^J).
-        """
-        a, b = Fraction(a), Fraction(b)
-        I = max((i for i, _ in self._t), default=0)
-        J = max((j for _, j in self._t), default=0)
-        pa = _scaled_powers(a.numerator, a.denominator, I)
-        pb = _scaled_powers(b.numerator, b.denominator, J)
-        num = sum(c * pa[i] * pb[j] for (i, j), c in self._t.items())
-        return Fraction(num, a.denominator**I * b.denominator**J)
+        """Exact value at alpha=a, beta=b, as a Fraction: the numerator
+        that eval_numerators finds for this polynomial alone, over its
+        denominator q^I s^J (a = p/q, b = r/s; I, J the largest
+        exponents)."""
+        (num,), den = eval_numerators((self,), a, b)
+        return Fraction(num, den)
 
     def sorted_terms(self):
         return sorted(self._t.items(), key=lambda kv: _grlex_key(kv[0]))
@@ -280,6 +282,37 @@ class Poly2:
             else:
                 parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
         return " ".join(parts)
+
+
+def eval_numerators(polys, a, b):
+    """The values of the Poly2s `polys` at alpha=a, beta=b on one common
+    denominator, as (numerators, denominator).
+
+    With a = p/q and b = r/s, and I, J the largest alpha and beta exponents
+    over all of `polys`, the denominator is q^I s^J and the numerator of a
+    polynomial is sum c p^i q^(I-i) r^j s^(J-j) over its terms c a^i b^j.
+    One table of scaled powers serves every polynomial.
+    """
+    a, b = Fraction(a), Fraction(b)
+    ts = [p._t for p in polys]
+    keys = set().union(*ts)
+    I = max((i for i, _ in keys), default=0)
+    J = max((j for _, j in keys), default=0)
+    pa = _scaled_powers(a.numerator, a.denominator, I)
+    pb = _scaled_powers(b.numerator, b.denominator, J)
+    nums = [sum([c * pa[i] * pb[j] for (i, j), c in t.items()]) for t in ts]
+    return nums, a.denominator**I * b.denominator**J
+
+
+def poly_sum(polys):
+    """The sum of the Poly2s `polys`, accumulated term by term into one
+    dict of integer coefficients: no intermediate Poly2 is built, so a
+    long sum does not copy its running total at each step."""
+    total = {}
+    for p in polys:
+        for k, c in p._t.items():
+            total[k] = total.get(k, 0) + c
+    return Poly2._raw({k: c for k, c in total.items() if c})
 
 
 ZERO = Poly2.const(0)
@@ -378,8 +411,10 @@ class KappaElem:
         return hash((self.a, self.b))
 
     def eval(self, a, b):
-        """Exact value as a pair (r, s) meaning r + s*sqrt(ab(a+b-1))."""
-        return (self.a.eval(a, b), self.b.eval(a, b))
+        """Exact value as a pair (r, s) meaning r + s*sqrt(ab(a+b-1)); both
+        parts come from one eval_numerators call."""
+        (r, s), den = eval_numerators((self.a, self.b), a, b)
+        return (Fraction(r, den), Fraction(s, den))
 
     def to_obj(self):
         return {"k0": self.a.to_obj(), "k1": self.b.to_obj()}

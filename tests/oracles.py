@@ -13,17 +13,22 @@ or closed-form constructions that the library computes another way.
 * `swap_ab` exchanges alpha and beta in a Poly2.
 * `schoolbook_mul` and `long_div` multiply and exactly divide Poly2
   values term by term; the library packs large operands into integers.
+* `state_word` maps one state to its word, and `stationary_probabilities`
+  evaluates each weight and Z_L on its own and divides; the library
+  enumerates all words at once and evaluates Z_L and every weight on one
+  common denominator.
 """
 
 import itertools
 from math import comb
 
+from biops.asep import all_states, partition_Z
 from biops.errors import InexactDivision, TruncationTooSmall
 from biops.expr import Gen, ScalarPoly, BiOrtho, Sum, Product, Power, Negation
 from biops.matrep import RepMatrix
 from biops.ring import (Poly2, KappaElem, ONE, AB, ALPHA, BETA, K_ZERO, K_ONE,
                         accumulate)
-from biops.tensor import TensorElem
+from biops.tensor import TensorElem, linear_form
 
 
 # --- normal ordering by rewriting ----------------------------------------
@@ -213,3 +218,18 @@ def long_div(p, q):
             if not rem[k]:
                 del rem[k]
     return Poly2(quo)
+
+
+# --- stationary weights state by state -------------------------------------
+
+def state_word(tau):
+    # occupied site -> e1, empty site -> e2, in site order
+    return tuple(1 if bit else 2 for bit in tau)
+
+
+def stationary_probabilities(L, a, b):
+    """{state: probability} in the order of all_states: L of each state's
+    word evaluated on its own, divided by Z_L evaluated on its own."""
+    z = partition_Z(L).eval(a, b)
+    return {tau: linear_form(TensorElem({state_word(tau): ONE})).eval(a, b) / z
+            for tau in all_states(L)}

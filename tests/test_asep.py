@@ -2,15 +2,18 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from biops import tensor
 from biops.ring import ZERO, ONE, ALPHA, BETA, AB
 from biops.tensor import TensorElem, linear_form
-from biops.asep import (all_states, state_index, state_from_index, state_word,
+from biops.asep import (all_states, state_index, state_from_index,
                         partition_Z, stationary_mpa,
                         build_generator, certify_stationary, compare)
 from biops.errors import DegenerateParameters
 from markov_oracle import SingularSystem, stationary_oracle
-from oracles import normal_order_word, swap_ab
+from oracles import (normal_order_word, state_word, stationary_probabilities,
+                     swap_ab)
 
 
 def weight(tau):
@@ -160,6 +163,41 @@ class TestStationary:
         assert total == 1
         sym = table.to_obj(symbolic=True)
         assert isinstance(sym["Z"], list)
+
+    @pytest.mark.parametrize("a, b", [
+        (Fraction(2, 3), Fraction(2, 3)),         # a = b
+        (Fraction(3), Fraction(5, 2)),            # both rates above 1
+        (Fraction(1, 3), Fraction(2, 3)),         # a + b = 1
+        (Fraction(99991, 7), Fraction(65537, 99989)),
+    ])
+    def test_equals_per_weight_oracle(self, a, b):
+        for L in range(1, 11):
+            table = stationary_mpa(L, a, b)
+            want = stationary_probabilities(L, a, b)
+            assert list(table.probabilities.items()) == list(want.items()), L
+            assert list(table.weights) == list(want)
+            for tau, w in table.weights.items():
+                assert w == linear_form(TensorElem({state_word(tau): ONE}))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6),
+           st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),
+           st.fractions(min_value=Fraction(1, 10**6), max_value=10**6))
+    def test_equals_per_weight_oracle_at_rational_points(self, L, a, b):
+        want = stationary_probabilities(L, a, b)
+        got = stationary_mpa(L, a, b).probabilities
+        assert list(got.items()) == list(want.items())
+
+    def test_disagreeing_paths_raise(self, monkeypatch):
+        a, b = Fraction(1, 2), Fraction(1, 3)
+        word = state_word((1, 0, 1, 0))
+        stationary_mpa(4, a, b)  # fills the per-word cache
+        with monkeypatch.context() as m:
+            m.setitem(tensor._L_CACHE, word, tensor._L_CACHE[word] + AB)
+            with pytest.raises(RuntimeError,
+                               match="partition function paths disagree"):
+                stationary_mpa(4, a, b)
+        assert sum(stationary_mpa(4, a, b).probabilities.values()) == 1
 
     def test_singular_guard(self):
         g = build_generator(2, Fraction(1, 2), Fraction(1, 3))

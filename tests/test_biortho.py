@@ -222,3 +222,19 @@ class TestNumericGuards:
         assert vals["diag"][0] == (Fraction(1, 2), 0)
         # the kappa entry is the formal pair (0, 1)
         assert vals["super"][0] == (0, 1)
+
+    def test_band_values_equal_entrywise_evaluation(self):
+        def parts(row, a, b):
+            return [(e.a.eval(a, b), e.b.eval(a, b)) for e in row]
+
+        points = [(Fraction(1, 2), Fraction(1, 3)),
+                  (Fraction(3), Fraction(5, 2)),
+                  (Fraction(-2, 3), Fraction(5, 7)),
+                  (Fraction(99991, 7), Fraction(7, 99991))]
+        for band in first_moment_matrices(8):
+            for a, b in points:
+                vals = band_values(band, a, b)
+                assert list(vals.items()) == [
+                    ("diag", parts(band.diag, a, b)),
+                    ("super", parts(band.sup, a, b)),
+                    ("sub", parts(band.sub, a, b))], (band.kind, a, b)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from biops import kronecker
 from biops.errors import InexactDivision
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
-                        KAPPA, KAPPA_SQ, K_ONE)
+                        KAPPA, KAPPA_SQ, K_ONE, eval_numerators, poly_sum)
 from oracles import long_div, schoolbook_mul
 
 
@@ -139,6 +139,74 @@ class TestPoly2:
         obj = (AB * (ALPHA + BETA)).to_obj()
         # graded-lex sorted records with string coefficients
         assert obj == [{"a": 2, "b": 1, "c": "1"}, {"a": 1, "b": 2, "c": "1"}]
+
+
+def naive_value(p, a, b):
+    """sum c a^i b^j over p's terms, in Fraction arithmetic."""
+    return sum((c * Fraction(a)**i * Fraction(b)**j
+                for (i, j), c in p.sorted_terms()), Fraction(0))
+
+
+def max_exponents(ps):
+    ij = [k for p in ps for k, _ in p.sorted_terms()]
+    return (max((i for i, _ in ij), default=0),
+            max((j for _, j in ij), default=0))
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
+
+
+class TestSharedDenominator:
+    """eval_numerators gives every polynomial's numerator over one
+    denominator q^I s^J; poly_sum adds many polynomials at once."""
+
+    POLYS = [ZERO, ONE, Poly2.const(-7), ALPHA, BETA**5 - 3 * AB,
+             (ALPHA + BETA - 1)**3, ALPHA**9 + BETA, Poly2.const(12)]
+    POINTS = [(0, 0), (0, Fraction(-2, 3)), (Fraction(-5, 4), 0),
+              (-1, Fraction(-7, 9)), (Fraction(99991, 7), Fraction(-3, 11)),
+              (Fraction(2, 3), Fraction(2, 3)), (4, -2)]
+
+    def check(self, ps, a, b):
+        nums, den = eval_numerators(ps, a, b)
+        I, J = max_exponents(ps)
+        assert den == Fraction(a).denominator**I * Fraction(b).denominator**J
+        assert [Fraction(n, den) for n in nums] == [naive_value(p, a, b)
+                                                     for p in ps]
+        assert all(isinstance(n, int) for n in nums)
+        for p in ps:
+            assert p.eval(a, b) == naive_value(p, a, b)
+
+    def test_mixed_degrees_against_naive_sum(self):
+        for a, b in self.POINTS:
+            self.check(self.POLYS, a, b)
+            self.check(self.POLYS[:3], a, b)   # constants only: I = J = 0
+            self.check([ZERO], a, b)
+            self.check([], a, b)
+
+    def test_shared_table_serves_every_polynomial(self):
+        # the denominator comes from the largest exponents of all inputs
+        nums, den = eval_numerators([ONE, ALPHA**4, BETA**2],
+                                    Fraction(1, 3), Fraction(1, 5))
+        assert den == 3**4 * 5**2
+        assert nums == [den, 5**2, 3**4]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(polys, max_size=6), rationals, rationals)
+    def test_random_lists(self, ps, a, b):
+        self.check(ps, a, b)
+
+    def test_kappa_parts_share_the_table(self):
+        x = KappaElem(ALPHA**3 - BETA, AB + 2)
+        for a, b in self.POINTS:
+            assert x.eval(a, b) == (naive_value(x.a, a, b),
+                                    naive_value(x.b, a, b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(polys, max_size=8))
+    def test_poly_sum_is_the_sum(self, ps):
+        assert poly_sum(ps) == sum(ps, ZERO)
+        assert poly_sum(ps + [-p for p in ps]) == ZERO
+        assert not poly_sum(ps + [-p for p in ps])
 
 
 def terms(p):
