@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import DegenerateParameters
 from .report import CheckReport
 from .ring import eval_numerators, poly_sum
-from .tensor import E1, E2, linear_form, linear_forms, normal_order
+from .tensor import linear_forms, power_sum_form
 
 
 def all_states(L):
@@ -34,43 +34,50 @@ def state_from_index(idx, L):
 
 
 def partition_Z(L):
-    """Z_L = L((e1+e2)^L), as the L-th power of e1 + e2 in the shock ring:
-    time polynomial in L, no sum over the 2^L states."""
+    """Z_L = L((e1+e2)^L), as the L-th power of e1 + e2 in the shock ring
+    over integer coefficients: time polynomial in L, no sum over the 2^L
+    states."""
     if L < 0:
         raise ValueError("L must be nonnegative")
-    return linear_form(normal_order(E1 + E2) ** L)
+    return power_sum_form(L)
 
 
 class StationaryTable:
-    __slots__ = ("L", "weights", "Z", "alpha", "beta", "probabilities")
+    __slots__ = ("L", "weights", "Z", "alpha", "beta", "probabilities",
+                 "numerators", "denominator")
     __hash__ = None
 
-    def __init__(self, L, weights, Z, alpha, beta, probabilities):
+    def __init__(self, L, weights, Z, alpha, beta, probabilities,
+                 numerators, denominator):
         self.L = L
         self.weights = weights              # state tuple -> Poly2
         self.Z = Z                          # Poly2
         self.alpha = alpha                  # Fraction
         self.beta = beta                    # Fraction
         self.probabilities = probabilities  # state tuple -> Fraction
+        # state tuple -> int: the weight's value times `denominator`
+        self.numerators = numerators
+        self.denominator = denominator
 
     def to_obj(self, symbolic=False):
-        # a weight's value is its probability times Z(alpha, beta), so the
-        # numeric table evaluates one polynomial, Z, not all 2^L weights
-        zval = None if symbolic else self.Z.eval(self.alpha, self.beta)
+        den = self.denominator
         rows = []
-        for tau in sorted(self.weights, key=state_index):
-            p = self.probabilities[tau]
+        bits = f"0{self.L}b"
+        # state_index order: the idx-th state, reversed, is idx in binary
+        for idx, rev in enumerate(itertools.product((0, 1), repeat=self.L)):
+            tau = rev[::-1]
             rows.append({
-                "state": "".join(str(b) for b in tau),
-                "probability": str(p),
+                "state": format(idx, bits)[::-1],
+                "probability": str(self.probabilities[tau]),
                 "weight": (self.weights[tau].to_obj() if symbolic
-                           else str(p * zval)),
+                           else str(Fraction(self.numerators[tau], den))),
             })
         return {
             "L": self.L,
             "alpha": str(self.alpha),
             "beta": str(self.beta),
-            "Z": self.Z.to_obj() if symbolic else str(zval),
+            "Z": (self.Z.to_obj() if symbolic
+                  else str(self.Z.eval(self.alpha, self.beta))),
             "states": rows,
         }
 
@@ -105,9 +112,10 @@ def stationary_mpa(L, a, b):
     if poly_sum(weights.values()) != Z:
         raise RuntimeError("partition function paths disagree")
     # Z(a, b) > 0: positive coefficients at positive rates
-    (nz, *nums), _ = eval_numerators([Z, *weights.values()], a, b)
+    (nz, *nums), den = eval_numerators([Z, *weights.values()], a, b)
     probs = {tau: Fraction(n, nz) for tau, n in zip(weights, nums)}
-    return StationaryTable(L, weights, Z, a, b, probs)
+    return StationaryTable(L, weights, Z, a, b, probs,
+                           dict(zip(weights, nums)), den)
 
 
 class Generator:

@@ -7,11 +7,22 @@ to the shock ring, whose basis is the words e2^n e1^m.  It is computed
 as a left fold over a word's letters with closed-form right products by
 e1 and e2, so it costs time polynomial in the word length.  On the
 basis, L(e2^n e1^m) = beta^n * alpha^m.
+
+The relation is homogeneous when t = alpha*beta counts as one letter:
+each rewrite shortens a word by one and multiplies it by t.  So the
+normal form of a word of length N, or of (e1 + e2)^N, has at e2^n e1^m
+an integer times t^(N-n-m), and L of that term is an integer times
+alpha^(N-n) beta^(N-m).  `linear_forms` and `power_sum_form` fold such
+elements over plain integer coefficients and read the power of t off
+the degree at the end; shock-ring elements, whose coefficients carry
+alpha and beta, run the same fold over Poly2 coefficients.
 """
 
 from __future__ import annotations
 
-from .ring import Poly2, ZERO, ONE, AB, accumulate
+from operator import pos
+
+from .ring import Poly2, ZERO, ONE, AB, accumulate, poly_sum
 
 
 def word_to_str(w):
@@ -165,12 +176,15 @@ class ShockElem(_LinComb):
 
 # --- normal ordering ---------------------------------------------------
 
-def _times_e2(t):
-    """x*e2 for x = sum of t[(n, m)] e2^n e1^m, in the shock ring.
+def _times_e2(t, times_t, zero):
+    """x*e2 for x = sum of t[(n, m)] e2^n e1^m, in the shock ring, with
+    coefficients whose product by t = alpha*beta is times_t and whose zero
+    is `zero` (Poly2 coefficients, or integers whose power of t is the
+    degree's, so that times t is the identity).
 
-    e2^n e1^m e2 = sum_{k=1..m} (ab)^(m-k+1) e2^n e1^k + (ab)^m e2^(n+1),
+    e2^n e1^m e2 = sum_{k=1..m} t^(m-k+1) e2^n e1^k + t^m e2^(n+1),
     so within one power n of e2 the coefficient of e1^k is the suffix sum
-    S_k = ab (c_k + S_(k+1)), and e2^(n+1) gets c_0 + S_1.  Every output
+    S_k = t (c_k + S_(k+1)), and e2^(n+1) gets c_0 + S_1.  Every output
     key comes from exactly one n.
     """
     rows = {}
@@ -178,10 +192,10 @@ def _times_e2(t):
         rows.setdefault(n, {})[m] = c
     out = {}
     for n, row in rows.items():
-        s = ZERO
+        s = zero
         for k in range(max(row), 0, -1):
             c = row.get(k)
-            s = AB * (s + c if c is not None else s)
+            s = times_t(s + c if c is not None else s)
             if s:
                 out[(n, k)] = s
         c = row.get(0)
@@ -191,11 +205,19 @@ def _times_e2(t):
     return out
 
 
-def _times_gen(t, g):
-    """Right product of a normal-ordered dict by the generator e_g."""
-    if g == 1:
-        return {(n, m + 1): c for (n, m), c in t.items()}
-    return _times_e2(t)
+def _right_product(times_t, zero):
+    """The right product (t, g) -> t*e_g of a normal-ordered dict, for
+    coefficients whose product by alpha*beta is times_t."""
+    def times_gen(t, g):
+        if g == 1:
+            return {(n, m + 1): c for (n, m), c in t.items()}
+        return _times_e2(t, times_t, zero)
+    return times_gen
+
+
+_POLY2_PRODUCT = _right_product(AB.__mul__, ZERO)
+# integer coefficients of a homogeneous element: times t is the identity
+_GRADED_PRODUCT = _right_product(pos, 0)
 
 
 def fold_words(words, unit, times_gen):
@@ -203,8 +225,9 @@ def fold_words(words, unit, times_gen):
     order, where a word's value is the left fold of times_gen(value, g)
     over its letters g, starting from `unit`.  A stack holds the values of
     the current word's prefixes, so each node of the word trie costs one
-    product.  Normal ordering folds (n,m)->Poly2 dicts with `_times_gen`;
-    matrix representations fold rows with a band product."""
+    product.  Normal ordering folds (n,m)->coefficient dicts with a
+    `_right_product`; matrix representations fold rows with a band
+    product."""
     stack = [unit]  # stack[i] = value of prev[:i]
     prev = ()
     for w in sorted(words):
@@ -221,7 +244,7 @@ def fold_words(words, unit, times_gen):
 def normal_order(x):
     """Project a TensorElem onto the shock ring (normal-ordered form)."""
     t = {}
-    for w, nf in fold_words(x._t, {(0, 0): ONE}, _times_gen):
+    for w, nf in fold_words(x._t, {(0, 0): ONE}, _POLY2_PRODUCT):
         c = x._t[w]
         accumulate(t, ((k, c * ck) for k, ck in nf.items()))
     return ShockElem(t)
@@ -236,7 +259,7 @@ def shock_mul(x, y):
     xk, k = x._t, 0  # xk = x * e2^k
     for (kk, l), c in sorted(y.items()):
         while k < kk:
-            xk, k = _times_e2(xk), k + 1
+            xk, k = _times_e2(xk, AB.__mul__, ZERO), k + 1
         accumulate(t, (((n, m + l), c * cx) for (n, m), cx in xk.items()))
     return ShockElem(t)
 
@@ -247,21 +270,45 @@ _L_CACHE = {}
 
 
 def _L_nf(t):
-    """L on a normal-ordered dict: L(e2^n e1^m) = beta^n alpha^m."""
-    out = ZERO
+    """L on a normal-ordered dict with Poly2 coefficients, L(e2^n e1^m) =
+    beta^n alpha^m, accumulated term by term into one dict."""
+    out = {}
     for (n, m), c in t.items():
-        out = out + c * Poly2.monomial(m, n)
-    return out
+        for (i, j), v in c._t.items():
+            k = (i + m, j + n)
+            out[k] = out.get(k, 0) + v
+    return Poly2._raw({k: v for k, v in out.items() if v})
+
+
+def _L_graded(t, N):
+    """L on the normal form, with integer coefficients, of a homogeneous
+    element of degree N: the integer c at (n, m) stands for
+    c t^(N-n-m) e2^n e1^m, whose L is c alpha^(N-n) beta^(N-m).  Distinct
+    keys give distinct monomials, and a fold stores no zero."""
+    return Poly2._raw({(N - n, N - m): c for (n, m), c in t.items()})
 
 
 def linear_forms(words):
     """{word: L(word)} for an iterable of words.  Words missing from the
-    per-word cache are normal-ordered together, sharing prefix folds."""
+    per-word cache are normal-ordered together over integer coefficients,
+    sharing prefix folds."""
     words = set(words)
     missing = (w for w in words if w not in _L_CACHE)
-    for w, nf in fold_words(missing, {(0, 0): ONE}, _times_gen):
-        _L_CACHE[w] = _L_nf(nf)
+    for w, nf in fold_words(missing, {(0, 0): 1}, _GRADED_PRODUCT):
+        _L_CACHE[w] = _L_graded(nf, len(w))
     return {w: _L_CACHE[w] for w in words}
+
+
+def power_sum_form(n):
+    """L((e1 + e2)^n), folding the n factors e1 + e2 over integer
+    coefficients: each step is x*e1 + x*e2."""
+    x = {(0, 0): 1}
+    for _ in range(n):
+        y = _GRADED_PRODUCT(x, 2)
+        for k, c in _GRADED_PRODUCT(x, 1).items():
+            y[k] = y.get(k, 0) + c
+        x = y
+    return _L_graded(x, n)
 
 
 def linear_form(x):
@@ -270,8 +317,4 @@ def linear_form(x):
     if isinstance(x, ShockElem):
         return _L_nf(x._t)
     values = linear_forms(x._t)
-    out = ZERO
-    for w, c in x.items():
-        out = out + c * values[w]
-    return out
-
+    return poly_sum(c * values[w] for w, c in x.items())

@@ -1,12 +1,12 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from biops import tensor
 from biops.ring import ZERO, ONE, ALPHA, BETA, AB
-from biops.tensor import TensorElem, linear_form
+from biops.tensor import E1, E2, TensorElem, linear_form, normal_order
 from biops.asep import (all_states, state_index, state_from_index,
                         partition_Z, stationary_mpa,
                         build_generator, certify_stationary, compare)
@@ -94,6 +94,20 @@ class TestPartitionFunction:
         for L in range(1, 11):
             assert partition_Z(L) == enumerated_Z(L), L
 
+    def test_equals_poly2_shock_ring_power(self):
+        # the integer fold against the power of e1 + e2 in the shock ring
+        # with Poly2 coefficients
+        x = normal_order(TensorElem.unit())
+        for L in range(31):
+            assert partition_Z(L) == linear_form(x), L
+            x = x * normal_order(E1 + E2)
+
+    def test_catalan_at_alpha_beta_one(self):
+        # DEHP at alpha = beta = 1: Z_L(1, 1) is the Catalan number C_(L+1)
+        for L in range(31):
+            catalan = comb(2 * L + 2, L + 1) // (L + 2)
+            assert partition_Z(L).eval(1, 1) == catalan, L
+
 
 class TestGenerator:
     def test_row_sums_vanish(self):
@@ -163,6 +177,22 @@ class TestStationary:
         assert total == 1
         sym = table.to_obj(symbolic=True)
         assert isinstance(sym["Z"], list)
+
+    def test_to_obj_rows_in_state_index_order(self):
+        # each numeric weight is its probability times Z(alpha, beta)
+        a, b = Fraction(9, 4), Fraction(5, 7)
+        for L in range(1, 9):
+            table = stationary_mpa(L, a, b)
+            z = table.Z.eval(a, b)
+            rows = table.to_obj()["states"]
+            assert [r["state"] for r in rows] == [
+                "".join(map(str, state_from_index(i, L)))
+                for i in range(2 ** L)]
+            for r in rows:
+                tau = tuple(map(int, r["state"]))
+                p = table.probabilities[tau]
+                assert r["probability"] == str(p)
+                assert r["weight"] == str(p * z)
 
     @pytest.mark.parametrize("a, b", [
         (Fraction(2, 3), Fraction(2, 3)),         # a = b

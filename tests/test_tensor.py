@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biops import tensor
 from biops.ring import Poly2, ZERO, ONE, ALPHA, BETA, AB
@@ -184,6 +185,46 @@ class TestLinearForm:
             # boundary relations
             assert linear_form(a * E1) == ALPHA * linear_form(a)
             assert linear_form(E2 * b) == BETA * linear_form(b)
+
+
+class TestGradedFold:
+    """`linear_forms` folds words over integer coefficients and reads the
+    power of alpha*beta off the degree; the Poly2 fold of `normal_order`
+    is its oracle."""
+
+    @staticmethod
+    def poly2_fold(w):
+        return linear_form(normal_order(TensorElem({w: ONE})))
+
+    def test_equals_poly2_fold_on_every_word_up_to_12(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_L_CACHE", {})
+        words = [w for n in range(13)
+                 for w in itertools.product((1, 2), repeat=n)]
+        values = linear_forms(words)
+        assert len(values) == 8191
+        for w in words:
+            assert values[w] == self.poly2_fold(w), w
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from((1, 2)), max_size=40))
+    def test_equals_poly2_fold_on_random_words(self, letters):
+        w = tuple(letters)
+        tensor._L_CACHE.pop(w, None)  # fold it, not read it
+        assert linear_forms([w])[w] == self.poly2_fold(w)
+
+    def test_normal_form_is_homogeneous(self, rewritten):
+        # the degree the fold relies on: a word of length N, and
+        # (e1 + e2)^N, has at e2^n e1^m a positive integer times
+        # (alpha*beta)^(N-n-m)
+        def graded(x, N):
+            return all(N >= n + m and c == int(c.eval(1, 1)) * AB**(N - n - m)
+                       and c.eval(1, 1) > 0 for (n, m), c in x.items())
+
+        assert all(graded(rewritten[w], len(w)) for w in ALL_WORDS)
+        x = ShockElem.unit()
+        for N in range(13):
+            assert graded(x, N), N
+            x = x * normal_order(E1 + E2)
 
 
 class TestPowerSum:
