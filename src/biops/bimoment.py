@@ -46,20 +46,18 @@ def build_bimoment(n):
     return BiMomentMatrix(n, tuple(tuple(r) for r in rows))
 
 
-def det_fraction_free(grid):
-    """Exact determinant over Z[alpha,beta] by Bareiss elimination.
-
-    All interior divisions are exact by the Bareiss identity; an
-    InexactDivision escaping here means the input was not over the ring.
-    """
+def fraction_free(grid):
+    """Bareiss elimination of an n x w grid over Z[alpha,beta], w >= n:
+    (sign, rows).  Entry j of reduced row k is the minor of the row-swapped
+    grid on rows 0..k, columns 0..k-1 and j; rows[k][k] is a leading minor.
+    sign is -1 after an odd number of row swaps, 0 where a column has no
+    pivot and elimination stops.  Entries zero in their row and the pivot
+    row stay zero, unvisited."""
     m = [list(row) for row in grid]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return ONE
-    sign = 1
-    prev = ONE
+    n, w = len(m), len(m[0]) if m else 0
+    if any(len(row) != w for row in m) or w < n:
+        raise ValueError("grid needs rows of one length, at least its height")
+    sign, prev = 1, ONE
     for k in range(n - 1):
         if not m[k][k]:
             for r in range(k + 1, n):
@@ -68,15 +66,28 @@ def det_fraction_free(grid):
                     sign = -sign
                     break
             else:
-                return ZERO
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = ZERO
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+                return 0, m
+        top, pivot = m[k], m[k][k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, w):
+                if row[j] or top[j]:
+                    row[j] = (pivot * row[j] - lead * top[j]).exact_div(prev)
+            row[k] = ZERO
+        prev = pivot
+    return sign, m
+
+
+def det_fraction_free(grid):
+    """Exact determinant: the signed last pivot of fraction_free."""
+    if any(len(row) != len(grid) for row in grid):
+        raise ValueError("matrix must be square")
+    if not grid:
+        return ONE
+    sign, m = fraction_free(grid)
+    if not sign:
+        return ZERO
+    return m[-1][-1] if sign > 0 else -m[-1][-1]
 
 
 def det_closed_form(n):

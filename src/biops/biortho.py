@@ -1,10 +1,10 @@
 """The bi-orthogonal polynomial pair {P_n}, {Q_n}, their normalization,
 and the first-moment band matrices.
 
-Each object of the pair is built once and mirrored by transposition:
-Q_n is Cramer's rule on the transposed bi-moment matrix (B with alpha and
-beta swapped), and each e2 band is its e1 band transposed with alpha and
-beta swapped.
+Each object of the pair is built once and mirrored by transposition: one
+elimination of [B | I], B the bi-moment matrix, gives every P_n, one of
+[B^T | I] (B with alpha and beta swapped) every Q_n, and each e2 band is
+its e1 band transposed with alpha and beta swapped.
 
 P_n = (e1 - alpha)(e1 - alpha*beta)^(n-1) and
 Q_n = (e2 - beta)(e2 - alpha*beta)^(n-1) (monic, P_0 = Q_0 = 1) satisfy
@@ -26,7 +26,7 @@ from .report import CheckReport
 from .ring import (KappaElem, ZERO, ONE, ALPHA, BETA, AB, K_ZERO, K_ONE,
                    KAPPA, eval_numerators)
 from .tensor import E1, E2, TensorElem, linear_form
-from .bimoment import build_bimoment, det_fraction_free
+from .bimoment import build_bimoment, fraction_free
 
 
 class UniPoly:
@@ -134,35 +134,21 @@ def q_explicit(n):
     return _product_form("e2", BETA, n)
 
 
-def _cramer(grid, variable):
-    """Cramer's rule along the symbolic border of an (n+1)x(n+1) grid: the
-    coefficient of variable^i is the signed cofactor of row i in the border
-    column, divided by the leading n x n minor."""
-    n = len(grid) - 1
-    denom = det_fraction_free([row[:n] for row in grid[:n]])
-    coeffs = []
-    for i in range(n + 1):
-        sign = 1 if (i + n) % 2 == 0 else -1
-        minor = det_fraction_free([row[:n] for k, row in enumerate(grid)
-                                   if k != i])
-        coeffs.append((sign * minor).exact_div(denom))
-    return UniPoly(variable, tuple(coeffs))
-
-
-def p_cramer(n):
-    """P_n by Cramer's rule on the bi-moment matrix B, bordered by the
-    column (1, e1, ..., e1^n)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    return _cramer(build_bimoment(n).entries, "e1")
-
-
-def q_cramer(n):
-    """Q_n by Cramer's rule on the transpose of B (B with alpha and beta
-    swapped), bordered by the column (1, e2, ..., e2^n)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    return _cramer(tuple(zip(*build_bimoment(n).entries)), "e2")
+def biorthogonal_pair(N):
+    """(pivots, [P_0..P_N], [Q_0..Q_N]) by fraction_free on [B | I] and on
+    [B^T | I].  pivots[n] = det B_n, so pivots[n] / pivots[n-1] = Lambda_n,
+    and B needs no row swap.  Row n of the reduced identity block holds the
+    cofactors of B's first n + 1 rows bordered by (1, e1, ..., e1^n):
+    Cramer's rule for P_n before the division by det B_(n-1) (1 if n = 0)."""
+    grid = build_bimoment(N).entries
+    unit = [(ZERO,) * r + (ONE,) + (ZERO,) * (N - r) for r in range(N + 1)]
+    pair = []
+    for g, variable in ((grid, "e1"), (tuple(zip(*grid)), "e2")):
+        _, rows = fraction_free([a + b for a, b in zip(g, unit)])
+        pivots = [rows[k][k] for k in range(N + 1)]
+        pair.append([UniPoly(variable, [c.exact_div(d) for c in row[N + 1:]])
+                     for row, d in zip(rows, [ONE, *pivots])])
+    return pivots, *pair
 
 
 def lambda_n(n):

@@ -6,11 +6,12 @@ import random
 from fractions import Fraction
 
 from .report import CheckReport
-from .ring import Poly2, AB
+from .ring import Poly2, ONE, AB
 from .tensor import E1, E2, TensorElem, linear_form, normal_order, shock_mul
-from .bimoment import build_bimoment, det_fraction_free, det_closed_form
+from .bimoment import det_closed_form
 from .biortho import (check_orthogonality, recurrence_check, p_explicit,
-                      q_explicit, p_cramer, q_cramer, moment_consistency)
+                      q_explicit, lambda_n, biorthogonal_pair,
+                      moment_consistency)
 from .matrep import (represent, eval_L_matrix, second_moment,
                      second_moment_product, cheb_reading_report,
                      similarity_check)
@@ -39,12 +40,20 @@ def random_tensor(rng, max_len):
     return t
 
 
-def check_determinants(max_n):
-    rep = CheckReport(f"bi-moment determinant identity n <= {max_n}")
-    for n in range(max_n + 1):
-        d = det_fraction_free(build_bimoment(n).entries)
-        rep.record(d == det_closed_form(n), f"n={n}")
-    return rep
+def check_elimination(max_n):
+    """Pivots against det_closed_form and Lambda_n, and the eliminated P_n
+    and Q_n against the product forms, from one biorthogonal_pair."""
+    pivots, ps, qs = biorthogonal_pair(max_n)
+    dets = CheckReport(f"bi-moment determinant identity n <= {max_n}")
+    for n, (d, prev) in enumerate(zip(pivots, [ONE, *pivots])):
+        dets.record(d == det_closed_form(n) and d == lambda_n(n) * prev,
+                    f"n={n}")
+    pair = CheckReport(
+        f"elimination of [B | I] vs explicit constructions n <= {max_n}")
+    for n, (p, q) in enumerate(zip(ps, qs)):
+        pair.record(p == p_explicit(n), f"P{n}")
+        pair.record(q == q_explicit(n), f"Q{n}")
+    return dets, pair
 
 
 def check_two_path_L(seed=0):
@@ -65,14 +74,6 @@ def check_shock_homomorphism(seed=1):
         rep.record(normal_order(x * y)
                    == shock_mul(normal_order(x), normal_order(y)),
                    f"pair {k}")
-    return rep
-
-
-def check_cramer(max_n):
-    rep = CheckReport(f"Cramer vs explicit constructions n <= {max_n}")
-    for n in range(max_n + 1):
-        rep.record(p_cramer(n) == p_explicit(n), f"P{n}")
-        rep.record(q_cramer(n) == q_explicit(n), f"Q{n}")
     return rep
 
 
@@ -100,10 +101,11 @@ def check_second_moment():
 
 
 def default_suite(max_n=6, seed=0):
+    dets, pair = check_elimination(max_n)
     return [
-        check_determinants(max_n),
+        dets,
         check_orthogonality(max_n),
-        check_cramer(min(max_n, 6)),
+        pair,
         recurrence_check(max_n + 2),
         moment_consistency(max(max_n, 2)),
         check_shock_homomorphism(seed=seed),

@@ -9,6 +9,9 @@ or closed-form constructions that the library computes another way.
   pattern; the library represents P_n and Q_n word by word.
 * `krattenthaler_matrix` and `krattenthaler_det_formula` are the
   parametric determinant family behind the bi-moment determinant.
+* `p_cramer` and `q_cramer` build P_n and Q_n by Cramer's rule, n + 2
+  determinants each; the library reads every P_n and Q_n off one
+  fraction-free elimination of [B | I] and of [B^T | I].
 * `pretty` prints an AST back to the DSL, for parser round trips.
 * `swap_ab` exchanges alpha and beta in a Poly2.
 * `schoolbook_mul` and `long_div` multiply and exactly divide Poly2
@@ -23,6 +26,8 @@ import itertools
 from math import comb
 
 from biops.asep import all_states, partition_Z
+from biops.bimoment import build_bimoment, det_fraction_free
+from biops.biortho import UniPoly
 from biops.errors import InexactDivision, TruncationTooSmall
 from biops.expr import Gen, ScalarPoly, BiOrtho, Sum, Product, Power, Negation
 from biops.matrep import RepMatrix
@@ -146,6 +151,39 @@ def krattenthaler_det_formula(n, x, rho, sigma):
         raise ValueError("n must be at least 1")
     one = x**0
     return (one + x) ** comb(n - 1, 2) * (x + rho + sigma - rho * sigma) ** (n - 1)
+
+
+# --- Cramer's rule ---------------------------------------------------------
+
+def _cramer(grid, variable):
+    """Cramer's rule along the symbolic border of an (n+1)x(n+1) grid: the
+    coefficient of variable^i is the signed cofactor of row i in the border
+    column, divided by the leading n x n minor."""
+    n = len(grid) - 1
+    denom = det_fraction_free([row[:n] for row in grid[:n]])
+    coeffs = []
+    for i in range(n + 1):
+        sign = 1 if (i + n) % 2 == 0 else -1
+        minor = det_fraction_free([row[:n] for k, row in enumerate(grid)
+                                   if k != i])
+        coeffs.append((sign * minor).exact_div(denom))
+    return UniPoly(variable, tuple(coeffs))
+
+
+def p_cramer(n):
+    """P_n by Cramer's rule on the bi-moment matrix B, bordered by the
+    column (1, e1, ..., e1^n)."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    return _cramer(build_bimoment(n).entries, "e1")
+
+
+def q_cramer(n):
+    """Q_n by Cramer's rule on the transpose of B (B with alpha and beta
+    swapped), bordered by the column (1, e2, ..., e2^n)."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    return _cramer(tuple(zip(*build_bimoment(n).entries)), "e2")
 
 
 # --- small helpers ---------------------------------------------------------

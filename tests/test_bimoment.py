@@ -5,7 +5,8 @@ import pytest
 
 from biops.ring import Poly2, ZERO, ONE, ALPHA, BETA, AB
 from biops.tensor import TensorElem, linear_form
-from biops.bimoment import build_bimoment, det_fraction_free, det_closed_form
+from biops.bimoment import (build_bimoment, det_fraction_free,
+                            det_closed_form, fraction_free)
 from oracles import krattenthaler_matrix, krattenthaler_det_formula, swap_ab
 
 
@@ -69,6 +70,28 @@ class TestDeterminant:
         m = [[ZERO, ONE], [ONE, ZERO]]
         assert det_fraction_free(m) == Poly2.const(-1)
         assert det_fraction_free([[ZERO, ONE], [ZERO, ONE]]) == ZERO
+        # the same swap and the same missing pivot on rectangular grids
+        swapped = [[ONE, ZERO, ZERO, ONE], [ZERO, ONE, ONE, ZERO]]
+        assert fraction_free(swapped[::-1]) == (-1, swapped)
+        assert fraction_free([[ZERO, ONE, ONE], [ZERO, ONE, ZERO]])[0] == 0
+
+    def test_rectangular_grid(self):
+        # [A | I]: row k of the reduced identity block is the leading minor
+        # of A of order k times row k of the inverse of A's unit lower
+        # triangular factor; the last pivot is det A
+        c = Poly2.const
+        m = [[c(x) for x in row] for row in
+             [[2, 0, 1, 1, 0, 0], [1, 3, 2, 0, 1, 0], [0, 1, 4, 0, 0, 1]]]
+        assert fraction_free(m) == (1, [[c(x) for x in row] for row in
+                                        [[2, 0, 1, 1, 0, 0],
+                                         [0, 6, 3, -1, 2, 0],
+                                         [0, 0, 21, 1, -2, 6]]])
+        assert det_fraction_free([row[:3] for row in m]) == c(21)
+        for bad in ([[ONE], [ONE]], [[ONE, ONE], [ONE]]):
+            with pytest.raises(ValueError):
+                fraction_free(bad)
+        with pytest.raises(ValueError):
+            det_fraction_free([[ONE, ONE]])
 
 
 class TestKrattenthaler:

@@ -7,13 +7,14 @@ from biops.errors import DegenerateParameters
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
                         KAPPA, K_ZERO, K_ONE)
 from biops.tensor import E1, linear_form
-from biops.bimoment import build_bimoment, det_fraction_free
-from biops.biortho import (UniPoly, p_explicit, q_explicit, p_cramer,
-                           q_cramer, lambda_n, sqrt_lambda,
-                           check_orthogonality, recurrence_check,
-                           first_moment_matrices, moment_consistency,
-                           require_generic_point, lambda_value, band_values)
-from oracles import swap_ab
+from biops.bimoment import (build_bimoment, det_closed_form,
+                            det_fraction_free, fraction_free)
+from biops.biortho import (UniPoly, p_explicit, q_explicit, biorthogonal_pair,
+                           lambda_n, sqrt_lambda, check_orthogonality,
+                           recurrence_check, first_moment_matrices,
+                           moment_consistency, require_generic_point,
+                           lambda_value, band_values)
+from oracles import swap_ab, p_cramer, q_cramer
 
 
 class TestExplicit:
@@ -112,6 +113,29 @@ class TestCramer:
     def test_matches_explicit(self, n):
         assert p_cramer(n) == p_explicit(n)
         assert q_cramer(n) == q_explicit(n)
+
+
+class TestElimination:
+    @pytest.mark.parametrize("N", [0, 12])
+    def test_pair_matches_explicit(self, N):
+        pivots, ps, qs = biorthogonal_pair(N)
+        assert pivots == [det_closed_form(n) for n in range(N + 1)]
+        assert ps == [p_explicit(n) for n in range(N + 1)]
+        assert qs == [q_explicit(n) for n in range(N + 1)]
+
+    def test_pair_matches_cramer_oracle(self):
+        _, ps, qs = biorthogonal_pair(8)
+        assert ps == [p_cramer(n) for n in range(9)]
+        assert qs == [q_cramer(n) for n in range(9)]
+
+    def test_pivots_of_B16_and_their_ratios(self):
+        sign, rows = fraction_free(build_bimoment(16).entries)
+        assert sign == 1
+        pivots = [rows[k][k] for k in range(17)]
+        assert pivots == [det_closed_form(k) for k in range(17)]
+        assert pivots[0] == lambda_n(0)
+        for n in range(1, 17):
+            assert pivots[n].exact_div(pivots[n - 1]) == lambda_n(n)
 
 
 class TestLambda:
