@@ -95,9 +95,16 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def to_tensor(self):
-        g = 1 if self.variable == "e1" else 2
-        return TensorElem({(g,) * k: c for k, c in enumerate(self.coeffs) if c})
+    def into(self, algebra):
+        """This polynomial in e1 or e2 as an element of `algebra` (any class
+        with generator, scalar, zero and unit), by Horner's rule."""
+        if self.variable == "x":
+            raise ValueError("a polynomial in x has no generator to map to")
+        gen = algebra.generator(int(self.variable[1]))
+        out = algebra.zero()
+        for c in reversed(self.coeffs):
+            out = out * gen + algebra.scalar(c)
+        return out
 
     def shift_mul(self, c):
         """Multiply by (variable - c), as variable*self - c*self."""
@@ -111,6 +118,8 @@ class UniPoly:
 
 
 def _product_form(variable, first_root, n):
+    if n < 0:
+        raise ValueError("index must be nonnegative")
     p = UniPoly(variable, (ONE,))
     if n == 0:
         return p
@@ -122,15 +131,11 @@ def _product_form(variable, first_root, n):
 
 def p_explicit(n):
     """P_n = (e1 - alpha)(e1 - alpha*beta)^(n-1), P_0 = 1."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
     return _product_form("e1", ALPHA, n)
 
 
 def q_explicit(n):
     """Q_n = (e2 - beta)(e2 - alpha*beta)^(n-1), Q_0 = 1."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
     return _product_form("e2", BETA, n)
 
 
@@ -174,9 +179,9 @@ def check_orthogonality(N):
     """Verify L(P_n (x) Q_m) = Lambda_n * delta_{n,m} for all n,m <= N."""
     rep = CheckReport(f"bi-orthogonality n,m <= {N}")
     for n in range(N + 1):
-        pn = p_explicit(n).to_tensor()
+        pn = p_explicit(n).into(TensorElem)
         for m in range(N + 1):
-            val = linear_form(pn * q_explicit(m).to_tensor())
+            val = linear_form(pn * q_explicit(m).into(TensorElem))
             want = lambda_n(n) if n == m else ZERO
             rep.record(val == want, f"L(P{n} Q{m}) != expected")
     return rep
@@ -283,8 +288,8 @@ def moment_consistency(dim):
     X, Y, Xbar, Ybar, Xhat, Yhat = first_moment_matrices(dim)
     ps = [p_explicit(n) for n in range(dim + 1)]
     qs = [q_explicit(m) for m in range(dim)]
-    pt = [p.to_tensor() for p in ps]
-    qt = [q.to_tensor() for q in qs]
+    pt = [p.into(TensorElem) for p in ps]
+    qt = [q.into(TensorElem) for q in qs]
     slam = [sqrt_lambda(n) for n in range(dim)]
     for n in range(dim):
         for m in range(dim):

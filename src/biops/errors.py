@@ -27,7 +27,6 @@ class TruncationTooSmall(BiopsError, ValueError):
 class ParseError(BiopsError, ValueError):
     """Expression syntax error, with a 1-based column position."""
 
-    def __init__(self, position, message, expected=()):
+    def __init__(self, position, message):
         self.position = position
-        self.expected = tuple(expected)
         super().__init__(f"column {position}: {message}")

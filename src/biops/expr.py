@@ -157,7 +157,7 @@ class _Parser:
         tok = self.next()
         if tok[0] != kind:
             raise ParseError(tok[2], f"expected {what or kind}, found "
-                             f"{tok[1] or 'end of input'!r}", (kind,))
+                             f"{tok[1] or 'end of input'!r}")
         return tok
 
     def parse(self):
@@ -246,17 +246,10 @@ def eval_expr(node, algebra=TensorElem):
             return algebra.scalar(BETA)
         return algebra.scalar(node.value)
     if isinstance(node, BiOrtho):
-        # Horner in the generator: P_n is a polynomial in e1, Q_n in e2.
         # biortho loads here, so an expression without P or Q never needs it
         from .biortho import p_explicit, q_explicit
-        if node.which == "P":
-            poly, gen = p_explicit(node.n), algebra.generator(1)
-        else:
-            poly, gen = q_explicit(node.n), algebra.generator(2)
-        out = algebra.zero()
-        for c in reversed(poly.coeffs):
-            out = out * gen + algebra.scalar(c)
-        return out
+        poly = p_explicit(node.n) if node.which == "P" else q_explicit(node.n)
+        return poly.into(algebra)
     if isinstance(node, Sum):
         out = algebra.zero()
         for p in node.parts:

@@ -20,11 +20,11 @@ Evaluation at a rational point a = p/q, b = r/s is exact and runs over the
 integers: eval_numerators takes any number of Poly2 values, builds one
 table of scaled powers p^i q^(I-i) and r^j s^(J-j) up to the largest
 exponents I, J over all of them, and returns each value's integer
-numerator over the one shared denominator q^I s^J.  Poly2.eval and
-KappaElem.eval are calls of it; a caller with many values at one point
-(the 2^L stationary weights, a band of moments) makes one call and keeps
-the shared denominator, so each value costs one integer sum and at most
-one gcd.
+numerator over the one shared denominator q^I s^J.  Poly2.eval is one
+call of it; a caller with many values at one point (the 2^L stationary
+weights, a band of moments with both kappa parts of each entry) makes one
+call and keeps the shared denominator, so each value costs one integer sum
+and at most one gcd.
 """
 
 from __future__ import annotations
@@ -409,12 +409,6 @@ class KappaElem:
 
     def __hash__(self):
         return hash((self.a, self.b))
-
-    def eval(self, a, b):
-        """Exact value as a pair (r, s) meaning r + s*sqrt(ab(a+b-1)); both
-        parts come from one eval_numerators call."""
-        (r, s), den = eval_numerators((self.a, self.b), a, b)
-        return (Fraction(r, den), Fraction(s, den))
 
     def to_obj(self):
         return {"k0": self.a.to_obj(), "k1": self.b.to_obj()}

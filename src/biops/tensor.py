@@ -37,10 +37,12 @@ class _LinComb:
     """Shared machinery for finite linear combinations with Poly2 coefficients.
 
     A subclass supplies `_mul`, its product with an element of its own
-    type; products by a scalar and powers live here."""
+    type, and the keys of its unit and generators; products by a scalar
+    and powers live here."""
 
     __slots__ = ("_t",)
-    _UNIT = None  # key of the ring unit
+    _UNIT = None        # key of the ring unit
+    _GENERATORS = None  # keys of e1 and e2
 
     def __init__(self, terms=None):
         self._t = _clean(dict(terms or {}))
@@ -58,6 +60,12 @@ class _LinComb:
         if isinstance(p, int):
             p = Poly2.const(p)
         return cls({cls._UNIT: p})
+
+    @classmethod
+    def generator(cls, i):
+        if i not in (1, 2):
+            raise ValueError("generator index must be 1 or 2")
+        return cls({cls._GENERATORS[i - 1]: ONE})
 
     def items(self):
         return self._t.items()
@@ -122,12 +130,7 @@ class TensorElem(_LinComb):
     """Element of the tensor algebra: map word -> nonzero Poly2."""
 
     _UNIT = ()
-
-    @classmethod
-    def generator(cls, i):
-        if i not in (1, 2):
-            raise ValueError("generator index must be 1 or 2")
-        return cls({(i,): ONE})
+    _GENERATORS = ((1,), (2,))
 
     def _mul(self, other):
         pairs = ((w1 + w2, c1 * c2) for w1, c1 in self._t.items()
@@ -155,12 +158,7 @@ class ShockElem(_LinComb):
     """Element of the shock ring: map (n, m) -> coefficient of e2^n e1^m."""
 
     _UNIT = (0, 0)
-
-    @classmethod
-    def generator(cls, i):
-        if i not in (1, 2):
-            raise ValueError("generator index must be 1 or 2")
-        return cls({(0, 1) if i == 1 else (1, 0): ONE})
+    _GENERATORS = ((0, 1), (1, 0))
 
     def _mul(self, other):
         return shock_mul(self, other)

@@ -37,9 +37,9 @@ def test_criterion_1_determinant_identity():
 def test_criterion_2_biorthogonality():
     ok = True
     for n in range(9):
-        pt = p_explicit(n).to_tensor()
+        pt = p_explicit(n).into(TensorElem)
         for m in range(9):
-            val = linear_form(pt * q_explicit(m).to_tensor())
+            val = linear_form(pt * q_explicit(m).into(TensorElem))
             want = lambda_n(n) if n == m else ZERO
             ok = ok and val == want
     report(2, "L(P_n Q_m) = Lambda_n delta_nm for n,m <= 8", ok)
@@ -67,9 +67,9 @@ def test_criterion_5_moment_matrices():
     X, Y, Xbar, Ybar, Xhat, Yhat = first_moment_matrices(dim)
     slam = [sqrt_lambda(n) for n in range(dim)]
     for n in range(dim):
-        pt = p_explicit(n).to_tensor()
+        pt = p_explicit(n).into(TensorElem)
         for m in range(dim):
-            qt = q_explicit(m).to_tensor()
+            qt = q_explicit(m).into(TensorElem)
             xv = KappaElem(linear_form(pt * E1 * qt))
             yv = KappaElem(linear_form(pt * E2 * qt))
             ok = ok and xv == X.entry(n, m) and yv == Y.entry(n, m)
@@ -102,9 +102,10 @@ def test_criterion_8_matrix_moments_and_extraction():
     for g in (TensorElem.unit(), E1, E2, E1 * E2, E2 * E1):
         G = represent(g, 5 + g.max_word_len() + 2)
         for n in range(6):
-            pt = p_explicit(n).to_tensor()
+            pt = p_explicit(n).into(TensorElem)
             for m in range(6):
-                lhs = KappaElem(linear_form(pt * g * q_explicit(m).to_tensor()))
+                lhs = KappaElem(linear_form(
+                    pt * g * q_explicit(m).into(TensorElem)))
                 rhs = G.entry(n, m) * sqrt_lambda(n) * sqrt_lambda(m)
                 ok = ok and lhs == rhs
     rng = random.Random(8)
@@ -134,10 +135,10 @@ def test_criterion_9_second_moment():
             for j in range(dim):
                 ok = ok and w.raw(i, j) == w.raw(j, i)
         for n in range(prod.valid_block):
-            pt = p_explicit(n).to_tensor()
+            pt = p_explicit(n).into(TensorElem)
             for m in range(prod.valid_block):
                 direct = KappaElem(linear_form(pt * E1 * E2 *
-                                               q_explicit(m).to_tensor()))
+                                               q_explicit(m).into(TensorElem)))
                 ok = ok and (w.entry(n, m) * sqrt_lambda(n) * sqrt_lambda(m)
                              == direct)
     report(9, "second moment W: closed form, product, symmetry, dim <= 10", ok)

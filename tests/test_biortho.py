@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from biops.errors import DegenerateParameters
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
                         KAPPA, K_ZERO, K_ONE)
-from biops.tensor import E1, linear_form
+from biops.tensor import (E1, TensorElem, ShockElem, linear_form,
+                          normal_order)
+from biops.expr import parse, eval_expr
 from biops.bimoment import (build_bimoment, det_closed_form,
                             det_fraction_free, fraction_free)
 from biops.biortho import (UniPoly, p_explicit, q_explicit, biorthogonal_pair,
@@ -103,6 +105,31 @@ class TestUniPoly:
         assert not UniPoly("e1", ())
 
 
+class TestInto:
+    """UniPoly.into is the one way from P_n and Q_n into an algebra."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_tensor_is_the_word_dict(self, n):
+        for poly, g in ((p_explicit(n), 1), (q_explicit(n), 2)):
+            words = {(g,) * k: c for k, c in enumerate(poly.coeffs) if c}
+            assert poly.into(TensorElem) == TensorElem(words)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_shock_ring(self, n):
+        # e1^k and e2^k are normal-ordered already: e2^0 e1^k, e2^k e1^0
+        for poly, which, key in ((p_explicit(n), "P", lambda k: (0, k)),
+                                 (q_explicit(n), "Q", lambda k: (k, 0))):
+            shock = poly.into(ShockElem)
+            assert shock == ShockElem({key(k): c for k, c
+                                       in enumerate(poly.coeffs)})
+            assert shock == normal_order(poly.into(TensorElem))
+            assert shock == eval_expr(parse(f"{which}({n})"), ShockElem)
+
+    def test_polynomial_in_x_raises(self):
+        with pytest.raises(ValueError):
+            UniPoly("x", (ONE, ONE)).into(TensorElem)
+
+
 class TestCramer:
     def test_n0_n1(self):
         assert p_cramer(0) == p_explicit(0)
@@ -162,12 +189,12 @@ class TestOrthogonality:
         assert rep.ok and rep.checked == 81
 
     def test_individual_values(self):
-        p0q0 = linear_form(p_explicit(0).to_tensor() * q_explicit(0).to_tensor())
-        assert p0q0 == ONE
-        p1q0 = linear_form(p_explicit(1).to_tensor() * q_explicit(0).to_tensor())
-        assert p1q0 == ZERO
-        p2q2 = linear_form(p_explicit(2).to_tensor() * q_explicit(2).to_tensor())
-        assert p2q2 == AB**3 * (ALPHA + BETA - 1)
+        def pq(n, m):
+            return linear_form(p_explicit(n).into(TensorElem)
+                               * q_explicit(m).into(TensorElem))
+        assert pq(0, 0) == ONE
+        assert pq(1, 0) == ZERO
+        assert pq(2, 2) == AB**3 * (ALPHA + BETA - 1)
 
     def test_recurrences(self):
         rep = recurrence_check(10)
@@ -223,10 +250,10 @@ class TestMomentBands:
         assert rep.ok
 
     def test_simple_moments(self):
-        assert linear_form(p_explicit(0).to_tensor() * E1
-                           * q_explicit(0).to_tensor()) == ALPHA
-        assert linear_form(p_explicit(1).to_tensor() * E1
-                           * q_explicit(2).to_tensor()) == lambda_n(2)
+        assert linear_form(p_explicit(0).into(TensorElem) * E1
+                           * q_explicit(0).into(TensorElem)) == ALPHA
+        assert linear_form(p_explicit(1).into(TensorElem) * E1
+                           * q_explicit(2).into(TensorElem)) == lambda_n(2)
 
 
 class TestNumericGuards:

@@ -1,7 +1,7 @@
 """Every name a biops or test module imports is used in that module, every
 top-level function or class of biops is used somewhere else in biops, and
-so is every method of a top-level class.  No biops module imports
-dataclasses."""
+so is every method of a top-level class.  Every attribute a biops class
+stores on self is read somewhere.  No biops module imports dataclasses."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,7 @@ import biops
 MODULES = sorted(p for p in Path(biops.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
 
 
 def unused_imports(source):
@@ -102,6 +103,43 @@ def uncalled_methods(sources):
                   if not reads.get(name, set()) - {own})
 
 
+def _self_stores(node):
+    """Names of the attributes that assignment `node` stores on self."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return {t.attr for target in targets for t in ast.walk(target)
+            if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+            and isinstance(t.value, ast.Name) and t.value.id == "self"}
+
+
+def unread_attributes(sources, readers):
+    """Attributes that a top-level class in `sources` (module name ->
+    source) stores on self and that no source in `readers` reads as
+    `.name` outside the statements that store it."""
+    assigns = (ast.Assign, ast.AugAssign, ast.AnnAssign)
+    stored = set()
+    for module, source in sources.items():
+        for cls in ast.parse(source).body:
+            if isinstance(cls, ast.ClassDef):
+                stored.update(f"{module}.{cls.name}.{name}"
+                              for node in ast.walk(cls)
+                              if isinstance(node, assigns)
+                              for name in _self_stores(node))
+    reads = set()
+    for source in readers:
+        tree = ast.parse(source)
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, assigns):
+                names = _self_stores(node)
+                skip.update(id(a) for a in ast.walk(node)
+                            if isinstance(a, ast.Attribute) and a.attr in names)
+        reads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load)
+                     and id(node) not in skip)
+    return sorted(a for a in stored if a.rpartition(".")[2] not in reads)
+
+
 def test_every_definition_has_a_caller():
     # the two session entry points are called from outside the package
     sources = {p.stem: p.read_text() for p in MODULES}
@@ -145,6 +183,27 @@ def test_scan_finds_an_uncalled_method():
         "b": "def f(x): return x.size\n",
     }
     assert uncalled_methods(sources) == ["a.A.orphan", "a.A.recursive"]
+
+
+def test_every_stored_attribute_is_read():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    readers = [p.read_text() for p in MODULES + TESTS + PERFBENCH]
+    assert unread_attributes(sources, readers) == []
+
+
+def test_scan_finds_an_unread_attribute():
+    sources = {"a": ("class A:\n"
+                     "    def __init__(self, n):\n"
+                     "        self.used = n\n"
+                     "        self.count = 0\n"
+                     "        self.count += 1\n"
+                     "        self.grown = n\n"
+                     "        self.grown = self.grown + 1\n"
+                     "        self.orphan, self.pair = n, n\n"
+                     "    def f(self): return self.used\n")}
+    readers = [*sources.values(), "def g(x): return x.pair\n"]
+    assert unread_attributes(sources, readers) == [
+        "a.A.count", "a.A.grown", "a.A.orphan"]
 
 
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)

@@ -145,8 +145,8 @@ class TestPQRep:
     def test_matches_represent(self):
         dim = 8
         for n in range(4):
-            p = represent(p_explicit(n).to_tensor(), dim, "bar_col")
-            q = represent(q_explicit(n).to_tensor(), dim, "bar_row")
+            p = represent(p_explicit(n).into(TensorElem), dim, "bar_col")
+            q = represent(q_explicit(n).into(TensorElem), dim, "bar_row")
             bp = pq_rep(n, "P", dim)
             bq = pq_rep(n, "Q", dim)
             vb = min(p.valid_block, bp.valid_block)
@@ -191,8 +191,8 @@ class TestMatrixMoment:
             G = represent(g, 3 + g.max_word_len() + 2)
             for n in range(4):
                 for m in range(4):
-                    lhs = linear_form(p_explicit(n).to_tensor() * g
-                                      * q_explicit(m).to_tensor())
+                    lhs = linear_form(p_explicit(n).into(TensorElem) * g
+                                      * q_explicit(m).into(TensorElem))
                     rhs = G.entry(n, m) * sqrt_lambda(n) * sqrt_lambda(m)
                     assert KappaElem(lhs) == rhs, (n, m)
 

@@ -92,6 +92,15 @@ class TestNormalOrder:
             assert steps <= 2 ** len(w) if w else steps == 0
 
 
+@pytest.mark.parametrize("cls, keys", [(TensorElem, ((1,), (2,))),
+                                        (ShockElem, ((0, 1), (1, 0)))])
+def test_generators(cls, keys):
+    assert [cls.generator(i) for i in (1, 2)] == [cls({k: ONE}) for k in keys]
+    for i in (0, 3):
+        with pytest.raises(ValueError):
+            cls.generator(i)
+
+
 class TestShockRing:
     def test_product_base_cases(self):
         e1s = ShockElem({(0, 1): ONE})
