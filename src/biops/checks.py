@@ -7,12 +7,12 @@ from fractions import Fraction
 
 from .report import CheckReport
 from .ring import Poly2, ONE, AB
-from .tensor import E1, E2, TensorElem, linear_form, normal_order, shock_mul
+from .tensor import TensorElem, linear_form, normal_order, shock_mul
 from .bimoment import det_closed_form
 from .biortho import (check_orthogonality, recurrence_check, p_explicit,
                       q_explicit, lambda_n, biorthogonal_pair,
                       moment_consistency)
-from .matrep import (represent, eval_L_matrix, second_moment,
+from .matrep import (Picture, eval_L_matrix, second_moment,
                      second_moment_product, cheb_reading_report,
                      similarity_check)
 from .asep import compare
@@ -79,7 +79,8 @@ def check_shock_homomorphism(seed=1):
 
 def check_diffusion_relation():
     rep = CheckReport("diffusion algebra relation at dim 12")
-    r = represent(E1 * E2 - AB * (E1 + E2), 12)
+    x, y = Picture(12).gens
+    r = x * y - (x + y) * AB
     for i in range(r.valid_block):
         for j in range(r.valid_block):
             rep.record(not r.entry(i, j), f"({i},{j})")

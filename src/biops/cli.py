@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import GENERATOR_REPS
 from .errors import BiopsError, ParseError
-from .tensor import ShockElem, TensorElem, linear_form
+from .tensor import ShockElem, linear_form
 
 
 def _cap_dim(dim, parser):
@@ -63,11 +63,6 @@ def _flat(v):
     if isinstance(v, (dict, list)):
         return json.dumps(v, sort_keys=True)
     return v
-
-
-def _parse_expr(src, algebra=TensorElem):
-    from .expr import eval_expr, parse
-    return eval_expr(parse(src), algebra)
 
 
 def _fraction(text):
@@ -171,7 +166,8 @@ def run(argv=None):
     fmt = args.format
 
     if args.command == "L":
-        value = linear_form(_parse_expr(args.expr, ShockElem))
+        from .expr import eval_expr, parse
+        value = linear_form(eval_expr(parse(args.expr), ShockElem))
         _emit({"expr": args.expr, "L": value.to_obj(), "text": str(value)}, fmt)
         return 0
 
@@ -211,9 +207,9 @@ def run(argv=None):
         return 0
 
     if args.command == "represent":
+        from .expr import parse
         from .matrep import represent
-        r = represent(_parse_expr(args.expr), _cap_dim(args.dim, parser),
-                      args.rep)
+        r = represent(parse(args.expr), _cap_dim(args.dim, parser), args.rep)
         _emit(r.to_obj(), fmt)
         return 0
 
@@ -225,9 +221,9 @@ def run(argv=None):
     if args.command == "cheb":
         from .matrep import cheb_like, cheb_reading_report
         report = cheb_reading_report(min(args.max_n, 6))
-        obj = cheb_like(args.max_n, args.reading).to_obj()
-        obj["oracle_report"] = report.to_obj()
-        _emit(obj, fmt)
+        _emit({"reading": args.reading, "oracle_report": report.to_obj(),
+               "polys": [[c.to_obj() for c in p] for p in
+                         cheb_like(args.max_n, args.reading)]}, fmt)
         return 0 if report.ok else 1
 
     if args.command == "stationary":

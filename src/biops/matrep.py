@@ -1,15 +1,17 @@
-"""Truncated matrix representation of the shock ring.
+"""Truncated matrix representations of the shock ring.
 
-e1 and e2 map to the bidiagonal first-moment bands of `biortho`.  A word's
-matrix is the product of its letters' bands, so the representation of a
-tensor element is a fold over its word trie (`tensor.fold_words`): each
-trie node multiplies the rows of its prefix by one band, and zero band
-entries cost nothing.  Folding the identity rows gives the whole matrix;
-folding the single row e_0 gives the linear form as entry (0,0).  A
-product of k generator matrices truncated to d x d has an exact top-left
-(d - k) x (d - k) block, recorded as valid_block.
+e1 and e2 map to the bidiagonal first-moment bands of `biortho`.  The
+dim x dim truncations form an algebra, `Picture`, that `expr.eval_expr`
+and `UniPoly.into` evaluate into like any other, so (e1+e2)^k costs k
+sparse matrix products, not 2^k words.  Each matrix carries the formal
+degree of its expression (a generator counts 1, a product adds, a sum
+takes the larger): a product of k truncated bands has an exact top-left
+(dim - k) x (dim - k) block, recorded as valid_block, and a product of
+degree above dim - 2, where entry (0,0) would be inexact, raises
+TruncationTooSmall before it is formed.  Folding the single row e_0 over
+a TensorElem's word trie (`tensor.fold_words`) gives L as entry (0,0).
 
-Three generator pairs are available, each built from the closed-form bands:
+Three generator pictures, each built from the closed-form bands:
 
 * "hat"      -- (Xhat, Yhat), the bi-orthonormal pair (contains kappa);
 * "bar_col"  -- (Xbar, Ybar with sub-diagonal k scaled by
@@ -23,62 +25,94 @@ from __future__ import annotations
 
 from .errors import TruncationTooSmall
 from .report import CheckReport
-from .ring import KappaElem, ZERO, ALPHA, BETA, AB, K_ZERO, K_ONE
-from .tensor import E1, E2, TensorElem, fold_words
+from .ring import KappaElem, ZERO, ALPHA, BETA, AB, K_ZERO, K_ONE, accumulate
+from .tensor import fold_words
 from .biortho import (MomentBand, UniPoly, first_moment_matrices, lambda_n,
                       sqrt_lambda)
 from . import GENERATOR_REPS
 
 
-class RepMatrix:
-    """dim x dim truncation with entries in the kappa ring; entries with
-    both indices below valid_block agree with the infinite computation."""
+def _bounded(dim, degree):
+    # degree, if a dim x dim matrix of that degree has an exact (0,0) entry
+    if degree > dim - 2:
+        raise TruncationTooSmall(f"dim {dim} < formal degree {degree} + 2")
+    return degree
 
-    __slots__ = ("dim", "entries", "valid_block")
+
+class RepMatrix:
+    """Truncation to dim columns with entries in the kappa ring, and the
+    formal degree of the expression it represents; entries with both
+    indices below valid_block = dim - degree agree with the infinite
+    computation."""
+
+    __slots__ = ("dim", "rows", "degree")
     __hash__ = None
 
-    def __init__(self, dim, entries, valid_block):
+    def __init__(self, dim, rows, degree):
         self.dim = dim
-        self.entries = entries  # a tuple of row tuples of KappaElem
-        self.valid_block = valid_block
+        self.rows = rows  # a tuple of {column: nonzero KappaElem} dicts
+        self.degree = degree
+
+    @property
+    def valid_block(self):
+        return self.dim - self.degree
 
     def entry(self, i, j):
         if i < 0 or j < 0:
             raise IndexError("matrix index out of range")
         if i >= self.valid_block or j >= self.valid_block:
-            raise TruncationTooSmall(
-                f"entry ({i},{j}) outside valid block {self.valid_block}"
-            )
-        return self.entries[i][j]
+            raise TruncationTooSmall(f"entry ({i},{j}) outside valid block "
+                                     f"{self.valid_block}")
+        return self.raw(i, j)
 
     def raw(self, i, j):
-        return self.entries[i][j]
+        return self.rows[i].get(j, K_ZERO)
+
+    def __add__(self, other):
+        return RepMatrix(self.dim, tuple(
+            accumulate(dict(r), s.items())
+            for r, s in zip(self.rows, other.rows)),
+            max(self.degree, other.degree))
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        """The product by a scalar, or by a RepMatrix row by row: entry k
+        of a row of self meets the nonzero entries of row k of other."""
+        if not isinstance(other, RepMatrix):
+            return self * _diagonal([KappaElem(other)] * self.dim)
+        degree = _bounded(self.dim, self.degree + other.degree)
+        out = []
+        for r in self.rows:
+            acc = {}
+            for k, a in r.items():
+                for j, b in other.rows[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return RepMatrix(self.dim, tuple(out), degree)
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        _bounded(self.dim, self.degree * n)
+        out = _diagonal([K_ONE] * self.dim)
+        for _ in range(n):
+            out = out * self
+        return out
 
     def to_obj(self):
-        return {
-            "dim": self.dim,
-            "valid_block": self.valid_block,
-            "entries": [[e.to_obj() for e in row] for row in self.entries],
-        }
+        return {"dim": self.dim, "valid_block": self.valid_block,
+                "entries": [[self.raw(i, j).to_obj() for j in range(self.dim)]
+                            for i in range(len(self.rows))]}
 
 
-def _freeze(rows, valid_block):
-    dim = len(rows)
-    return RepMatrix(dim, tuple(tuple(r) for r in rows), valid_block)
-
-
-def _zeros(dim):
-    return [[K_ZERO] * dim for _ in range(dim)]
-
-
-def _unit_row(n, dim):
-    row = [K_ZERO] * dim
-    row[n] = K_ONE
-    return row
-
-
-def _identity(dim):
-    return [_unit_row(i, dim) for i in range(dim)]
+def _diagonal(values, degree=0):
+    return RepMatrix(len(values), tuple(
+        {i: v} if v else {} for i, v in enumerate(values)), degree)
 
 
 def generator_matrices(dim, rep="hat"):
@@ -99,87 +133,75 @@ def generator_matrices(dim, rep="hat"):
         s * r for s, r in zip(Xbar.sup, ratio)), Xbar.sub), Ybar
 
 
-def _times_band(rows, band):
-    """rows * band for dense rows and a MomentBand; a zero entry of either
-    costs nothing.  Row entry i meets sub[i-1], diag[i] and sup[i] at
-    columns i-1, i and i+1."""
-    dim = band.dim
-    links = [[(j, band.entry(i, j)) for j in (i - 1, i, i + 1)
-              if 0 <= j < dim and band.entry(i, j)] for i in range(dim)]
-    out = []
-    for row in rows:
-        new = [K_ZERO] * dim
-        for i, r in enumerate(row):
-            if r:
-                for j, b in links[i]:
-                    new[j] = new[j] + r * b
-        out.append(new)
+class Picture:
+    """The dim x dim truncated matrices of one generator picture, as an
+    algebra for `expr.eval_expr` and `UniPoly.into`.  zero() has degree
+    -1, so Horner's first step, zero times a generator, has degree 0."""
+
+    __slots__ = ("dim", "gens")
+
+    def __init__(self, dim, rep="hat"):
+        self.dim = dim
+        self.gens = tuple(RepMatrix(dim, tuple(
+            {j: b.entry(i, j) for j in (i - 1, i, i + 1)
+             if 0 <= j < dim and b.entry(i, j)} for i in range(dim)), 1)
+            for b in generator_matrices(dim, rep))
+
+    def generator(self, i):
+        return self.gens[(1, 2).index(i)]  # ValueError unless i is 1 or 2
+
+    def scalar(self, c):
+        return _diagonal([KappaElem(c)] * self.dim)
+
+    def zero(self):
+        return _diagonal([K_ZERO] * self.dim, -1)
+
+    def unit(self):
+        return self.scalar(1)
+
+
+def represent(node, dim, rep="hat"):
+    """The matrix of the expression AST `node` in the chosen picture;
+    requires dim >= (formal degree) + 2 so the (0,0) entry is exact."""
+    # expr loads here, so the suites, which parse nothing, never need it
+    from .expr import eval_expr
+    out = eval_expr(node, Picture(dim, rep))
+    # a lone generator takes no product; an empty sum is zero() itself
+    out.degree = _bounded(dim, max(out.degree, 0))
     return out
 
 
-def _fold_rows(x, rows, rep):
-    """Sum over the words w of x of coeff(w) * rows * M(w), where M(w) is
-    the product of w's generator bands; one band product per trie node."""
-    dim = len(rows[0])
-    bands = generator_matrices(dim, rep)
-    total = [[K_ZERO] * dim for _ in rows]
-    terms = dict(x.items())
-    for w, prod in fold_words(terms, rows,
-                              lambda m, g: _times_band(m, bands[g - 1])):
-        c = KappaElem(terms[w])
-        for trow, prow in zip(total, prod):
-            for j, e in enumerate(prow):
-                if e:
-                    trow[j] = trow[j] + c * e
-    return total
-
-
-def represent(x, dim, rep="hat"):
-    """Substitute the generator matrices into every word of x and sum.
-
-    Requires dim >= (max word length) + 2 so the (0,0) entry is exact."""
-    if not isinstance(x, TensorElem):
-        raise TypeError("represent expects a TensorElem")
-    maxlen = x.max_word_len()
-    if dim < maxlen + 2:
-        raise TruncationTooSmall(
-            f"dim {dim} < max word length {maxlen} + 2"
-        )
-    return _freeze(_fold_rows(x, _identity(dim), rep), dim - maxlen)
-
-
 def eval_L_matrix(x):
-    """L(x) as the (0,0) entry of the matrix representation, from row e_0
-    alone.
-
-    The result is always kappa-free; a nonzero kappa part is an internal
-    bug and raises RuntimeError."""
-    dim = max(x.max_word_len() + 2, 2)
-    e = _fold_rows(x, [_unit_row(0, dim)], "hat")[0][0]
+    """L(x) for a TensorElem x: entry (0,0) of its matrix, folding row e_0
+    alone over the word trie.  The result is always kappa-free; a nonzero
+    kappa part is an internal bug and raises RuntimeError."""
+    dim = x.max_word_len() + 2
+    gens = Picture(dim).gens
+    terms = dict(x.items())
+    e = K_ZERO
+    for w, row in fold_words(terms, RepMatrix(dim, ({0: K_ONE},), 0),
+                             lambda m, g: m * gens[g - 1]):
+        e = e + row.raw(0, 0) * terms[w]
     if e.b:
         raise RuntimeError("kappa part of L did not cancel")
     return e.a
 
 
 def similarity_check(dim):
-    """Assert the three generator pictures are diagonal-similar:
-    bar_col = D hat D^-1 and bar_row = D^-1 hat D.  The bar pictures come
-    from the closed-form bar bands and Lambda ratios, the hat picture from
-    the bi-orthonormal bands, so this compares two constructions."""
+    """Assert the three generator pictures are diagonal-similar, as
+    bar_col D = D hat and D bar_row = hat D.  The bar pictures come from
+    the closed-form bar bands and Lambda ratios, the hat picture from the
+    bi-orthonormal bands, so this compares two constructions."""
     rep = CheckReport(f"diagonal similarity dim {dim}")
-    slam = [sqrt_lambda(k) for k in range(dim)]
-    hat = generator_matrices(dim, "hat")
-    col = generator_matrices(dim, "bar_col")
-    row = generator_matrices(dim, "bar_row")
-    for name, bands, left in (("bar_col", col, True), ("bar_row", row, False)):
-        for which in (0, 1):
+    d = _diagonal([sqrt_lambda(k) for k in range(dim)])
+    hat = Picture(dim, "hat").gens
+    for name in ("bar_col", "bar_row"):
+        for which, (b, h) in enumerate(zip(Picture(dim, name).gens, hat)):
+            lhs, rhs = (b * d, d * h) if name == "bar_col" else (d * b, h * d)
             for i in range(dim):
                 for j in range(dim):
-                    # D M D^-1 cross-multiplied: out[i][j]*s_j == s_i*M[i][j]
-                    si, sj = (slam[i], slam[j]) if left else (slam[j], slam[i])
-                    ok = (bands[which].entry(i, j) * sj
-                          == si * hat[which].entry(i, j))
-                    rep.record(ok, f"{name} gen{which + 1} ({i},{j})")
+                    rep.record(lhs.raw(i, j) == rhs.raw(i, j),
+                               f"{name} gen{which + 1} ({i},{j})")
     return rep
 
 
@@ -189,50 +211,31 @@ def second_moment(dim):
     interior off-diagonals (ab)^2."""
     if dim < 3:
         raise ValueError("dim must be at least 3")
-    rows = _zeros(dim)
-    ab2 = AB * AB
-    rows[0][0] = KappaElem(AB * (ALPHA + BETA))
-    rows[0][1] = rows[1][0] = KappaElem(ZERO, AB)
-    for i in range(1, dim):
-        rows[i][i] = KappaElem(2 * ab2)
-        if i + 1 < dim:
-            rows[i][i + 1] = rows[i + 1][i] = KappaElem(ab2)
-    return _freeze(rows, dim)
+    ab2 = KappaElem(AB * AB)
+    rows = [{i - 1: ab2, i: ab2 + ab2, i + 1: ab2} for i in range(dim)]
+    rows[0] = {0: KappaElem(AB * (ALPHA + BETA)), 1: KappaElem(ZERO, AB)}
+    rows[1][0] = rows[0][1]
+    del rows[-1][dim]
+    return RepMatrix(dim, tuple(rows), 0)
 
 
 def second_moment_product(dim):
     """W as the representation of e1 e2, Xhat * Yhat (valid block dim - 2)."""
-    return represent(E1 * E2, dim)
+    x, y = Picture(dim).gens
+    return x * y
 
 
 # --- Chebyshev-like polynomials -------------------------------------------
 
-class ChebLike:
-    """Chebyshev-like sequence from the tridiagonal W.
+def cheb_like(N, reading="corrected"):
+    """T_0..T_N, each a tuple of KappaElem coefficients of x^k, from the
+    three-term recurrence of W solved for the highest-index term.
 
     reading: "corrected" uses diagonal coefficient (W_nn - x), "printed"
     uses (2 W_nn - x) as literally displayed.  To stay in the kappa ring
-    the stored polys[n] is T_n scaled by prod_{k<n} W_{k,k+1} (clearing
-    the off-diagonal divisions); with the corrected reading this equals
-    the n-th leading principal minor of (xI - W)."""
-
-    __slots__ = ("reading", "polys")
-    __hash__ = None
-
-    def __init__(self, reading, polys):
-        self.reading = reading
-        self.polys = polys  # polys[n] = tuple of KappaElem coefficients of x^k
-
-    def to_obj(self):
-        return {
-            "reading": self.reading,
-            "polys": [[c.to_obj() for c in p] for p in self.polys],
-        }
-
-
-def cheb_like(N, reading="corrected"):
-    """Generate T_0..T_N (denominator-cleared, see ChebLike) from the
-    three-term recurrence, solved for the highest-index term."""
+    T_n is scaled by prod_{k<n} W_{k,k+1} (clearing the off-diagonal
+    divisions); with the corrected reading this equals the n-th leading
+    principal minor of (xI - W)."""
     if reading not in ("corrected", "printed"):
         raise ValueError("reading must be 'corrected' or 'printed'")
     if N < 0:
@@ -249,7 +252,7 @@ def cheb_like(N, reading="corrected"):
             nxt = nxt - prev * (W.raw(n, n - 1) * W.raw(n - 1, n))
         prev = polys[n]
         polys.append(nxt)
-    return ChebLike(reading, tuple(p.coeffs for p in polys))
+    return tuple(p.coeffs for p in polys)
 
 
 def _cofactor_det(rows):
@@ -284,7 +287,7 @@ def cheb_reading_report(N):
     rep = CheckReport(f"Chebyshev-like recurrence reading, n <= {N}")
     oracle = principal_minor_polys(N)
     for reading in ("corrected", "printed"):
-        polys = cheb_like(N, reading).polys
+        polys = cheb_like(N, reading)
         match = all(list(polys[n]) == list(oracle[n]) for n in range(N + 1))
         rep.note(f"reading '{reading}' {'matches' if match else 'does not match'} "
                  "the principal-minor oracle")

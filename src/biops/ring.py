@@ -326,8 +326,8 @@ KAPPA_SQ = AB * (ALPHA + BETA - 1)
 
 def accumulate(t, pairs):
     """t[k] += c for each (k, c) in pairs, in place, for a sparse dict of
-    Poly2 coefficients; a key whose sum is zero is dropped, so no zero
-    coefficient is stored.  Returns t."""
+    Poly2 or KappaElem coefficients; a key whose sum is zero is dropped,
+    so no zero coefficient is stored.  Returns t."""
     for k, c in pairs:
         s = t.get(k, ZERO) + c
         if s:

@@ -224,8 +224,8 @@ def fold_words(words, unit, times_gen):
     over its letters g, starting from `unit`.  A stack holds the values of
     the current word's prefixes, so each node of the word trie costs one
     product.  Normal ordering folds (n,m)->coefficient dicts with a
-    `_right_product`; matrix representations fold rows with a band
-    product."""
+    `_right_product`; `matrep.eval_L_matrix` folds the row e_0 times the
+    generator matrices."""
     stack = [unit]  # stack[i] = value of prev[:i]
     prev = ()
     for w in sorted(words):

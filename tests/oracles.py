@@ -6,7 +6,12 @@ or closed-form constructions that the library computes another way.
 * `power_sum` expands (e1 + e2)^L into its 2^L words; the library takes
   the L-th power in the shock ring.
 * `pq_rep` writes the band matrices of P_n and Q_n down from their
-  pattern; the library represents P_n and Q_n word by word.
+  pattern; the library evaluates P_n and Q_n in the matrix algebra by
+  Horner's rule.
+* `word_fold` sums the matrices of a TensorElem's words, one band product
+  per node of the word trie; the library evaluates an expression in the
+  matrix algebra without expanding it into words.  `tensor_ast` writes a
+  TensorElem as an expression with one product per word.
 * `krattenthaler_matrix` and `krattenthaler_det_formula` are the
   parametric determinant family behind the bi-moment determinant.
 * `p_cramer` and `q_cramer` build P_n and Q_n by Cramer's rule, n + 2
@@ -30,10 +35,10 @@ from biops.bimoment import build_bimoment, det_fraction_free
 from biops.biortho import UniPoly
 from biops.errors import InexactDivision, TruncationTooSmall
 from biops.expr import Gen, ScalarPoly, BiOrtho, Sum, Product, Power, Negation
-from biops.matrep import RepMatrix
+from biops.matrep import RepMatrix, generator_matrices
 from biops.ring import (Poly2, KappaElem, ONE, AB, ALPHA, BETA, K_ZERO, K_ONE,
                         accumulate)
-from biops.tensor import TensorElem, linear_form
+from biops.tensor import TensorElem, fold_words, linear_form
 
 
 # --- normal ordering by rewriting ----------------------------------------
@@ -117,7 +122,50 @@ def pq_rep(n, which, dim):
             rows[i][i + n - 1] = offdiag
     if which == "Q":
         rows = zip(*rows)
-    return RepMatrix(dim, tuple(map(tuple, rows)), dim - n)
+    return RepMatrix(dim, tuple({j: v for j, v in enumerate(r) if v}
+                                for r in rows), n)
+
+
+# --- the matrix of a tensor element, word by word --------------------------
+
+def word_fold(x, dim, rep="hat"):
+    """Dense rows of the dim x dim matrix of the TensorElem x in the
+    given picture: the sum over the words w of x of coeff(w) times the
+    product of w's truncated generator bands, each prefix's rows times one
+    band per node of the word trie."""
+    bands = generator_matrices(dim, rep)
+
+    def times_band(rows, g):
+        band, out = bands[g - 1], []
+        for row in rows:
+            new = [K_ZERO] * dim
+            for i, r in enumerate(row):
+                if r:
+                    for j in range(max(i - 1, 0), min(i + 2, dim)):
+                        new[j] = new[j] + r * band.entry(i, j)
+            out.append(new)
+        return out
+
+    total = [[K_ZERO] * dim for _ in range(dim)]
+    unit = [[K_ONE if i == j else K_ZERO for j in range(dim)]
+            for i in range(dim)]
+    terms = dict(x.items())
+    for w, prod in fold_words(terms, unit, times_band):
+        for trow, prow in zip(total, prod):
+            for j, e in enumerate(prow):
+                trow[j] = trow[j] + e * terms[w]
+    return total
+
+
+def tensor_ast(x):
+    """An AST whose value is the TensorElem x: a sum over x's words of
+    the coefficient, as a sum of c*a^i*b^j, times the word's letters."""
+    return Sum(tuple(
+        Product((Sum(tuple(Product((ScalarPoly(c), Power(ScalarPoly("a"), i),
+                                    Power(ScalarPoly("b"), j)))
+                           for (i, j), c in coeff.sorted_terms())),
+                 *(Gen(g) for g in w)))
+        for w, coeff in x.items()))
 
 
 def krattenthaler_matrix(n, x, rho, sigma):

@@ -13,6 +13,7 @@ from biops.bimoment import build_bimoment, det_fraction_free, det_closed_form
 from biops.biortho import (p_explicit, q_explicit, lambda_n, sqrt_lambda,
                            first_moment_matrices, require_generic_point,
                            lambda_value)
+from biops.expr import parse, eval_expr
 from biops.matrep import (represent, eval_L_matrix,
                           second_moment, second_moment_product, cheb_like,
                           principal_minor_polys)
@@ -81,8 +82,7 @@ def test_criterion_5_moment_matrices():
 
 
 def test_criterion_6_diffusion_algebra():
-    rel = E1 * E2 - AB * (E1 + E2)
-    r = represent(rel, 12)
+    r = represent(parse("e1*e2 - a*b*(e1 + e2)"), 12)
     ok = r.valid_block >= 10
     for i in range(10):
         for j in range(10):
@@ -99,8 +99,9 @@ def test_criterion_7_two_path_linear_form():
 
 def test_criterion_8_matrix_moments_and_extraction():
     ok = True
-    for g in (TensorElem.unit(), E1, E2, E1 * E2, E2 * E1):
-        G = represent(g, 5 + g.max_word_len() + 2)
+    for src in ("1", "e1", "e2", "e1*e2", "e2*e1"):
+        g = eval_expr(parse(src))
+        G = represent(parse(src), 5 + g.max_word_len() + 2)
         for n in range(6):
             pt = p_explicit(n).into(TensorElem)
             for m in range(6):
@@ -182,8 +183,8 @@ def test_criterion_11_degenerate_handling():
 
 def test_criterion_12_chebyshev_reading():
     oracle = principal_minor_polys(6)
-    corrected = cheb_like(6, "corrected").polys
-    printed = cheb_like(6, "printed").polys
+    corrected = cheb_like(6, "corrected")
+    printed = cheb_like(6, "printed")
     match = all(list(corrected[n]) == list(oracle[n]) for n in range(7))
     diverges = any(list(printed[n]) != list(oracle[n]) for n in range(7))
     report(12, "recurrence reading 'corrected' matches minor oracle, "

@@ -125,6 +125,23 @@ class TestSmoke:
         assert obj["dim"] == 4
         assert obj["valid_block"] == 3
 
+    def test_represent_corner_is_L(self, capsys):
+        # (e1+e2)^12 is 4,096 words, evaluated as 12 matrix products
+        code, out, _ = run_cli(capsys, "represent", "(e1+e2)^12",
+                               "--dim", "16")
+        assert code == 0
+        corner = json.loads(out)["entries"][0][0]
+        code, out, _ = run_cli(capsys, "L", "(e1+e2)^12")
+        assert code == 0
+        assert corner == {"k0": json.loads(out)["L"], "k1": []}
+
+    def test_represent_formal_degree(self, capsys):
+        # the longest words cancel; the valid block follows the degree 3
+        code, out, _ = run_cli(capsys, "represent", "e1^3 - e1^3",
+                               "--dim", "6")
+        assert code == 0
+        assert json.loads(out)["valid_block"] == 3
+
     def test_second_moment(self, capsys):
         code, out, _ = run_cli(capsys, "second-moment", "--dim", "4")
         assert code == 0
@@ -261,6 +278,19 @@ class TestErrors:
         err = r.stderr.decode()
         assert r.returncode == 2, err
         assert "parse error" in err
+        assert "Traceback" not in err
+        assert r.stdout == b""
+
+    @pytest.mark.parametrize("argv", [
+        ("represent", "e1^3000", "--dim", "16"),
+        ("represent", "e1^3 - e1^3", "--dim", "4"),
+        ("represent", "0*e2", "--dim", "2"),
+    ], ids=["power", "cancelled", "zero"])
+    def test_formal_degree_too_large_exit_1(self, argv):
+        r = run_subprocess(*argv)
+        err = r.stderr.decode()
+        assert r.returncode == 1, err
+        assert err.startswith("error: ") and "formal degree" in err
         assert "Traceback" not in err
         assert r.stdout == b""
 

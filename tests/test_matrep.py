@@ -1,19 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biops.ring import Poly2, ZERO, ALPHA, BETA, AB, KappaElem, K_ZERO, K_ONE, KAPPA
 from biops.tensor import TensorElem, E1, E2, linear_form
 from biops.asep import partition_Z
 from biops.biortho import (first_moment_matrices, p_explicit, q_explicit,
                            sqrt_lambda)
+from biops.expr import parse, eval_expr, Sum
 from biops.matrep import (GENERATOR_REPS, generator_matrices, represent,
-                          eval_L_matrix, similarity_check,
+                          eval_L_matrix, similarity_check, Picture, RepMatrix,
                           second_moment, second_moment_product, cheb_like,
                           principal_minor_polys, cheb_reading_report)
 from biops.checks import random_tensor
 from biops.errors import TruncationTooSmall
-from oracles import power_sum, pq_rep
+from oracles import power_sum, pq_rep, tensor_ast, word_fold
+from test_expr import random_ast
 
 
 class TestGenerators:
@@ -60,13 +63,13 @@ class TestGenerators:
 
 class TestRepresent:
     def test_unit_is_identity(self):
-        r = represent(TensorElem.unit(), 4)
+        r = represent(parse("1"), 4)
         for i in range(4):
             for j in range(4):
                 assert r.entry(i, j) == (K_ONE if i == j else K_ZERO)
 
     def test_diffusion_relation_vanishes(self):
-        rel = E1 * E2 - AB * (E1 + E2)
+        rel = parse("e1*e2 - a*b*(e1 + e2)")
         for dim in (4, 8, 12):
             r = represent(rel, dim)
             assert r.valid_block == dim - 2
@@ -76,8 +79,8 @@ class TestRepresent:
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationTooSmall):
-            represent(E1 * E2, 3)
-        r = represent(E1 * E2, 5)
+            represent(parse("e1*e2"), 3)
+        r = represent(parse("e1*e2"), 5)
         with pytest.raises(TruncationTooSmall):
             r.entry(3, 0)
         with pytest.raises(TruncationTooSmall):
@@ -85,14 +88,16 @@ class TestRepresent:
 
     def test_negative_index_rejected(self):
         # index -1 would wrap to the last stored row, outside the valid block
-        r = represent(E1 * E2, 5)
+        r = represent(parse("e1*e2"), 5)
         for i, j in ((-1, 0), (0, -1), (-3, -3)):
             with pytest.raises(IndexError):
                 r.entry(i, j)
 
     def test_type_guard(self):
-        with pytest.raises(TypeError):
-            represent(ALPHA, 4)
+        # an expression AST only: a TensorElem is not evaluated
+        for x in (ALPHA, E1 * E2):
+            with pytest.raises(TypeError):
+                represent(x, 4)
 
     def test_two_path_L_random(self):
         rng = random.Random(7)
@@ -107,7 +112,8 @@ class TestRepresent:
         for _ in range(40):
             x = random_tensor(rng, max_len=6)
             dim = x.max_word_len() + 2 + rng.randint(0, 3)
-            assert represent(x, dim, rep).entry(0, 0) == KappaElem(linear_form(x))
+            r = represent(tensor_ast(x), dim, rep)
+            assert r.entry(0, 0) == KappaElem(linear_form(x))
 
     def test_power_sums(self):
         # row e_0 folded over all 2^L words against the shock-ring power
@@ -145,8 +151,8 @@ class TestPQRep:
     def test_matches_represent(self):
         dim = 8
         for n in range(4):
-            p = represent(p_explicit(n).into(TensorElem), dim, "bar_col")
-            q = represent(q_explicit(n).into(TensorElem), dim, "bar_row")
+            p = represent(parse(f"P({n})"), dim, "bar_col")
+            q = represent(parse(f"Q({n})"), dim, "bar_row")
             bp = pq_rep(n, "P", dim)
             bq = pq_rep(n, "Q", dim)
             vb = min(p.valid_block, bp.valid_block)
@@ -186,9 +192,9 @@ class TestMatrixMoment:
     # G = represent(g) holds the matrix moments L(Phat_n g Qhat_m), that
     # is L(P_n g Q_m) / sqrt(Lambda_n Lambda_m), in its valid block
     def test_two_path(self):
-        words = [TensorElem.unit(), E1, E2, E1 * E2, E2 * E1]
-        for g in words:
-            G = represent(g, 3 + g.max_word_len() + 2)
+        for src in ("1", "e1", "e2", "e1*e2", "e2*e1"):
+            g = eval_expr(parse(src))
+            G = represent(parse(src), 3 + g.max_word_len() + 2)
             for n in range(4):
                 for m in range(4):
                     lhs = linear_form(p_explicit(n).into(TensorElem) * g
@@ -197,7 +203,7 @@ class TestMatrixMoment:
                     assert KappaElem(lhs) == rhs, (n, m)
 
     def test_first_moment_example(self):
-        G = represent(E1, 3)
+        G = represent(parse("e1"), 3)
         assert G.entry(0, 1) == KAPPA
         assert G.entry(0, 0) == KappaElem(ALPHA)
 
@@ -234,20 +240,19 @@ class TestSecondMoment:
 
 class TestChebLike:
     def test_degrees_and_leading(self):
-        ch = cheb_like(5)
-        for n, p in enumerate(ch.polys):
+        for n, p in enumerate(cheb_like(5)):
             assert len(p) == n + 1
             assert p[-1] == K_ONE
 
     def test_corrected_matches_minor_oracle(self):
         oracle = principal_minor_polys(6)
-        polys = cheb_like(6, "corrected").polys
+        polys = cheb_like(6, "corrected")
         for n in range(7):
             assert list(polys[n]) == list(oracle[n]), n
 
     def test_printed_diverges(self):
         oracle = principal_minor_polys(3)
-        polys = cheb_like(3, "printed").polys
+        polys = cheb_like(3, "printed")
         assert any(list(polys[n]) != list(oracle[n]) for n in range(4))
 
     def test_report(self):
@@ -266,3 +271,75 @@ class TestChebLike:
             cheb_like(3, "guessed")
         with pytest.raises(ValueError):
             cheb_like(-1)
+
+
+class TestPicture:
+    """represent evaluates an expression in the truncated matrices of a
+    picture; the word fold of its TensorElem value is the reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 3))
+    def test_equals_word_fold(self, rng, extra):
+        node = random_ast(rng)
+        try:
+            degree = represent(node, 10).degree
+        except TruncationTooSmall:
+            return  # formal degree above 8: 2^9 words or more
+        x = eval_expr(node)
+        dim = degree + 2 + extra
+        try:
+            represent(node, dim)
+        except TruncationTooSmall:
+            # every product is checked, also one of higher degree whose
+            # power 0 leaves the expression of lower degree
+            dim = 10
+        for rep in GENERATOR_REPS:
+            r = represent(node, dim, rep)
+            assert r.valid_block == dim - degree <= dim - x.max_word_len()
+            assert ([[r.raw(i, j) for j in range(dim)] for i in range(dim)]
+                    == word_fold(x, dim, rep))
+
+    def test_formal_degree_bounds_the_block(self):
+        # the longest words cancel, yet the block follows the formal degree
+        r = represent(parse("e1^3 - e1^3"), 6)
+        assert r.valid_block == 3
+        assert not any(r.raw(i, j) for i in range(6) for j in range(6))
+        for src, dim in (("e1^3 - e1^3", 4), ("0*e2", 2), ("e1", 2)):
+            with pytest.raises(TruncationTooSmall):
+                represent(parse(src), dim)
+        assert represent(parse("P(0)"), 2).valid_block == 2
+        assert represent(Sum(()), 4).valid_block == 4  # zero() has degree -1
+        assert represent(parse("(e1*e2)^0"), 4).valid_block == 4
+        with pytest.raises(TruncationTooSmall):
+            represent(parse("(e1*e2)^0"), 3)
+
+    def test_degree_checked_before_any_product(self, monkeypatch):
+        products = []
+        mul = RepMatrix.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(RepMatrix, "__mul__", counted)
+        with pytest.raises(TruncationTooSmall):
+            represent(parse("e1^3000"), 16)
+        assert products == []
+        with pytest.raises(TruncationTooSmall):
+            represent(parse("P(20)"), 16)
+
+    def test_algebra_products(self):
+        # Picture is the algebra eval_expr maps into: generators, scalars
+        # and zero, combined by the RepMatrix operators
+        pic = Picture(7, "bar_col")
+        x, y = pic.generator(1), pic.generator(2)
+        got = x * y * 3 - (pic.scalar(ALPHA) * x) ** 2 + pic.zero() - pic.unit()
+        want = represent(parse("3*e1*e2 - (a*e1)^2 - 1"), 7, "bar_col")
+        assert got.degree == want.degree == 2
+        assert got.to_obj() == want.to_obj()
+        for bad in (-1, 0.5):
+            with pytest.raises(ValueError):
+                x ** bad
+        for i in (0, 3):
+            with pytest.raises(ValueError):
+                pic.generator(i)
