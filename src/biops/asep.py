@@ -93,6 +93,27 @@ def require_positive_rates(a, b):
     return a, b
 
 
+# L -> (the weights of the 2^L states in the order of all_states, Z_L),
+# stored once their sum has been checked against Z_L: neither depends on
+# (alpha, beta).  A tuple, so no caller can change what the next call reads.
+_CHECKED_WEIGHTS = {}
+
+
+def _checked_weights(L):
+    got = _CHECKED_WEIGHTS.get(L)
+    if got is None:
+        # occupied site -> e1, empty site -> e2, in site order: the product
+        # over (e2, e1) lists the words in the order of all_states
+        words = list(itertools.product((2, 1), repeat=L))
+        values = linear_forms(words)
+        weights = tuple(values[w] for w in words)
+        Z = partition_Z(L)
+        if poly_sum(weights) != Z:
+            raise RuntimeError("partition function paths disagree")
+        got = _CHECKED_WEIGHTS[L] = weights, Z
+    return got
+
+
 def stationary_mpa(L, a, b):
     """Exact matrix-product stationary distribution at rational (a, b).
 
@@ -100,22 +121,15 @@ def stationary_mpa(L, a, b):
     powers and one common denominator, which cancels: each probability is
     one normalization of two integers.  Z_L comes two ways, as the sum of
     the weights and as the shock-ring power, and the two must agree
-    term by term."""
+    term by term; that check runs on the first call for each L."""
     a, b = require_positive_rates(a, b)
     states = all_states(L)
-    # occupied site -> e1, empty site -> e2, in site order: the product
-    # over (e2, e1) lists the words in the order of all_states
-    words = list(itertools.product((2, 1), repeat=L))
-    values = linear_forms(words)
-    weights = {tau: values[w] for tau, w in zip(states, words)}
-    Z = partition_Z(L)
-    if poly_sum(weights.values()) != Z:
-        raise RuntimeError("partition function paths disagree")
+    values, Z = _checked_weights(L)
     # Z(a, b) > 0: positive coefficients at positive rates
-    (nz, *nums), den = eval_numerators([Z, *weights.values()], a, b)
-    probs = {tau: Fraction(n, nz) for tau, n in zip(weights, nums)}
-    return StationaryTable(L, weights, Z, a, b, probs,
-                           dict(zip(weights, nums)), den)
+    (nz, *nums), den = eval_numerators([Z, *values], a, b)
+    probs = {tau: Fraction(n, nz) for tau, n in zip(states, nums)}
+    return StationaryTable(L, dict(zip(states, values)), Z, a, b, probs,
+                           dict(zip(states, nums)), den)
 
 
 class Generator:

@@ -1,15 +1,21 @@
 """The bi-orthogonal polynomial pair {P_n}, {Q_n}, their normalization,
 and the first-moment band matrices.
 
-Each object of the pair is built once and mirrored by transposition: one
-elimination of [B | I], B the bi-moment matrix, gives every P_n, one of
-[B^T | I] (B with alpha and beta swapped) every Q_n, and each e2 band is
-its e1 band transposed with alpha and beta swapped.
-
 P_n = (e1 - alpha)(e1 - alpha*beta)^(n-1) and
 Q_n = (e2 - beta)(e2 - alpha*beta)^(n-1) (monic, P_0 = Q_0 = 1) satisfy
 L(P_n (x) Q_m) = Lambda_n * delta_{n,m} with
 Lambda_n = (alpha*beta)^(2n-1) (alpha+beta-1) for n >= 1, Lambda_0 = 1.
+
+With P[n][i] the coefficient of e1^i in P_n, Q[m][j] that of e2^j in Q_m
+and B[i][j] = L(e1^i e2^j) the bi-moment matrix, L(P_n Q_m) is entry
+(n, m) of P B Q^T, so bi-orthogonality says P B Q^T = diag(Lambda_n).  P
+and Q are unit lower triangular: this is the LDU factorization of B.  So
+every leading minor det B_n is Lambda_0 ... Lambda_n, and by the
+uniqueness of the LDU the product forms are the only monic pair.
+ldu_certificate checks it with products and sums alone; nothing is
+eliminated or divided.
+
+Each e2 band is its e1 band transposed with alpha and beta swapped.
 
 sqrt(Lambda_n) is exact in the kappa ring: (alpha*beta)^(n-1) * kappa.
 """
@@ -24,9 +30,9 @@ from operator import add, sub
 from .errors import DegenerateParameters
 from .report import CheckReport
 from .ring import (KappaElem, ZERO, ONE, ALPHA, BETA, AB, K_ZERO, K_ONE,
-                   KAPPA, eval_numerators)
+                   KAPPA, eval_numerators, poly_sum)
 from .tensor import E1, E2, TensorElem, linear_form
-from .bimoment import build_bimoment, fraction_free
+from .bimoment import build_bimoment
 
 
 class UniPoly:
@@ -139,23 +145,6 @@ def q_explicit(n):
     return _product_form("e2", BETA, n)
 
 
-def biorthogonal_pair(N):
-    """(pivots, [P_0..P_N], [Q_0..Q_N]) by fraction_free on [B | I] and on
-    [B^T | I].  pivots[n] = det B_n, so pivots[n] / pivots[n-1] = Lambda_n,
-    and B needs no row swap.  Row n of the reduced identity block holds the
-    cofactors of B's first n + 1 rows bordered by (1, e1, ..., e1^n):
-    Cramer's rule for P_n before the division by det B_(n-1) (1 if n = 0)."""
-    grid = build_bimoment(N).entries
-    unit = [(ZERO,) * r + (ONE,) + (ZERO,) * (N - r) for r in range(N + 1)]
-    pair = []
-    for g, variable in ((grid, "e1"), (tuple(zip(*grid)), "e2")):
-        _, rows = fraction_free([a + b for a, b in zip(g, unit)])
-        pivots = [rows[k][k] for k in range(N + 1)]
-        pair.append([UniPoly(variable, [c.exact_div(d) for c in row[N + 1:]])
-                     for row, d in zip(rows, [ONE, *pivots])])
-    return pivots, *pair
-
-
 def lambda_n(n):
     """Lambda_0 = 1; Lambda_n = (alpha*beta)^(2n-1) (alpha+beta-1), n >= 1."""
     if n < 0:
@@ -184,6 +173,36 @@ def check_orthogonality(N):
             val = linear_form(pn * q_explicit(m).into(TensorElem))
             want = lambda_n(n) if n == m else ZERO
             rep.record(val == want, f"L(P{n} Q{m}) != expected")
+    return rep
+
+
+def ldu_certificate(N):
+    """Check that the product forms reduce the bi-moment matrix B_N to
+    diag(Lambda_0, ..., Lambda_N): P_n and Q_n are monic of degree n, and
+    entry (n, m) of P B Q^T, formed as P B and then (P B) Q^T, is
+    Lambda_n * delta_{n,m}.  A passing report proves
+    det B_n = Lambda_0 ... Lambda_n for every n <= N."""
+    return _ldu_report(build_bimoment(N).entries,
+                       [p_explicit(n) for n in range(N + 1)],
+                       [q_explicit(n) for n in range(N + 1)])
+
+
+def _ldu_report(B, ps, qs):
+    """ldu_certificate on the rows of B and the polynomials P_n, Q_n."""
+    rep = CheckReport(
+        f"LDU certificate P B Q^T = diag(Lambda) n <= {len(B) - 1}")
+    for n, (p, q) in enumerate(zip(ps, qs)):
+        for name, f in (("P", p), ("Q", q)):
+            rep.record(len(f.coeffs) == n + 1 and f.coeffs[-1] == ONE,
+                       f"{name}{n} monic of degree {n}")
+    columns = list(zip(*B))
+    for n, p in enumerate(ps):
+        row = [poly_sum([c * b for c, b in zip(p.coeffs, col)])
+               for col in columns]
+        lam = lambda_n(n)
+        for m, q in enumerate(qs):
+            rep.record(poly_sum([c * x for c, x in zip(q.coeffs, row)])
+                       == (lam if n == m else ZERO), f"(P B Q^T)[{n}][{m}]")
     return rep
 
 

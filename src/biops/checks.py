@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 from .report import CheckReport
-from .ring import Poly2, ONE, AB
+from .ring import Poly2, AB
 from .tensor import TensorElem, linear_form, normal_order, shock_mul
 from .bimoment import det_closed_form
-from .biortho import (check_orthogonality, recurrence_check, p_explicit,
-                      q_explicit, lambda_n, biorthogonal_pair,
-                      moment_consistency)
+from .biortho import (check_orthogonality, recurrence_check, lambda_n,
+                      ldu_certificate, moment_consistency)
 from .matrep import (Picture, eval_L_matrix, second_moment,
                      second_moment_product, cheb_reading_report,
                      similarity_check)
@@ -40,20 +40,14 @@ def random_tensor(rng, max_len):
     return t
 
 
-def check_elimination(max_n):
-    """Pivots against det_closed_form and Lambda_n, and the eliminated P_n
-    and Q_n against the product forms, from one biorthogonal_pair."""
-    pivots, ps, qs = biorthogonal_pair(max_n)
-    dets = CheckReport(f"bi-moment determinant identity n <= {max_n}")
-    for n, (d, prev) in enumerate(zip(pivots, [ONE, *pivots])):
-        dets.record(d == det_closed_form(n) and d == lambda_n(n) * prev,
-                    f"n={n}")
-    pair = CheckReport(
-        f"elimination of [B | I] vs explicit constructions n <= {max_n}")
-    for n, (p, q) in enumerate(zip(ps, qs)):
-        pair.record(p == p_explicit(n), f"P{n}")
-        pair.record(q == q_explicit(n), f"Q{n}")
-    return dets, pair
+def check_determinants(max_n):
+    """Lambda_0 ... Lambda_n, which is det B_n where ldu_certificate
+    passes, against det_closed_form(n) for every n <= max_n."""
+    rep = CheckReport(f"bi-moment determinant identity n <= {max_n}")
+    for n in range(max_n + 1):
+        rep.record(prod(map(lambda_n, range(n + 1))) == det_closed_form(n),
+                   f"n={n}")
+    return rep
 
 
 def check_two_path_L(seed=0):
@@ -102,11 +96,10 @@ def check_second_moment():
 
 
 def default_suite(max_n=6, seed=0):
-    dets, pair = check_elimination(max_n)
     return [
-        dets,
+        check_determinants(max_n),
         check_orthogonality(max_n),
-        pair,
+        ldu_certificate(max_n),
         recurrence_check(max_n + 2),
         moment_consistency(max(max_n, 2)),
         check_shock_homomorphism(seed=seed),

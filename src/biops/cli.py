@@ -34,6 +34,17 @@ def _cap_dim(dim, parser):
     return dim
 
 
+def _certified_det(n):
+    """(det B_n, ok): the closed form, and whether the LDU certificate
+    passes and Lambda_0 ... Lambda_n equals it, which proves it."""
+    from math import prod
+    from .bimoment import det_closed_form
+    from .biortho import lambda_n, ldu_certificate
+    det = det_closed_form(n)
+    return det, (ldu_certificate(n).ok
+                 and prod(map(lambda_n, range(n + 1))) == det)
+
+
 def _emit(obj, fmt):
     if fmt == "json":
         json.dump(obj, sys.stdout, indent=2, sort_keys=True)
@@ -110,9 +121,9 @@ def build_parser():
                                         "and its determinant")
     s.add_argument("--n", type=_index, required=True)
 
-    s = sub.add_parser("det", help="fraction-free determinant of the "
-                                   "bi-moment matrix, checked against the "
-                                   "closed form")
+    s = sub.add_parser("det", help="closed-form determinant of the "
+                                   "bi-moment matrix, proved by the LDU "
+                                   "certificate")
     s.add_argument("--n", type=_index, required=True)
 
     s = sub.add_parser("poly", help="emit P_n or Q_n")
@@ -172,21 +183,21 @@ def run(argv=None):
         return 0
 
     if args.command == "bimoment":
-        from .bimoment import build_bimoment, det_fraction_free
-        m = build_bimoment(args.n)
-        obj = m.to_obj()
-        obj["det"] = det_fraction_free(m.entries).to_obj()
+        from .bimoment import build_bimoment
+        det, ok = _certified_det(args.n)
+        if not ok:
+            raise BiopsError(
+                f"the LDU certificate does not prove det B_{args.n}")
+        obj = build_bimoment(args.n).to_obj()
+        obj["det"] = det.to_obj()
         _emit(obj, fmt)
         return 0
 
     if args.command == "det":
-        from .bimoment import (build_bimoment, det_closed_form,
-                               det_fraction_free)
-        d = det_fraction_free(build_bimoment(args.n).entries)
-        closed = det_closed_form(args.n)
-        _emit({"n": args.n, "det": d.to_obj(), "text": str(d),
-               "matches_closed_form": d == closed}, fmt)
-        return 0 if d == closed else 1
+        det, ok = _certified_det(args.n)
+        _emit({"n": args.n, "det": det.to_obj(), "text": str(det),
+               "matches_closed_form": ok}, fmt)
+        return 0 if ok else 1
 
     if args.command == "poly":
         from .biortho import p_explicit, q_explicit

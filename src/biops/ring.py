@@ -2,16 +2,10 @@
 
 Poly2 is a polynomial in the commuting variables alpha, beta with integer
 coefficients, stored as the dict {(i, j): c} of its nonzero terms
-c*alpha^i*beta^j; that dict is its one representation.  Products and exact
-quotients of small or sparse operands are loops over it.  Large ones are
-packed into integers (Kronecker substitution, in biops.kronecker), so
-that one integer product or one divmod does the work, and the answer is
-decoded back into a dict.  A packed product is exact by the size of its
-slots.  A packed quotient is accepted only under a certificate (it lies in
-its exponent box, and no coefficient of quotient times divisor can reach
-the slot bound), which proves quotient * divisor = dividend with no
-multiply-back; otherwise long division, which stays the authority on
-exactness, answers.  PACK_PAIRS sets which path runs.
+c*alpha^i*beta^j; that dict is its one representation.  Sums, products
+and exact quotients are loops over it: a product visits every pair of
+terms, and an exact quotient is long division with the remainder's
+leading terms on a heap.
 
 KappaElem is an element a + b*kappa of the extension ring with the
 reduction rule kappa**2 = alpha*beta*(alpha+beta-1).
@@ -64,23 +58,9 @@ def _scaled_powers(p, q, n):
     return [u * d for u, d in zip(up, reversed(down))]
 
 
-# A product t*u goes to kronecker.mul when len(t)*len(u) >= PACK_PAIRS +
-# (slots of its box), and a quotient a/d to kronecker.div when
-# len(a)*len(d) >= PACK_PAIRS + (slots of a's box).  Packing costs about
-# what the dict loops pay per term pair for each slot of the box (a dict
-# entry either way), plus a fixed overhead of about PACK_PAIRS term pairs,
-# measured on products and quotients of dense and triangular boxes.  The
-# rule keeps small products and sparse boxes such as (a^40 + b^40)^2 on
-# the loops.
-PACK_PAIRS = 64
-
-
 class Poly2:
     """Polynomial in Z[alpha, beta] as the dict {(i, j): c} of its nonzero
-    terms (no zero coefficient is stored).  Large products and exact
-    quotients pass through packed integers and come back as such a dict;
-    a packed quotient is kept only under its certificate (see the module
-    docstring and biops.kronecker)."""
+    terms (no zero coefficient is stored)."""
 
     __slots__ = ("_t",)
 
@@ -150,12 +130,6 @@ class Poly2:
         t, u = self._t, other._t
         if len(t) > len(u):
             t, u = u, t
-        # before finding the product's box: it has a slot for each term
-        if len(t) * len(u) >= PACK_PAIRS + len(u):
-            from . import kronecker
-            out = kronecker.mul(t, u)
-            if out is not None:
-                return Poly2._raw(out)
         out = {}
         for (i1, j1), c1 in t.items():
             for (i2, j2), c2 in u.items():
@@ -195,12 +169,6 @@ class Poly2:
         if other is NotImplemented or not other:
             raise ZeroDivisionError("polynomial division by zero")
         q = other._t
-        # before finding the dividend's box: it has a slot for each term
-        if len(self._t) * len(q) >= PACK_PAIRS + len(self._t):
-            from . import kronecker
-            quo = kronecker.div(self._t, q)
-            if quo is not None:
-                return Poly2._raw(quo)
         qi, qj = max(q, key=_grlex_key)
         qc = q[(qi, qj)]
         rem = dict(self._t)

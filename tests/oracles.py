@@ -14,13 +14,19 @@ or closed-form constructions that the library computes another way.
   TensorElem as an expression with one product per word.
 * `krattenthaler_matrix` and `krattenthaler_det_formula` are the
   parametric determinant family behind the bi-moment determinant.
+* `fraction_free` is Bareiss elimination of a grid over Z[alpha, beta],
+  `det_fraction_free` its determinant, and `biorthogonal_pair` reads
+  every leading minor det B_n, P_n and Q_n off one elimination of
+  [B | I] and of [B^T | I]; the library solves nothing: it proves the
+  closed forms with the LDU certificate P B Q^T = diag(Lambda_n).
 * `p_cramer` and `q_cramer` build P_n and Q_n by Cramer's rule, n + 2
-  determinants each; the library reads every P_n and Q_n off one
-  fraction-free elimination of [B | I] and of [B^T | I].
+  determinants each, a second path beside the elimination.
 * `pretty` prints an AST back to the DSL, for parser round trips.
 * `swap_ab` exchanges alpha and beta in a Poly2.
 * `schoolbook_mul` and `long_div` multiply and exactly divide Poly2
-  values term by term; the library packs large operands into integers.
+  values term by term in sorted order, and long division rescans for the
+  leading term; the library loops over the term dicts and keeps the
+  remainder's leading terms on a heap.
 * `state_word` maps one state to its word, and `stationary_probabilities`
   evaluates each weight and Z_L on its own and divides; the library
   enumerates all words at once and evaluates Z_L and every weight on one
@@ -31,13 +37,13 @@ import itertools
 from math import comb
 
 from biops.asep import all_states, partition_Z
-from biops.bimoment import build_bimoment, det_fraction_free
+from biops.bimoment import build_bimoment
 from biops.biortho import UniPoly
 from biops.errors import InexactDivision, TruncationTooSmall
 from biops.expr import Gen, ScalarPoly, BiOrtho, Sum, Product, Power, Negation
 from biops.matrep import RepMatrix, generator_matrices
-from biops.ring import (Poly2, KappaElem, ONE, AB, ALPHA, BETA, K_ZERO, K_ONE,
-                        accumulate)
+from biops.ring import (Poly2, KappaElem, ZERO, ONE, AB, ALPHA, BETA, K_ZERO,
+                        K_ONE, accumulate)
 from biops.tensor import TensorElem, fold_words, linear_form
 
 
@@ -199,6 +205,69 @@ def krattenthaler_det_formula(n, x, rho, sigma):
         raise ValueError("n must be at least 1")
     one = x**0
     return (one + x) ** comb(n - 1, 2) * (x + rho + sigma - rho * sigma) ** (n - 1)
+
+
+# --- fraction-free elimination --------------------------------------------
+
+def fraction_free(grid):
+    """Bareiss elimination of an n x w grid over Z[alpha,beta], w >= n:
+    (sign, rows).  Entry j of reduced row k is the minor of the row-swapped
+    grid on rows 0..k, columns 0..k-1 and j; rows[k][k] is a leading minor.
+    sign is -1 after an odd number of row swaps, 0 where a column has no
+    pivot and elimination stops.  Entries zero in their row and the pivot
+    row stay zero, unvisited."""
+    m = [list(row) for row in grid]
+    n, w = len(m), len(m[0]) if m else 0
+    if any(len(row) != w for row in m) or w < n:
+        raise ValueError("grid needs rows of one length, at least its height")
+    sign, prev = 1, ONE
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, m
+        top, pivot = m[k], m[k][k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, w):
+                if row[j] or top[j]:
+                    row[j] = (pivot * row[j] - lead * top[j]).exact_div(prev)
+            row[k] = ZERO
+        prev = pivot
+    return sign, m
+
+
+def det_fraction_free(grid):
+    """Exact determinant: the signed last pivot of fraction_free."""
+    if any(len(row) != len(grid) for row in grid):
+        raise ValueError("matrix must be square")
+    if not grid:
+        return ONE
+    sign, m = fraction_free(grid)
+    if not sign:
+        return ZERO
+    return m[-1][-1] if sign > 0 else -m[-1][-1]
+
+
+def biorthogonal_pair(N):
+    """(pivots, [P_0..P_N], [Q_0..Q_N]) by fraction_free on [B | I] and on
+    [B^T | I].  pivots[n] = det B_n, so pivots[n] / pivots[n-1] = Lambda_n,
+    and B needs no row swap.  Row n of the reduced identity block holds the
+    cofactors of B's first n + 1 rows bordered by (1, e1, ..., e1^n):
+    Cramer's rule for P_n before the division by det B_(n-1) (1 if n = 0)."""
+    grid = build_bimoment(N).entries
+    unit = [(ZERO,) * r + (ONE,) + (ZERO,) * (N - r) for r in range(N + 1)]
+    pair = []
+    for g, variable in ((grid, "e1"), (tuple(zip(*grid)), "e2")):
+        _, rows = fraction_free([a + b for a, b in zip(g, unit)])
+        pivots = [rows[k][k] for k in range(N + 1)]
+        pair.append([UniPoly(variable, [c.exact_div(d) for c in row[N + 1:]])
+                     for row, d in zip(rows, [ONE, *pivots])])
+    return pivots, *pair
 
 
 # --- Cramer's rule ---------------------------------------------------------

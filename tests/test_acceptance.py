@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from biops.ring import Poly2, ZERO, ALPHA, BETA, AB, KappaElem, K_ZERO
 from biops.tensor import TensorElem, E1, E2, linear_form
-from biops.bimoment import build_bimoment, det_fraction_free, det_closed_form
+from biops.bimoment import build_bimoment, det_closed_form
 from biops.biortho import (p_explicit, q_explicit, lambda_n, sqrt_lambda,
                            first_moment_matrices, require_generic_point,
                            lambda_value)
@@ -21,7 +21,7 @@ from biops.asep import stationary_mpa, build_generator, all_states
 from biops.checks import random_tensor
 from biops.errors import DegenerateParameters
 from markov_oracle import stationary_oracle
-from oracles import pq_rep, p_cramer, q_cramer
+from oracles import pq_rep, p_cramer, q_cramer, det_fraction_free
 
 
 def report(num, title, ok):

@@ -4,8 +4,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biops import tensor
-from biops.ring import ZERO, ONE, ALPHA, BETA, AB
+from biops import asep, tensor
+from biops.ring import ZERO, ONE, ALPHA, BETA, AB, poly_sum
 from biops.tensor import E1, E2, TensorElem, linear_form, normal_order
 from biops.asep import (all_states, state_index, state_from_index,
                         partition_Z, stationary_mpa,
@@ -223,11 +223,45 @@ class TestStationary:
         word = state_word((1, 0, 1, 0))
         stationary_mpa(4, a, b)  # fills the per-word cache
         with monkeypatch.context() as m:
+            # the first call for L = 4 in a fresh process
+            m.setattr(asep, "_CHECKED_WEIGHTS", {})
             m.setitem(tensor._L_CACHE, word, tensor._L_CACHE[word] + AB)
             with pytest.raises(RuntimeError,
                                match="partition function paths disagree"):
                 stationary_mpa(4, a, b)
+            # a failed check stores nothing
+            assert asep._CHECKED_WEIGHTS == {}
         assert sum(stationary_mpa(4, a, b).probabilities.values()) == 1
+
+    def test_wrong_Z_raises_on_the_first_call_for_L(self, monkeypatch):
+        right = asep.partition_Z
+        monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", {})
+        monkeypatch.setattr(asep, "partition_Z", lambda L: right(L) + AB)
+        for _ in range(2):
+            with pytest.raises(RuntimeError,
+                               match="partition function paths disagree"):
+                stationary_mpa(3, Fraction(1, 2), Fraction(1, 3))
+
+    def test_sum_is_checked_once_per_L(self, monkeypatch):
+        calls = []
+
+        def counted(polys):
+            calls.append(1)
+            return poly_sum(polys)
+
+        monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", {})
+        monkeypatch.setattr(asep, "poly_sum", counted)
+        points = [(Fraction(1, 2), Fraction(1, 3)),
+                  (Fraction(9, 4), Fraction(5, 7))]
+        first = stationary_mpa(5, *points[0])
+        # a caller that changes its table's weights changes no later call
+        first.weights[(1,) * 5] = ZERO
+        second = stationary_mpa(5, *points[1])
+        assert len(calls) == 1
+        assert second.weights[(1,) * 5] == weight((1,) * 5)
+        for (a, b), table in zip(points, (first, second)):
+            assert (list(table.probabilities.items())
+                    == list(stationary_probabilities(5, a, b).items()))
 
     def test_singular_guard(self):
         g = build_generator(2, Fraction(1, 2), Fraction(1, 3))

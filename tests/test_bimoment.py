@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from biops.ring import Poly2, ZERO, ONE, ALPHA, BETA, AB
 from biops.tensor import TensorElem, linear_form
-from biops.bimoment import (build_bimoment, det_fraction_free,
-                            det_closed_form, fraction_free)
-from oracles import krattenthaler_matrix, krattenthaler_det_formula, swap_ab
+from biops.bimoment import build_bimoment, det_closed_form
+from biops.biortho import lambda_n, ldu_certificate
+from oracles import (krattenthaler_matrix, krattenthaler_det_formula, swap_ab,
+                     det_fraction_free, fraction_free)
 
 
 class TestBuild:
@@ -59,7 +61,12 @@ class TestDeterminant:
 
     @pytest.mark.parametrize("n", range(13))
     def test_fraction_free_matches_closed_form(self, n):
-        assert det_fraction_free(build_bimoment(n).entries) == det_closed_form(n)
+        # the Bareiss oracle against the product that the LDU certificate
+        # proves to be det B_n
+        det = det_fraction_free(build_bimoment(n).entries)
+        assert ldu_certificate(n).ok
+        assert det == prod(lambda_n(k) for k in range(n + 1))
+        assert det == det_closed_form(n)
 
     def test_integer_matrices(self):
         m = [[Poly2.const(c) for c in row]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +10,14 @@ from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
 from biops.tensor import (E1, TensorElem, ShockElem, linear_form,
                           normal_order)
 from biops.expr import parse, eval_expr
-from biops.bimoment import (build_bimoment, det_closed_form,
-                            det_fraction_free, fraction_free)
-from biops.biortho import (UniPoly, p_explicit, q_explicit, biorthogonal_pair,
-                           lambda_n, sqrt_lambda, check_orthogonality,
-                           recurrence_check, first_moment_matrices,
-                           moment_consistency, require_generic_point,
-                           lambda_value, band_values)
-from oracles import swap_ab, p_cramer, q_cramer
+from biops.bimoment import build_bimoment, det_closed_form
+from biops.biortho import (UniPoly, p_explicit, q_explicit, lambda_n,
+                           sqrt_lambda, check_orthogonality, ldu_certificate,
+                           _ldu_report, recurrence_check,
+                           first_moment_matrices, moment_consistency,
+                           require_generic_point, lambda_value, band_values)
+from oracles import (swap_ab, p_cramer, q_cramer, biorthogonal_pair,
+                     det_fraction_free, fraction_free)
 
 
 class TestExplicit:
@@ -143,9 +144,13 @@ class TestCramer:
 
 
 class TestElimination:
+    """The Bareiss oracle against the pair and the determinants that the
+    LDU certificate proves."""
+
     @pytest.mark.parametrize("N", [0, 12])
     def test_pair_matches_explicit(self, N):
         pivots, ps, qs = biorthogonal_pair(N)
+        assert ldu_certificate(N).ok
         assert pivots == [det_closed_form(n) for n in range(N + 1)]
         assert ps == [p_explicit(n) for n in range(N + 1)]
         assert qs == [q_explicit(n) for n in range(N + 1)]
@@ -159,10 +164,55 @@ class TestElimination:
         sign, rows = fraction_free(build_bimoment(16).entries)
         assert sign == 1
         pivots = [rows[k][k] for k in range(17)]
+        assert ldu_certificate(16).ok
+        assert pivots == [prod(lambda_n(k) for k in range(n + 1))
+                          for n in range(17)]
         assert pivots == [det_closed_form(k) for k in range(17)]
         assert pivots[0] == lambda_n(0)
         for n in range(1, 17):
             assert pivots[n].exact_div(pivots[n - 1]) == lambda_n(n)
+
+
+class TestLDUCertificate:
+    N = 6
+
+    def inputs(self):
+        return ([list(row) for row in build_bimoment(self.N).entries],
+                [p_explicit(n) for n in range(self.N + 1)],
+                [q_explicit(n) for n in range(self.N + 1)])
+
+    @pytest.mark.parametrize("N", [0, 1, 6, 18])
+    def test_passes_with_one_record_per_entry(self, N):
+        rep = ldu_certificate(N)
+        assert rep.ok
+        # P_n and Q_n monic, then every entry of P B Q^T
+        assert rep.checked == 2 * (N + 1) + (N + 1) ** 2
+
+    def test_every_changed_entry_of_B_fails(self):
+        for i in range(self.N + 1):
+            for j in range(self.N + 1):
+                B, ps, qs = self.inputs()
+                B[i][j] = B[i][j] + 1
+                rep = _ldu_report(B, ps, qs)
+                # entry (n, m) moves by P_n[i] Q_m[j], and P_i[i] = Q_j[j] = 1
+                assert f"(P B Q^T)[{i}][{j}]" in rep.failures
+
+    def test_non_monic_polynomial_fails(self):
+        B, ps, qs = self.inputs()
+        ps[3] = ps[3] * 2
+        assert "P3 monic of degree 3" in _ldu_report(B, ps, qs).failures
+        B, ps, qs = self.inputs()
+        qs[2] = q_explicit(3)
+        assert "Q2 monic of degree 2" in _ldu_report(B, ps, qs).failures
+
+    def test_nonzero_off_diagonal_entry_fails(self):
+        # Q_2 + Q_1 is monic of degree 2, and L(P_1 (Q_2 + Q_1)) = Lambda_1
+        B, ps, qs = self.inputs()
+        qs[2] = qs[2] + qs[1]
+        assert _ldu_report(B, ps, qs).failures == ["(P B Q^T)[1][2]"]
+        B, ps, qs = self.inputs()
+        ps[4] = ps[4] + ps[0] * AB
+        assert _ldu_report(B, ps, qs).failures == ["(P B Q^T)[4][0]"]
 
 
 class TestLambda:

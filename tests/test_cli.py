@@ -6,7 +6,9 @@ import sys
 import pytest
 
 import biops
+from biops import biortho
 from biops.cli import main
+from biops.report import CheckReport
 from biops.ring import Poly2, ALPHA, BETA, AB
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(biops.__file__)))
@@ -35,8 +37,7 @@ sys.exit(code)
 # what `import biops.cli` loads, and what each subcommand adds to it
 BASE = {"biops", "biops.cli", "biops.errors", "biops.ring", "biops.tensor"}
 EXPR = BASE | {"biops.expr"}
-BIMOMENT = BASE | {"biops.bimoment"}
-BIORTHO = BIMOMENT | {"biops.biortho", "biops.report"}
+BIORTHO = BASE | {"biops.bimoment", "biops.biortho", "biops.report"}
 MATREP = BIORTHO | {"biops.matrep"}
 ASEP = BASE | {"biops.asep", "biops.report"}
 EVERY = {"biops"} | {f"biops.{name[:-3]}" for name in
@@ -46,9 +47,9 @@ COLD_START = [  # the README examples, and L of a power
     ((), BASE),
     (("L", "e1*e2"), EXPR),
     (("L", "(e1*e2)^3"), EXPR),
-    (("bimoment", "--n", "3"), BIMOMENT),
-    # a 5x5 Bareiss elimination has products large enough to pack
-    (("det", "--n", "5"), BIMOMENT | {"biops.kronecker"}),
+    # both emit the closed-form determinant under the LDU certificate
+    (("bimoment", "--n", "3"), BIORTHO),
+    (("det", "--n", "5"), BIORTHO),
     (("poly", "--which", "P", "--n", "3"), BIORTHO),
     (("lambda", "--n", "2"), BIORTHO),
     (("moments", "--dim", "6"), BIORTHO),
@@ -225,6 +226,21 @@ class TestErrors:
                                "--alpha", "1/2", "--beta=-1/2")
         assert code == 1
         assert "error" in err
+
+    def test_failed_certificate_exit_1(self, capsys, monkeypatch):
+        def failing(n):
+            rep = CheckReport("LDU certificate")
+            rep.record(False, "(P B Q^T)[0][0]")
+            return rep
+
+        monkeypatch.setattr(biortho, "ldu_certificate", failing)
+        code, out, _ = run_cli(capsys, "det", "--n", "3")
+        assert code == 1
+        assert json.loads(out)["matches_closed_form"] is False
+        code, out, err = run_cli(capsys, "bimoment", "--n", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: the LDU certificate does not prove det B_3\n"
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as e:

@@ -1,7 +1,8 @@
 """Every name a biops or test module imports is used in that module, every
 top-level function or class of biops is used somewhere else in biops, and
 so is every method of a top-level class.  Every attribute a biops class
-stores on self is read somewhere.  No biops module imports dataclasses."""
+stores on self is read somewhere.  Every top-level name of a test oracle
+module is read by a test module.  No biops module imports dataclasses."""
 
 import ast
 from pathlib import Path
@@ -14,6 +15,7 @@ MODULES = sorted(p for p in Path(biops.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 PERFBENCH = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
+ORACLES = ("oracles", "markov_oracle")
 
 
 def unused_imports(source):
@@ -101,6 +103,50 @@ def uncalled_methods(sources):
                         reads.setdefault(name, set()).add(own)
     return sorted(own for own, name in defined
                   if not reads.get(name, set()) - {own})
+
+
+def unread_oracles(module, source, tests):
+    """Top-level names that the oracle module `module`, with source
+    `source`, defines and that no source in `tests` reads: by a name bound
+    by `from module import ...`, or as an attribute of the imported
+    module.  A private name (one leading underscore) may instead be read
+    inside the oracle module, outside the statement that defines it."""
+    defined, inside = [], set()
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = {stmt.name}
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            names = {node.id for node in ast.walk(stmt)
+                     if isinstance(node, ast.Name)
+                     and isinstance(node.ctx, ast.Store)}
+        else:
+            names = set()
+        defined.extend(sorted(names))
+        inside.update(node.id for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Load)
+                      and node.id not in names)
+    read = set()
+    for test in tests:
+        tree = ast.parse(test)
+        local, modules = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == module:
+                local.update((a.asname or a.name, a.name) for a in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update(a.asname or a.name for a in node.names
+                               if a.name == module)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id in local):
+                read.add(local[node.id])
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                read.add(node.attr)
+    return sorted(name for name in defined if name not in read
+                  and not (name.startswith("_") and name in inside))
 
 
 def _self_stores(node):
@@ -204,6 +250,30 @@ def test_scan_finds_an_unread_attribute():
     readers = [*sources.values(), "def g(x): return x.pair\n"]
     assert unread_attributes(sources, readers) == [
         "a.A.count", "a.A.grown", "a.A.orphan"]
+
+
+@pytest.mark.parametrize("module", ORACLES)
+def test_every_oracle_is_read_by_a_test(module):
+    source = (Path(__file__).parent / f"{module}.py").read_text()
+    tests = [p.read_text() for p in TESTS if p.name.startswith("test_")]
+    assert unread_oracles(module, source, tests) == []
+
+
+def test_scan_finds_an_unread_oracle():
+    source = ("def used(): return _helper()\n"
+              "def _helper(): return 1\n"
+              "def _orphan(): return _orphan()\n"
+              "def only_inside(): return used()\n"
+              "def via_module(): pass\n"
+              "def imported_unread(): pass\n"
+              "class Shadowed: pass\n"
+              "TABLE = [1]\n")
+    tests = ["from oracles import used, imported_unread as unread\n"
+             "import oracles as o\n"
+             "def test_a(): assert used() and o.via_module\n",
+             "def test_b(Shadowed=None): return Shadowed, TABLE\n"]
+    assert unread_oracles("oracles", source, tests) == [
+        "Shadowed", "TABLE", "_orphan", "imported_unread", "only_inside"]
 
 
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biops import kronecker
 from biops.errors import InexactDivision
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
                         KAPPA, KAPPA_SQ, K_ONE, eval_numerators, poly_sum)
@@ -216,25 +215,13 @@ def terms(p):
     return dict(p.sorted_terms())
 
 
-def packed_product(p, q):
-    """The packed path's p*q, or None where it declines the product."""
-    return kronecker.mul(terms(p), terms(q))
-
-
-def packed_quotient(a, d):
-    """The packed path's a/d, or None where it declines or the quotient
-    fails its certificate; InexactDivision where it proves inexactness."""
-    return kronecker.div(terms(a), terms(d))
-
-
 @st.composite
 def boxed_polys(draw, sparse=False):
     """Polynomials with three quarters or more of the cells of a box
     filled, a nonzero least exponent, and coefficients of up to 3, 40, 70
     or 130 bits of either sign.  The cells are next to each other, 5 to 9
-    by 4 to 6 of them, so that a product of two has more term pairs than
-    the packed path needs in its box; or, if sparse, 2 to 7 apart, 3 to 6
-    by 2 to 4 of them, so that the path depends on the spacing."""
+    by 4 to 6 of them, so that the terms of a product of two collide many
+    times over; or, if sparse, 2 to 7 apart, 3 to 6 by 2 to 4 of them."""
     i0, j0 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     if sparse:
         width, rows = draw(st.integers(3, 6)), draw(st.integers(2, 4))
@@ -251,8 +238,7 @@ def boxed_polys(draw, sparse=False):
 
 
 def wrapped(p, width):
-    """p with alpha^width replaced by beta: packing with that alpha-width
-    cannot tell the two apart."""
+    """p with alpha^width replaced by beta."""
     out = {}
     for (i, j), c in p.sorted_terms():
         k = (i % width, j + i // width)
@@ -261,16 +247,15 @@ def wrapped(p, width):
 
 
 class TestPackedPath:
-    """Large products and quotients go through packed integers; the term
-    by term oracles check them."""
+    """Products and exact quotients of large boxed operands with wide
+    coefficients: the dict loops of `*` and exact_div against the term by
+    term oracles."""
 
     @settings(max_examples=150, deadline=None)
     @given(boxed_polys(), boxed_polys())
     def test_product_and_quotient_match_the_oracles(self, p, q):
         expect = schoolbook_mul(p, q)
-        assert packed_product(p, q) == terms(expect)
         assert p * q == expect
-        assert packed_quotient(expect, q) in (terms(p), None)
         assert expect.exact_div(q) == p == long_div(expect, q)
 
     @settings(max_examples=60, deadline=None)
@@ -279,15 +264,6 @@ class TestPackedPath:
         expect = schoolbook_mul(p, q)
         assert p * q == expect
         assert expect.exact_div(q) == p == long_div(expect, q)
-
-    def test_sparse_box_stays_on_the_loops(self):
-        # 100 term pairs in a box of 91*91 slots
-        p = sum((ALPHA**(10 * k) for k in range(10)), ZERO)
-        q = sum((BETA**(10 * k) for k in range(10)), ZERO)
-        assert packed_product(p, q) is None
-        assert p * q == schoolbook_mul(p, q)
-        assert packed_quotient(p * q, q) is None
-        assert (p * q).exact_div(q) == p
 
     @settings(max_examples=100, deadline=None)
     @given(boxed_polys(), boxed_polys(), st.data())
@@ -298,8 +274,6 @@ class TestPackedPath:
         c = data.draw(st.integers(-(1 << 80), 1 << 80).filter(bool))
         a = a + Poly2({(i, j): c})
         with pytest.raises(InexactDivision):
-            packed_quotient(a, q)
-        with pytest.raises(InexactDivision):
             a.exact_div(q)
         with pytest.raises(InexactDivision):
             long_div(a, q)
@@ -308,38 +282,25 @@ class TestPackedPath:
         a = (ALPHA + BETA) ** 12
         d = ALPHA**3 * (ALPHA + BETA) ** 9
         with pytest.raises(InexactDivision):
-            packed_quotient(a, d)
-        with pytest.raises(InexactDivision):
             a.exact_div(d)
         # every exponent of a is as large as d's least, but a spans fewer
         # powers of alpha than d
         d = (1 + ALPHA) ** 4 * (1 + BETA) ** 3
         a = wrapped(d, 3)
         with pytest.raises(InexactDivision):
-            packed_quotient(a, d)
-        with pytest.raises(InexactDivision):
             a.exact_div(d)
 
     def test_quotient_outside_its_box_is_refused(self):
-        # packed with width 8, a has the image of q*d; but q reaches
-        # alpha^6, and a quotient of a could reach alpha^3 only
+        # a is q*d with alpha^8 replaced by beta; q reaches alpha^6, and a
+        # quotient of a by d could reach alpha^3 only
         d = (1 + ALPHA) ** 4 * (1 + BETA) ** 3
         q = (1 + BETA) ** 2 * sum((ALPHA**k for k in range(7)), ZERO)
         a = wrapped(q * d, 8)
         assert max(i for i, _ in terms(a)) == 7
-        assert packed_quotient(a, d) is None
         with pytest.raises(InexactDivision):
             a.exact_div(d)
         with pytest.raises(InexactDivision):
             long_div(a, d)
-
-    def test_failed_certificate_falls_back_to_long_division(self):
-        # the dividend's coefficients (at most C(20, 10)) are far smaller
-        # than |q|*|d|*21, so the slots are too narrow for the certificate
-        q, d = (1 + ALPHA) ** 20, (1 - ALPHA) ** 20
-        a = q * d
-        assert packed_quotient(a, d) is None
-        assert a.exact_div(d) == q == long_div(a, d)
 
 
 class TestKappa:
