@@ -1,11 +1,13 @@
 """Stationary state of the two-parameter open-boundary TASEP.
 
-The matrix-product weights f(tau) ~ L(prod_i (tau_i e1 + (1 - tau_i) e2))
-and the sparse continuous-time Markov generator G over the 2^L states.
-`compare` certifies the normalized weights exactly: pi G = 0 at every
-state, sum(pi) = 1, and G irreducible, so pi is the one stationary state;
-no linear system is solved.  States are bit tuples with site 1 first; the
-integer encoding is little-endian (site 1 = least significant bit).
+The matrix-product weights f(tau) ~ L(prod_i (tau_i e1 + (1 - tau_i) e2)),
+evaluated at rational (alpha, beta) as integer numerators over one common
+denominator.  `compare` certifies the normalized weights exactly on those
+integers: with the rates scaled to integers, pi G = 0 at every state,
+sum(pi) = 1, and the chain irreducible, so pi is the one stationary state;
+no generator matrix is built and no linear system is solved.  States are
+bit tuples with site 1 first; the integer encoding is little-endian (site
+1 = least significant bit).
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ def state_index(tau):
     return sum(bit << i for i, bit in enumerate(tau))
 
 
-def state_from_index(idx, L):
-    return tuple((idx >> i) & 1 for i in range(L))
-
-
 def partition_Z(L):
     """Z_L = L((e1+e2)^L), as the L-th power of e1 + e2 in the shock ring
     over integer coefficients: time polynomial in L, no sum over the 2^L
@@ -44,19 +42,21 @@ def partition_Z(L):
 
 class StationaryTable:
     __slots__ = ("L", "weights", "Z", "alpha", "beta", "probabilities",
-                 "numerators", "denominator")
+                 "numerators", "Z_numerator", "denominator")
     __hash__ = None
 
     def __init__(self, L, weights, Z, alpha, beta, probabilities,
-                 numerators, denominator):
+                 numerators, Z_numerator, denominator):
         self.L = L
         self.weights = weights              # state tuple -> Poly2
         self.Z = Z                          # Poly2
         self.alpha = alpha                  # Fraction
         self.beta = beta                    # Fraction
         self.probabilities = probabilities  # state tuple -> Fraction
-        # state tuple -> int: the weight's value times `denominator`
+        # state tuple -> int: the weight's value times `denominator`, and
+        # Z(alpha, beta) times `denominator`
         self.numerators = numerators
+        self.Z_numerator = Z_numerator
         self.denominator = denominator
 
     def to_obj(self, symbolic=False):
@@ -77,7 +77,7 @@ class StationaryTable:
             "alpha": str(self.alpha),
             "beta": str(self.beta),
             "Z": (self.Z.to_obj() if symbolic
-                  else str(self.Z.eval(self.alpha, self.beta))),
+                  else str(Fraction(self.Z_numerator, den))),
             "states": rows,
         }
 
@@ -129,80 +129,67 @@ def stationary_mpa(L, a, b):
     (nz, *nums), den = eval_numerators([Z, *values], a, b)
     probs = {tau: Fraction(n, nz) for tau, n in zip(states, nums)}
     return StationaryTable(L, dict(zip(states, values)), Z, a, b, probs,
-                           dict(zip(states, nums)), den)
+                           dict(zip(states, nums)), nz, den)
 
 
-class Generator:
-    """Sparse continuous-time Markov generator over the 2^L states."""
-
-    __slots__ = ("L", "alpha", "beta", "dim", "rates")
-    __hash__ = None
-
-    def __init__(self, L, alpha, beta, dim, rates):
-        self.L = L
-        self.alpha = alpha
-        self.beta = beta
-        self.dim = dim
-        self.rates = rates  # rates[i] = dict j -> Fraction, with the diagonal
-
-
-def build_generator(L, a, b):
-    """Transitions: entry at site 1 (rate alpha) if empty, exit at site L
-    (rate beta) if occupied, hop i -> i+1 (rate 1) when (occupied, empty)."""
-    if L < 1:
-        raise ValueError("L must be at least 1")
-    a, b = require_positive_rates(a, b)
-    dim = 1 << L
-    rates = [dict() for _ in range(dim)]
-    for idx in range(dim):
-        tau = state_from_index(idx, L)
-        row = rates[idx]
-        out = Fraction(0)
-
-        def add(target, rate):
-            nonlocal out
-            row[target] = row.get(target, Fraction(0)) + rate
-            out += rate
-
-        if tau[0] == 0:
-            add(idx | 1, a)
-        if tau[L - 1] == 1:
-            add(idx & ~(1 << (L - 1)), b)
-        for i in range(L - 1):
-            if tau[i] == 1 and tau[i + 1] == 0:
-                add((idx & ~(1 << i)) | (1 << (i + 1)), Fraction(1))
-        row[idx] = row.get(idx, Fraction(0)) - out
-    return Generator(L, a, b, dim, rates)
+def transitions(L):
+    """Every transition i -> j of the chain over the state indices, as
+    (i, j, k) with k indexing the rates (alpha, beta, 1): entry at site 1
+    when it is empty, exit at site L when it is occupied, and a hop from
+    an occupied site onto the next one when that is empty."""
+    last = 1 << (L - 1)
+    for i in range(1 << L):
+        if not i & 1:
+            yield i, i | 1, 0
+        if i & last:
+            yield i, i ^ last, 1
+        for m in range(L - 1):
+            if (i >> m) & 3 == 1:  # site m+1 occupied, site m+2 empty
+                yield i, i ^ (3 << m), 2
 
 
-def certify_stationary(g, probabilities):
-    """Exact certificate that `probabilities` (state tuple -> Fraction) is
-    the stationary distribution of the generator g.
+def certify_stationary(table):
+    """Exact certificate that the normalized weights of `table` (a
+    StationaryTable) are the stationary distribution of the chain, on the
+    table's integer numerators.
 
-    Records (pi G)_tau = 0 at every state tau, from one pass over g's
-    sparse rows, then sum(pi) = 1, then irreducibility: every state
-    reaches the empty state and is reached from it along g's off-diagonal
-    entries.  Irreducibility makes the kernel of G one-dimensional, so a
-    passing report proves pi is the unique stationary state; without it a
-    zero generator would pass the residual check vacuously."""
-    rep = CheckReport(f"TASEP L={g.L} alpha={g.alpha} beta={g.beta}")
-    residual = [Fraction(0)] * g.dim
-    forward = [set() for _ in range(g.dim)]
-    backward = [set() for _ in range(g.dim)]
-    for i, row in enumerate(g.rates):
-        p = probabilities[state_from_index(i, g.L)]
-        for j, r in row.items():
-            residual[j] += p * r
-            if j != i and r:
-                forward[i].add(j)
-                backward[j].add(i)
-    for tau in all_states(g.L):
+    With alpha = p/q and beta = r/s, the rates times q*s are the integers
+    p*s, r*q and q*s, and pi is the numerators n_i over Z's numerator n_Z.
+    One pass over `transitions` gives the residual sum_i n_i R_ij of
+    pi G = 0 at every state j, and the forward and backward edges of the
+    chain.  Records the residual at every state, then sum(pi) = 1 as
+    sum n_i = n_Z, then irreducibility: every state reaches the empty state
+    and is reached from it.  Irreducibility makes the kernel of G
+    one-dimensional, so a passing report proves pi is the unique
+    stationary state; without it a chain with no transitions would pass
+    the residual check vacuously."""
+    L, a, b = table.L, table.alpha, table.beta
+    q, s = a.denominator, b.denominator
+    rates = (a.numerator * s, b.numerator * q, q * s)
+    states = all_states(L)
+    dim = len(states)
+    n = [0] * dim
+    for tau in states:
+        n[state_index(tau)] = table.numerators[tau]
+    residual = [0] * dim
+    forward = [set() for _ in range(dim)]
+    backward = [set() for _ in range(dim)]
+    for i, j, k in transitions(L):
+        flow = n[i] * rates[k]
+        residual[j] += flow
+        residual[i] -= flow
+        forward[i].add(j)
+        backward[j].add(i)
+    rep = CheckReport(f"TASEP L={L} alpha={a} beta={b}")
+    for tau in states:
         rep.record(residual[state_index(tau)] == 0,
                    "state " + "".join(map(str, tau)))
-    rep.record(sum(probabilities.values()) == 1, "probabilities sum to 1")
+    rep.record(sum(n) == table.Z_numerator, "probabilities sum to 1")
     rep.record(_reaches_all(backward) and _reaches_all(forward),
                "generator is irreducible")
-    rep.note(f"max residual {max(map(abs, residual))}")
+    # residual_j / (n_Z q s) is (pi G)_j
+    rep.note("max residual "
+             f"{Fraction(max(map(abs, residual)), table.Z_numerator * q * s)}")
     return rep
 
 
@@ -219,6 +206,5 @@ def _reaches_all(edges):
 
 def compare(L, a, b):
     """Certify the matrix-product distribution as the stationary state of
-    the Markov generator, state by state and with no elimination."""
-    table = stationary_mpa(L, a, b)
-    return certify_stationary(build_generator(L, a, b), table.probabilities)
+    the chain, state by state and with no elimination."""
+    return certify_stationary(stationary_mpa(L, a, b))

@@ -220,7 +220,7 @@ def recurrence_check(N):
     2 <= n <= N, the solutions P_n = (e1 - a)(e1 - ab)^(n-1) and
     Q_n = (e2 - b)(e2 - ab)^(n-1) of the first-order recurrences, against
     the binomial expansion of the product form."""
-    rep = CheckReport(f"first-order recurrences n < {N}")
+    rep = CheckReport(f"first-order recurrences n <= {N}")
     rep.record(p_explicit(1) == UniPoly("e1", (-ALPHA, ONE)), "P1 != e1 - a")
     rep.record(q_explicit(1) == UniPoly("e2", (-BETA, ONE)), "Q1 != e2 - b")
     for n in range(2, N + 1):

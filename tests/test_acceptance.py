@@ -17,10 +17,10 @@ from biops.expr import parse, eval_expr
 from biops.matrep import (represent, eval_L_matrix,
                           second_moment, second_moment_product, cheb_like,
                           principal_minor_polys)
-from biops.asep import stationary_mpa, build_generator, all_states
+from biops.asep import stationary_mpa, all_states
 from biops.checks import random_tensor
 from biops.errors import DegenerateParameters
-from markov_oracle import stationary_oracle
+from markov_oracle import build_generator, stationary_oracle
 from oracles import pq_rep, p_cramer, q_cramer, det_fraction_free
 
 

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from biops import asep, tensor
 from biops.ring import ZERO, ONE, ALPHA, BETA, AB, poly_sum
 from biops.tensor import E1, E2, TensorElem, linear_form, normal_order
-from biops.asep import (all_states, state_index, state_from_index,
-                        partition_Z, stationary_mpa,
-                        build_generator, certify_stationary, compare)
+from biops.asep import (all_states, state_index, partition_Z,
+                        stationary_mpa, transitions, certify_stationary,
+                        compare)
 from biops.errors import DegenerateParameters
-from markov_oracle import SingularSystem, stationary_oracle
+from markov_oracle import (SingularSystem, build_generator, state_from_index,
+                           stationary_oracle)
 from oracles import (normal_order_word, state_word, stationary_probabilities,
                      swap_ab)
 
@@ -112,18 +113,19 @@ class TestPartitionFunction:
 class TestGenerator:
     def test_row_sums_vanish(self):
         g = build_generator(4, Fraction(1, 2), Fraction(1, 3))
-        for i in range(g.dim):
-            assert sum(g.rates[i].values(), Fraction(0)) == 0
+        assert len(g) == 2**4
+        for row in g:
+            assert sum(row.values(), Fraction(0)) == 0
 
     def test_rates(self):
         g = build_generator(2, Fraction(1, 2), Fraction(1, 3))
         # empty chain: only entry at site 1
-        assert g.rates[0] == {1: Fraction(1, 2), 0: Fraction(-1, 2)}
+        assert g[0] == {1: Fraction(1, 2), 0: Fraction(-1, 2)}
         # (1, 0): hop to (0, 1)
-        assert g.rates[1][2] == 1
+        assert g[1][2] == 1
         # (0, 1): exit at site 2 and entry at site 1
-        assert g.rates[2][0] == Fraction(1, 3)
-        assert g.rates[2][3] == Fraction(1, 2)
+        assert g[2][0] == Fraction(1, 3)
+        assert g[2][3] == Fraction(1, 2)
 
     def test_positive_rates_required(self):
         with pytest.raises(ValueError):
@@ -184,7 +186,9 @@ class TestStationary:
         for L in range(1, 9):
             table = stationary_mpa(L, a, b)
             z = table.Z.eval(a, b)
-            rows = table.to_obj()["states"]
+            obj = table.to_obj()
+            assert obj["Z"] == str(z)
+            rows = obj["states"]
             assert [r["state"] for r in rows] == [
                 "".join(map(str, state_from_index(i, L)))
                 for i in range(2 ** L)]
@@ -266,61 +270,96 @@ class TestStationary:
     def test_singular_guard(self):
         g = build_generator(2, Fraction(1, 2), Fraction(1, 3))
         # zero out everything: rank deficient
-        for row in g.rates:
+        for row in g:
             row.clear()
         with pytest.raises(SingularSystem):
             stationary_oracle(g)
 
 
+CERTIFICATE_POINTS = [(Fraction(2, 3), Fraction(2, 3)),
+                      (Fraction(3), Fraction(2))]
+
+
+def drop_transitions(monkeypatch, keep):
+    """Point certify_stationary at the library's transitions that pass
+    keep(i, j, k)."""
+    right = asep.transitions
+    monkeypatch.setattr(asep, "transitions", lambda L: [
+        t for t in right(L) if keep(*t)])
+
+
 class TestCertificate:
-    @pytest.mark.parametrize("a, b", [(Fraction(2, 3), Fraction(2, 3)),
-                                      (Fraction(3), Fraction(2))])
+    @pytest.mark.parametrize("a, b", CERTIFICATE_POINTS)
     def test_compare_up_to_L12(self, a, b):
         for L in range(1, 13):
             rep = compare(L, a, b)
             assert rep.ok and rep.checked == 2**L + 2, (L, rep.failures)
             assert rep.notes == ["max residual 0"], L
 
+    @pytest.mark.parametrize("a, b", CERTIFICATE_POINTS)
+    def test_transitions_match_the_oracle_generator(self, a, b):
+        # the two constructions of the dynamics: the library's transitions
+        # at the rates scaled by q*s, against q*s times the off-diagonal
+        # entries of the oracle's Fraction generator
+        qs = a.denominator * b.denominator
+        scaled = (a * qs, b * qs, qs)
+        for L in range(1, 9):
+            got = [((i, j), scaled[k]) for i, j, k in transitions(L)]
+            g = build_generator(L, a, b)
+            want = {(i, j): qs * r for i, row in enumerate(g)
+                    for j, r in row.items() if j != i}
+            assert len(dict(got)) == len(got), L
+            assert dict(got) == want, L
+
     def test_perturbed_vector_rejected(self):
         a, b = Fraction(1, 2), Fraction(1, 3)
-        probs = dict(stationary_mpa(6, a, b).probabilities)
-        eps = Fraction(1, 1000)
-        probs[(1, 0, 1, 1, 0, 0)] += eps
-        probs[(0, 1, 1, 0, 1, 0)] -= eps
-        assert sum(probs.values()) == 1
-        rep = certify_stationary(build_generator(6, a, b), probs)
-        assert not rep.ok
-        assert all(label.startswith("state ") for label in rep.failures)
-        assert Fraction(rep.notes[0].removeprefix("max residual ")) > 0
+        table = stationary_mpa(6, a, b)
+        table.numerators[(1, 0, 1, 1, 0, 0)] += 1
+        table.numerators[(0, 1, 1, 0, 1, 0)] -= 1
+        rep = certify_stationary(table)
+        # the failures and the note are those of the perturbed pi against
+        # the oracle's generator, in Fractions
+        pi = {tau: Fraction(n, table.Z_numerator)
+              for tau, n in table.numerators.items()}
+        assert sum(pi.values()) == 1
+        g = build_generator(6, a, b)
+        residual = [sum((pi[state_from_index(i, 6)] * row.get(j, 0)
+                         for i, row in enumerate(g)), Fraction(0))
+                    for j in range(len(g))]
+        assert rep.failures == [
+            "state " + "".join(map(str, tau)) for tau in all_states(6)
+            if residual[state_index(tau)]]
+        top = max(map(abs, residual))
+        assert top > 0
+        assert rep.notes == [f"max residual {top}"]
 
     def test_unnormalized_vector_rejected_by_normalization(self):
-        a, b = Fraction(1, 2), Fraction(1, 3)
-        probs = {tau: 2 * p for tau, p in
-                 stationary_mpa(4, a, b).probabilities.items()}
-        rep = certify_stationary(build_generator(4, a, b), probs)
+        table = stationary_mpa(4, Fraction(1, 2), Fraction(1, 3))
+        for tau in table.numerators:
+            table.numerators[tau] *= 2
+        rep = certify_stationary(table)
         assert rep.failures == ["probabilities sum to 1"]
         assert rep.notes == ["max residual 0"]
 
-    def test_zero_generator_rejected_by_irreducibility(self):
-        a, b = Fraction(1, 2), Fraction(1, 3)
-        g = build_generator(3, a, b)
-        for row in g.rates:
-            row.clear()
-        rep = certify_stationary(g, stationary_mpa(3, a, b).probabilities)
+    def test_zero_generator_rejected_by_irreducibility(self, monkeypatch):
+        drop_transitions(monkeypatch, lambda i, j, k: False)
+        rep = compare(3, Fraction(1, 2), Fraction(1, 3))
         assert rep.failures == ["generator is irreducible"]
         assert rep.checked == 2**3 + 2
+        assert rep.notes == ["max residual 0"]
 
     @pytest.mark.parametrize("cut, absorbing", [(Fraction(1, 2), 0),
                                                 (Fraction(1, 3), 1)])
-    def test_absorbing_chain_rejected_by_irreducibility(self, cut, absorbing):
+    def test_absorbing_chain_rejected_by_irreducibility(self, monkeypatch,
+                                                        cut, absorbing):
         # without entries (rate 1/2) the empty state absorbs, without exits
         # (rate 1/3) the full one: its point mass has pi G = 0 and sum 1
-        g = build_generator(3, Fraction(1, 2), Fraction(1, 3))
-        for i, row in enumerate(g.rates):
-            for j in [j for j, r in row.items() if j != i and r == cut]:
-                del row[j]
-            row[i] = -sum(r for j, r in row.items() if j != i)
-        probs = {tau: Fraction(int(tau == (absorbing,) * 3))
-                 for tau in all_states(3)}
-        rep = certify_stationary(g, probs)
+        a, b = Fraction(1, 2), Fraction(1, 3)
+        drop_transitions(monkeypatch, lambda i, j, k: (a, b, 1)[k] != cut)
+        table = stationary_mpa(3, a, b)
+        table.numerators = {tau: int(tau == (absorbing,) * 3)
+                            for tau in all_states(3)}
+        table.Z_numerator = 1
+        rep = certify_stationary(table)
         assert rep.failures == ["generator is irreducible"]
+        assert rep.notes == ["max residual 0"]

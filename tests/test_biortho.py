@@ -20,6 +20,19 @@ from oracles import (swap_ab, p_cramer, q_cramer, biorthogonal_pair,
                      det_fraction_free, fraction_free)
 
 
+def break_shift_mul(monkeypatch):
+    """Make UniPoly.shift_mul add 1 to every product above degree 0."""
+    shift_mul = UniPoly.shift_mul
+
+    def wrong(self, c):
+        out = shift_mul(self, c)
+        if len(self.coeffs) > 1:
+            out = out + UniPoly(self.variable, (ONE,))
+        return out
+
+    monkeypatch.setattr(UniPoly, "shift_mul", wrong)
+
+
 class TestExplicit:
     def test_p_small(self):
         assert p_explicit(0) == UniPoly("e1", (ONE,))
@@ -253,18 +266,20 @@ class TestOrthogonality:
     def test_recurrence_check_is_independent_of_shift_mul(self, monkeypatch):
         # p_explicit builds P_n with shift_mul; the check must not, or a
         # shift_mul that goes wrong above degree 0 would pass
-        shift_mul = UniPoly.shift_mul
-
-        def wrong(self, c):
-            out = shift_mul(self, c)
-            if len(self.coeffs) > 1:
-                out = out + UniPoly(self.variable, (ONE,))
-            return out
-
-        monkeypatch.setattr(UniPoly, "shift_mul", wrong)
+        break_shift_mul(monkeypatch)
         rep = recurrence_check(4)
         assert not rep.ok
         assert rep.checked == 8
+
+    def test_recurrence_name_states_the_largest_n_checked(self, monkeypatch):
+        # every P_n and Q_n with n >= 2 fails under a wrong shift_mul, so
+        # the failure labels name every n checked
+        break_shift_mul(monkeypatch)
+        for N in (2, 4, 7):
+            rep = recurrence_check(N)
+            assert rep.failures == [f"{x}{n} recurrence"
+                                    for n in range(2, N + 1) for x in "PQ"]
+            assert rep.name == f"first-order recurrences n <= {N}"
 
 
 class TestMomentBands:

@@ -246,7 +246,7 @@ def wrapped(p, width):
     return Poly2(out)
 
 
-class TestPackedPath:
+class TestLargeOperands:
     """Products and exact quotients of large boxed operands with wide
     coefficients: the dict loops of `*` and exact_div against the term by
     term oracles."""
