@@ -107,7 +107,7 @@ def default_suite(max_n=6, seed=0):
         check_diffusion_relation(),
         similarity_check(8),
         check_second_moment(),
-        cheb_reading_report(min(max_n, 6)),
+        cheb_reading_report(max_n),
         compare(3, Fraction(1, 2), Fraction(1, 3)),
         compare(4, Fraction(2, 3), Fraction(1, 4)),
         compare(5, Fraction(1, 2), Fraction(1, 2)),

@@ -231,7 +231,7 @@ def run(argv=None):
 
     if args.command == "cheb":
         from .matrep import cheb_like, cheb_reading_report
-        report = cheb_reading_report(min(args.max_n, 6))
+        report = cheb_reading_report(args.max_n)
         _emit({"reading": args.reading, "oracle_report": report.to_obj(),
                "polys": [[c.to_obj() for c in p] for p in
                          cheb_like(args.max_n, args.reading)]}, fmt)

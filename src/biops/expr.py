@@ -236,7 +236,8 @@ def eval_expr(node, algebra=TensorElem):
     """Evaluate an AST in `algebra`: TensorElem expands it into words;
     ShockElem evaluates it in the shock ring, where a power stays a
     product of normal-ordered factors instead of expanding into words
-    (normal ordering is a ring homomorphism)."""
+    (normal ordering is a ring homomorphism); a `matrep.Picture`
+    evaluates it in its truncated matrices."""
     if isinstance(node, Gen):
         return algebra.generator(node.which)
     if isinstance(node, ScalarPoly):

@@ -31,6 +31,10 @@ or closed-form constructions that the library computes another way.
   evaluates each weight and Z_L on its own and divides; the library
   enumerates all words at once and evaluates Z_L and every weight on one
   common denominator.
+* `principal_minor_polys` expands the leading principal minors of
+  (xI - W) by cofactors (`_cofactor_det`), exponential in the size; the
+  library runs the three-term recurrence of W and decides the reading by
+  orthogonality under the moments L((e1 e2)^k).
 """
 
 import itertools
@@ -41,7 +45,7 @@ from biops.bimoment import build_bimoment
 from biops.biortho import UniPoly
 from biops.errors import InexactDivision, TruncationTooSmall
 from biops.expr import Gen, ScalarPoly, BiOrtho, Sum, Product, Power, Negation
-from biops.matrep import RepMatrix, generator_matrices
+from biops.matrep import RepMatrix, generator_matrices, second_moment
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, AB, ALPHA, BETA, K_ZERO,
                         K_ONE, accumulate)
 from biops.tensor import TensorElem, fold_words, linear_form
@@ -388,3 +392,31 @@ def stationary_probabilities(L, a, b):
     z = partition_Z(L).eval(a, b)
     return {tau: linear_form(TensorElem({state_word(tau): ONE})).eval(a, b) / z
             for tau in all_states(L)}
+
+
+# --- characteristic polynomials by cofactors -------------------------------
+
+def _cofactor_det(rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    out = UniPoly("x", ())
+    for j in range(n):
+        if not rows[0][j]:
+            continue
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = rows[0][j] * _cofactor_det(minor)
+        out = out - term if j % 2 else out + term
+    return out
+
+
+def principal_minor_polys(N):
+    """Independent oracle: chi_n(x) = det of the n x n leading principal
+    block of (xI - W), by cofactor expansion, for n = 0..N."""
+    W = second_moment(max(N + 1, 3))
+    out = [(K_ONE,)]
+    for n in range(1, N + 1):
+        rows = [[UniPoly("x", (-W.raw(i, j), K_ONE if i == j else K_ZERO))
+                 for j in range(n)] for i in range(n)]
+        out.append(_cofactor_det(rows).coeffs)
+    return out

@@ -15,13 +15,13 @@ from biops.biortho import (p_explicit, q_explicit, lambda_n, sqrt_lambda,
                            lambda_value)
 from biops.expr import parse, eval_expr
 from biops.matrep import (represent, eval_L_matrix,
-                          second_moment, second_moment_product, cheb_like,
-                          principal_minor_polys)
+                          second_moment, second_moment_product, cheb_like)
 from biops.asep import stationary_mpa, all_states
 from biops.checks import random_tensor
 from biops.errors import DegenerateParameters
 from markov_oracle import build_generator, stationary_oracle
-from oracles import pq_rep, p_cramer, q_cramer, det_fraction_free
+from oracles import (pq_rep, p_cramer, q_cramer, det_fraction_free,
+                     principal_minor_polys)
 
 
 def report(num, title, ok):

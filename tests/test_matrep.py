@@ -4,18 +4,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biops.ring import Poly2, ZERO, ALPHA, BETA, AB, KappaElem, K_ZERO, K_ONE, KAPPA
-from biops.tensor import TensorElem, E1, E2, linear_form
+from biops.tensor import TensorElem, E1, E2, linear_form, linear_forms
 from biops.asep import partition_Z
 from biops.biortho import (first_moment_matrices, p_explicit, q_explicit,
                            sqrt_lambda)
 from biops.expr import parse, eval_expr, Sum
+from biops import matrep
 from biops.matrep import (GENERATOR_REPS, generator_matrices, represent,
                           eval_L_matrix, similarity_check, Picture, RepMatrix,
                           second_moment, second_moment_product, cheb_like,
-                          principal_minor_polys, cheb_reading_report)
+                          cheb_reading_report)
 from biops.checks import random_tensor
 from biops.errors import TruncationTooSmall
-from oracles import power_sum, pq_rep, tensor_ast, word_fold
+from oracles import (power_sum, pq_rep, tensor_ast, word_fold,
+                     principal_minor_polys)
 from test_expr import random_ast
 
 
@@ -259,6 +261,36 @@ class TestChebLike:
         rep = cheb_reading_report(4)
         assert not rep.failures
         assert "corrected" in " ".join(rep.notes)
+
+    def test_report_stops_at_six(self):
+        assert cheb_reading_report(20).name.endswith("n <= 6")
+
+    @pytest.mark.parametrize("row, col, shift", [
+        (2, 2, 1),                  # W_22 off by 1
+        (1, 2, KappaElem(AB * AB)),  # W_12 W_21 off by (ab)^4
+        (5, 6, KappaElem(AB * AB)),  # only the Favard norm of T_6 reads W_56
+    ])
+    def test_report_fails_on_a_wrong_W(self, monkeypatch, row, col, shift):
+        # the moments come from L, so a W that is not L's second moment
+        # fails the corrected reading even though its recurrence is exact
+        exact = matrep.second_moment
+
+        def wrong(dim):
+            w = exact(dim)
+            w.rows[row][col] = w.rows[row][col] + shift
+            return w
+
+        monkeypatch.setattr(matrep, "second_moment", wrong)
+        rep = cheb_reading_report(6)
+        assert rep.failures == ["corrected reading must match the oracle"]
+
+    def test_moments_are_powers_of_W(self):
+        # L((e1 e2)^k) = ((W^k))_00, and e1 e2 = ab (e1 + e2) makes it
+        # (ab)^k Z_k
+        for k in range(13):
+            mu = linear_forms([(1, 2) * k])[(1, 2) * k]
+            assert (second_moment(k // 2 + 3) ** k).entry(0, 0) == mu, k
+            assert AB ** k * partition_Z(k) == mu, k
 
     def test_report_at_zero(self):
         # T_0 = 1 under both readings: nothing to tell them apart yet
