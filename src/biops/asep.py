@@ -2,10 +2,13 @@
 
 The matrix-product weights f(tau) ~ L(prod_i (tau_i e1 + (1 - tau_i) e2)),
 evaluated at rational (alpha, beta) as integer numerators over one common
-denominator.  `compare` certifies the normalized weights exactly on those
-integers: with the rates scaled to integers, pi G = 0 at every state,
-sum(pi) = 1, and the chain irreducible, so pi is the one stationary state;
-no generator matrix is built and no linear system is solved.  States are
+denominator.  The states, the weights, Z_L and a ring.Evaluator of them do
+not depend on (alpha, beta): they are made once per L, so each new point
+costs one product per distinct monomial and one multiply-add per term.
+`compare` certifies the normalized weights exactly on those integers:
+with the rates scaled to integers, pi G = 0 at every state, sum(pi) = 1,
+and the chain irreducible, so pi is the one stationary state; no
+generator matrix is built and no linear system is solved.  States are
 bit tuples with site 1 first; the integer encoding is little-endian (site
 1 = least significant bit).
 """
@@ -13,11 +16,12 @@ bit tuples with site 1 first; the integer encoding is little-endian (site
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DegenerateParameters
 from .report import CheckReport
-from .ring import eval_numerators, poly_sum
+from .ring import Evaluator, poly_sum
 from .tensor import linear_forms, power_sum_form
 
 
@@ -93,15 +97,17 @@ def require_positive_rates(a, b):
     return a, b
 
 
-# L -> (the weights of the 2^L states in the order of all_states, Z_L),
-# stored once their sum has been checked against Z_L: neither depends on
-# (alpha, beta).  A tuple, so no caller can change what the next call reads.
+# L -> its CheckedWeights, stored once the sum of the weights has been
+# checked against Z_L.  Tuples, so no caller can change what the next
+# call reads.
+CheckedWeights = namedtuple("CheckedWeights", "states weights Z evaluate")
 _CHECKED_WEIGHTS = {}
 
 
 def _checked_weights(L):
     got = _CHECKED_WEIGHTS.get(L)
     if got is None:
+        states = tuple(all_states(L))
         # occupied site -> e1, empty site -> e2, in site order: the product
         # over (e2, e1) lists the words in the order of all_states
         words = list(itertools.product((2, 1), repeat=L))
@@ -110,26 +116,28 @@ def _checked_weights(L):
         Z = partition_Z(L)
         if poly_sum(weights) != Z:
             raise RuntimeError("partition function paths disagree")
-        got = _CHECKED_WEIGHTS[L] = weights, Z
+        got = _CHECKED_WEIGHTS[L] = CheckedWeights(
+            states, weights, Z, Evaluator([Z, *weights]))
     return got
 
 
 def stationary_mpa(L, a, b):
     """Exact matrix-product stationary distribution at rational (a, b).
 
-    Z_L and the 2^L weights are evaluated in one pass, on one table of
-    powers and one common denominator, which cancels: each probability is
-    one normalization of two integers.  Z_L comes two ways, as the sum of
-    the weights and as the shock-ring power, and the two must agree
-    term by term; that check runs on the first call for each L."""
+    One call of the Evaluator of [Z_L, *weights] gives Z_L and the 2^L
+    weights as integer numerators over one common denominator, which
+    cancels: each probability is one normalization of two integers.  Z_L
+    comes two ways, as the sum of the weights and as the shock-ring power,
+    and the two must agree term by term; that check runs on the first call
+    for each L, before the Evaluator is compiled and kept."""
     a, b = require_positive_rates(a, b)
-    states = all_states(L)
-    values, Z = _checked_weights(L)
+    states, weights, Z, evaluate = _checked_weights(L)
     # Z(a, b) > 0: positive coefficients at positive rates
-    (nz, *nums), den = eval_numerators([Z, *values], a, b)
-    probs = {tau: Fraction(n, nz) for tau, n in zip(states, nums)}
-    return StationaryTable(L, dict(zip(states, values)), Z, a, b, probs,
-                           dict(zip(states, nums)), nz, den)
+    (nz, *nums), den = evaluate(a, b)
+    return StationaryTable(
+        L, dict(zip(states, weights)), Z, a, b,
+        dict(zip(states, map(Fraction, nums, itertools.repeat(nz)))),
+        dict(zip(states, nums)), nz, den)
 
 
 def transitions(L):

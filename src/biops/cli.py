@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import GENERATOR_REPS
 from .errors import BiopsError, ParseError
@@ -45,9 +46,17 @@ def _certified_det(n):
                  and prod(map(lambda_n, range(n + 1))) == det)
 
 
+# Encoder chunks joined per write: json.dump writes each chunk on its own,
+# which costs more than encoding, and one string of the whole output
+# holds all of it in memory at once.
+_JSON_BATCH = 2048
+
+
 def _emit(obj, fmt):
     if fmt == "json":
-        json.dump(obj, sys.stdout, indent=2, sort_keys=True)
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+        for batch in iter(lambda: list(islice(chunks, _JSON_BATCH)), []):
+            sys.stdout.write("".join(batch))
         sys.stdout.write("\n")
     else:
         _emit_csv(obj)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biops import asep, tensor
-from biops.ring import ZERO, ONE, ALPHA, BETA, AB, poly_sum
+from biops.ring import ZERO, ONE, ALPHA, BETA, AB, Evaluator, poly_sum
 from biops.tensor import E1, E2, TensorElem, linear_form, normal_order
 from biops.asep import (all_states, state_index, partition_Z,
                         stationary_mpa, transitions, certify_stationary,
@@ -222,50 +222,93 @@ class TestStationary:
         got = stationary_mpa(L, a, b).probabilities
         assert list(got.items()) == list(want.items())
 
+    def test_one_evaluator_serves_every_point(self, monkeypatch):
+        # the record of each L, made on its first call, evaluates every
+        # later point: a = b, both rates above 1, and a generic point
+        checked = {}
+        monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", checked)
+        points = [(Fraction(3, 5), Fraction(3, 5)),
+                  (Fraction(7, 2), Fraction(9, 4)),
+                  (Fraction(2, 7), Fraction(5, 3))]
+        for L in range(1, 11):
+            for a, b in points:
+                got = stationary_mpa(L, a, b).probabilities
+                want = stationary_probabilities(L, a, b)
+                assert list(got.items()) == list(want.items()), (L, a, b)
+            assert list(checked) == list(range(1, L + 1))
+            rec = checked[L]
+            assert rec.states == tuple(all_states(L))
+            assert rec.Z == partition_Z(L)
+            assert rec.weights == tuple(map(weight, rec.states))
+
     def test_disagreeing_paths_raise(self, monkeypatch):
         a, b = Fraction(1, 2), Fraction(1, 3)
         word = state_word((1, 0, 1, 0))
         stationary_mpa(4, a, b)  # fills the per-word cache
+        # the first call for L = 4 in a fresh process
+        checked = {}
+        monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", checked)
         with monkeypatch.context() as m:
-            # the first call for L = 4 in a fresh process
-            m.setattr(asep, "_CHECKED_WEIGHTS", {})
             m.setitem(tensor._L_CACHE, word, tensor._L_CACHE[word] + AB)
             with pytest.raises(RuntimeError,
                                match="partition function paths disagree"):
                 stationary_mpa(4, a, b)
-            # a failed check stores nothing
-            assert asep._CHECKED_WEIGHTS == {}
+        # a failed check stores nothing
+        assert checked == {}
         assert sum(stationary_mpa(4, a, b).probabilities.values()) == 1
+        # the passing check stores the record of L = 4, with the right word
+        assert list(checked) == [4]
+        rec = checked[4]
+        assert dict(zip(rec.states, rec.weights))[(1, 0, 1, 0)] == weight(
+            (1, 0, 1, 0))
 
     def test_wrong_Z_raises_on_the_first_call_for_L(self, monkeypatch):
         right = asep.partition_Z
-        monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", {})
+        checked = {}
+        monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", checked)
         monkeypatch.setattr(asep, "partition_Z", lambda L: right(L) + AB)
         for _ in range(2):
             with pytest.raises(RuntimeError,
                                match="partition function paths disagree"):
                 stationary_mpa(3, Fraction(1, 2), Fraction(1, 3))
+            assert checked == {}
 
     def test_sum_is_checked_once_per_L(self, monkeypatch):
-        calls = []
+        sums, compiled = [], []
 
-        def counted(polys):
-            calls.append(1)
+        def counted_sum(polys):
+            sums.append(1)
             return poly_sum(polys)
 
+        def counted_evaluator(polys):
+            compiled.append(1)
+            return Evaluator(polys)
+
         monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", {})
-        monkeypatch.setattr(asep, "poly_sum", counted)
+        monkeypatch.setattr(asep, "poly_sum", counted_sum)
+        monkeypatch.setattr(asep, "Evaluator", counted_evaluator)
         points = [(Fraction(1, 2), Fraction(1, 3)),
                   (Fraction(9, 4), Fraction(5, 7))]
         first = stationary_mpa(5, *points[0])
-        # a caller that changes its table's weights changes no later call
-        first.weights[(1,) * 5] = ZERO
+        assert (list(first.probabilities.items())
+                == list(stationary_probabilities(5, *points[0]).items()))
+        # a caller that changes its table changes no later call
+        full = (1,) * 5
+        first.weights[full] = ZERO
+        first.numerators[full] = 0
+        first.probabilities[full] = Fraction(0)
         second = stationary_mpa(5, *points[1])
-        assert len(calls) == 1
-        assert second.weights[(1,) * 5] == weight((1,) * 5)
-        for (a, b), table in zip(points, (first, second)):
-            assert (list(table.probabilities.items())
-                    == list(stationary_probabilities(5, a, b).items()))
+        assert len(sums) == len(compiled) == 1
+        assert second.weights[full] == weight(full)
+        assert (list(second.probabilities.items())
+                == list(stationary_probabilities(5, *points[1]).items()))
+        again = stationary_mpa(5, *points[0])
+        assert len(sums) == len(compiled) == 1
+        assert (list(again.probabilities.items())
+                == list(stationary_probabilities(5, *points[0]).items()))
+        assert sum(again.numerators.values()) == again.Z_numerator
+        stationary_mpa(6, *points[0])
+        assert len(sums) == len(compiled) == 2
 
     def test_singular_guard(self):
         g = build_generator(2, Fraction(1, 2), Fraction(1, 3))

@@ -1,12 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import biops
-from biops import biortho
+from biops import biortho, cli
+from biops.asep import stationary_mpa
 from biops.cli import main
 from biops.report import CheckReport
 from biops.ring import Poly2, ALPHA, BETA, AB
@@ -213,6 +216,46 @@ class TestFormats:
         code, out, _ = run_cli(capsys, "L", "e1", "--format", "csv")
         assert code == 0
         assert "expr,e1" in out
+
+    def test_csv_is_exact(self, capsys):
+        code, out, _ = run_cli(capsys, "stationary", "--L", "2",
+                               "--alpha", "1/2", "--beta", "1/3",
+                               "--format", "csv")
+        assert code == 0
+        assert out == ("probability,state,weight\r\n1/6,00,1/9\r\n"
+                       "5/24,10,5/36\r\n1/4,01,1/6\r\n3/8,11,1/4\r\n")
+        code, out, _ = run_cli(capsys, "L", "e1*e2", "--format", "csv")
+        assert code == 0
+        assert out == ('L,"[{""a"": 2, ""b"": 1, ""c"": ""1""}, '
+                       '{""a"": 1, ""b"": 2, ""c"": ""1""}]"\r\n'
+                       "expr,e1*e2\r\ntext,a^2*b + a*b^2\r\n")
+
+    @pytest.mark.parametrize("argv, make", [
+        (("stationary", "--L", "9", "--alpha", "7/9", "--beta", "9/4",
+          "--symbolic"),
+         lambda: stationary_mpa(9, Fraction(7, 9),
+                                Fraction(9, 4)).to_obj(symbolic=True)),
+        (("L", "0*e1"), lambda: {"expr": "0*e1", "L": [], "text": "0"}),
+    ], ids=["stationary", "zero"])
+    def test_json_is_one_dumps_written_in_batches(self, monkeypatch, argv,
+                                                  make):
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        obj = make()
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(list(argv)) == 0
+        assert out.getvalue() == json.dumps(obj, indent=2,
+                                            sort_keys=True) + "\n"
+        chunks = sum(1 for _ in json.JSONEncoder(
+            indent=2, sort_keys=True).iterencode(obj))
+        # one write per batch of encoder chunks, then the newline
+        assert out.writes == -(-chunks // cli._JSON_BATCH) + 1
 
 
 class TestErrors:
