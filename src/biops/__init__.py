@@ -1,8 +1,8 @@
 """Exact bi-orthogonal-polynomial machinery for the two-parameter
 open-boundary TASEP matrix product ansatz."""
 
-from .errors import (BiopsError, InexactDivision, DegenerateParameters,
-                     TruncationTooSmall, ParseError)
+from .errors import (BiopsError, DegenerateParameters, TruncationTooSmall,
+                     ParseError)
 from .ring import Poly2, KappaElem
 from .tensor import (TensorElem, ShockElem, normal_order, shock_mul,
                      linear_form)
@@ -15,8 +15,8 @@ GENERATOR_REPS = ("hat", "bar_col", "bar_row")
 
 __all__ = [
     "__version__", "GENERATOR_REPS",
-    "BiopsError", "InexactDivision", "DegenerateParameters",
-    "TruncationTooSmall", "ParseError",
+    "BiopsError", "DegenerateParameters", "TruncationTooSmall",
+    "ParseError",
     "Poly2", "KappaElem",
     "TensorElem", "ShockElem", "normal_order", "shock_mul",
     "linear_form",

@@ -9,8 +9,9 @@ costs one product per distinct monomial and one multiply-add per term.
 with the rates scaled to integers, pi G = 0 at every state, sum(pi) = 1,
 and the chain irreducible, so pi is the one stationary state; no
 generator matrix is built and no linear system is solved.  States are
-bit tuples with site 1 first; the integer encoding is little-endian (site
-1 = least significant bit).
+bit tuples with site 1 first, listed in the order of their little-endian
+integer encoding (site 1 = least significant bit), the order of the
+indices that `transitions` uses.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from .tensor import linear_forms, power_sum_form
 
 
 def all_states(L):
+    """The 2^L states in state_index order: the i-th state, read from
+    site L down to site 1, is i in binary."""
     if L < 1:
         raise ValueError("L must be at least 1")
-    return [s for s in itertools.product((0, 1), repeat=L)]
+    return [s[::-1] for s in itertools.product((0, 1), repeat=L)]
 
 
 def state_index(tau):
@@ -45,6 +48,9 @@ def partition_Z(L):
 
 
 class StationaryTable:
+    """The stationary distribution of L sites at rational (alpha, beta);
+    its dicts list the states in all_states order."""
+
     __slots__ = ("L", "weights", "Z", "alpha", "beta", "probabilities",
                  "numerators", "Z_numerator", "denominator")
     __hash__ = None
@@ -65,17 +71,12 @@ class StationaryTable:
 
     def to_obj(self, symbolic=False):
         den = self.denominator
-        rows = []
-        bits = f"0{self.L}b"
-        # state_index order: the idx-th state, reversed, is idx in binary
-        for idx, rev in enumerate(itertools.product((0, 1), repeat=self.L)):
-            tau = rev[::-1]
-            rows.append({
-                "state": format(idx, bits)[::-1],
-                "probability": str(self.probabilities[tau]),
-                "weight": (self.weights[tau].to_obj() if symbolic
-                           else str(Fraction(self.numerators[tau], den))),
-            })
+        rows = [{
+            "state": "".join(map(str, tau)),
+            "probability": str(self.probabilities[tau]),
+            "weight": (self.weights[tau].to_obj() if symbolic
+                       else str(Fraction(num, den))),
+        } for tau, num in self.numerators.items()]
         return {
             "L": self.L,
             "alpha": str(self.alpha),
@@ -108,9 +109,8 @@ def _checked_weights(L):
     got = _CHECKED_WEIGHTS.get(L)
     if got is None:
         states = tuple(all_states(L))
-        # occupied site -> e1, empty site -> e2, in site order: the product
-        # over (e2, e1) lists the words in the order of all_states
-        words = list(itertools.product((2, 1), repeat=L))
+        # occupied site -> e1, empty site -> e2, in site order
+        words = [tuple(map((2, 1).__getitem__, tau)) for tau in states]
         values = linear_forms(words)
         weights = tuple(values[w] for w in words)
         Z = partition_Z(L)
@@ -176,9 +176,7 @@ def certify_stationary(table):
     rates = (a.numerator * s, b.numerator * q, q * s)
     states = all_states(L)
     dim = len(states)
-    n = [0] * dim
-    for tau in states:
-        n[state_index(tau)] = table.numerators[tau]
+    n = [table.numerators[tau] for tau in states]
     residual = [0] * dim
     forward = [set() for _ in range(dim)]
     backward = [set() for _ in range(dim)]
@@ -189,9 +187,8 @@ def certify_stationary(table):
         forward[i].add(j)
         backward[j].add(i)
     rep = CheckReport(f"TASEP L={L} alpha={a} beta={b}")
-    for tau in states:
-        rep.record(residual[state_index(tau)] == 0,
-                   "state " + "".join(map(str, tau)))
+    for tau, r in zip(states, residual):
+        rep.record(r == 0, "state " + "".join(map(str, tau)))
     rep.record(sum(n) == table.Z_numerator, "probabilities sum to 1")
     rep.record(_reaches_all(backward) and _reaches_all(forward),
                "generator is irreducible")

@@ -12,7 +12,8 @@ and B[i][j] = L(e1^i e2^j) the bi-moment matrix, L(P_n Q_m) is entry
 and Q are unit lower triangular: this is the LDU factorization of B.  So
 every leading minor det B_n is Lambda_0 ... Lambda_n, and by the
 uniqueness of the LDU the product forms are the only monic pair.
-ldu_certificate checks it with products and sums alone; nothing is
+ldu_certificate checks it with products and sums alone, and checks
+Lambda_0 ... Lambda_n against bimoment.det_closed_form; nothing is
 eliminated or divided.
 
 Each e2 band is its e1 band transposed with alpha and beta swapped.
@@ -32,7 +33,7 @@ from .report import CheckReport
 from .ring import (KappaElem, ZERO, ONE, ALPHA, BETA, AB, K_ZERO, K_ONE,
                    KAPPA, eval_numerators, poly_sum)
 from .tensor import E1, E2, TensorElem, linear_form
-from .bimoment import build_bimoment
+from .bimoment import build_bimoment, det_closed_form
 
 
 class UniPoly:
@@ -180,8 +181,10 @@ def ldu_certificate(N):
     """Check that the product forms reduce the bi-moment matrix B_N to
     diag(Lambda_0, ..., Lambda_N): P_n and Q_n are monic of degree n, and
     entry (n, m) of P B Q^T, formed as P B and then (P B) Q^T, is
-    Lambda_n * delta_{n,m}.  A passing report proves
-    det B_n = Lambda_0 ... Lambda_n for every n <= N."""
+    Lambda_n * delta_{n,m}; and Lambda_0 ... Lambda_n is
+    det_closed_form(n).  A passing report proves
+    det B_n = Lambda_0 ... Lambda_n = det_closed_form(n) for every
+    n <= N."""
     return _ldu_report(build_bimoment(N).entries,
                        [p_explicit(n) for n in range(N + 1)],
                        [q_explicit(n) for n in range(N + 1)])
@@ -196,6 +199,7 @@ def _ldu_report(B, ps, qs):
             rep.record(len(f.coeffs) == n + 1 and f.coeffs[-1] == ONE,
                        f"{name}{n} monic of degree {n}")
     columns = list(zip(*B))
+    det = ONE
     for n, p in enumerate(ps):
         row = [poly_sum([c * b for c, b in zip(p.coeffs, col)])
                for col in columns]
@@ -203,6 +207,9 @@ def _ldu_report(B, ps, qs):
         for m, q in enumerate(qs):
             rep.record(poly_sum([c * x for c, x in zip(q.coeffs, row)])
                        == (lam if n == m else ZERO), f"(P B Q^T)[{n}][{m}]")
+        det = det * lam
+        rep.record(det == det_closed_form(n),
+                   f"Lambda_0...Lambda_{n} = det_closed_form({n})")
     return rep
 
 

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import prod
 
 from .report import CheckReport
 from .ring import Poly2, AB
 from .tensor import TensorElem, linear_form, normal_order, shock_mul
-from .bimoment import det_closed_form
-from .biortho import (check_orthogonality, recurrence_check, lambda_n,
-                      ldu_certificate, moment_consistency)
+from .biortho import (check_orthogonality, recurrence_check, ldu_certificate,
+                      moment_consistency)
 from .matrep import (Picture, eval_L_matrix, second_moment,
                      second_moment_product, cheb_reading_report,
                      similarity_check)
@@ -38,16 +36,6 @@ def random_tensor(rng, max_len):
     for _ in range(rng.randint(1, 3)):
         t = t + TensorElem({random_word(rng, max_len): random_poly(rng)})
     return t
-
-
-def check_determinants(max_n):
-    """Lambda_0 ... Lambda_n, which is det B_n where ldu_certificate
-    passes, against det_closed_form(n) for every n <= max_n."""
-    rep = CheckReport(f"bi-moment determinant identity n <= {max_n}")
-    for n in range(max_n + 1):
-        rep.record(prod(map(lambda_n, range(n + 1))) == det_closed_form(n),
-                   f"n={n}")
-    return rep
 
 
 def check_two_path_L(seed=0):
@@ -97,7 +85,6 @@ def check_second_moment():
 
 def default_suite(max_n=6, seed=0):
     return [
-        check_determinants(max_n),
         check_orthogonality(max_n),
         ldu_certificate(max_n),
         recurrence_check(max_n + 2),

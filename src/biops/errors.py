@@ -1,16 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each marks a request the package refuses: bad syntax, a degenerate
+parameter point or a truncation too small.  An internal identity that
+fails is a failed CheckReport or a RuntimeError instead; no division can
+fail, since the package divides no polynomial.
+"""
 
 
 class BiopsError(Exception):
     """Base class for all package errors."""
-
-
-class InexactDivision(BiopsError, ArithmeticError):
-    """A polynomial division that was required to be exact left a remainder.
-
-    Every division demanded by the underlying identities is exact, so this
-    always signals an internal identity violation, never bad user input.
-    """
 
 
 class DegenerateParameters(BiopsError, ValueError):

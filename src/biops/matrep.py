@@ -14,11 +14,15 @@ a TensorElem's word trie (`tensor.fold_words`) gives L as entry (0,0).
 Three generator pictures, each built from the closed-form bands:
 
 * "hat"      -- (Xhat, Yhat), the bi-orthonormal pair (contains kappa);
-* "bar_col"  -- (Xbar, Ybar with sub-diagonal k scaled by
-                Lambda_{k+1}/Lambda_k): the kappa-free pair
-                D (Xhat, Yhat) D^-1 with D = diag(sqrt(Lambda_n));
-* "bar_row"  -- (Xbar with super-diagonal k scaled by Lambda_{k+1}/Lambda_k,
-                Ybar): the kappa-free pair D^-1 (Xhat, Yhat) D.
+* "bar_col"  -- (Xbar, Ybar with sub-diagonal k scaled by r_k): the
+                kappa-free pair D (Xhat, Yhat) D^-1 with
+                D = diag(sqrt(Lambda_n));
+* "bar_row"  -- (Xbar with super-diagonal k scaled by r_k, Ybar): the
+                kappa-free pair D^-1 (Xhat, Yhat) D.
+
+r_k = Lambda_{k+1}/Lambda_k is the square of Xhat's super-diagonal entry
+sqrt(Lambda_{k+1})/sqrt(Lambda_k): kappa^2 at k = 0 and (alpha*beta)^2
+after, so no polynomial is divided.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .report import CheckReport
 from .ring import (KappaElem, ZERO, ALPHA, BETA, AB, K_ZERO, K_ONE, accumulate,
                    poly_sum)
 from .tensor import fold_words, linear_forms
-from .biortho import (MomentBand, UniPoly, first_moment_matrices, lambda_n,
+from .biortho import (MomentBand, UniPoly, first_moment_matrices,
                       sqrt_lambda)
 from . import GENERATOR_REPS
 
@@ -123,10 +127,10 @@ def generator_matrices(dim, rep="hat"):
     _, _, Xbar, Ybar, Xhat, Yhat = first_moment_matrices(dim)
     if rep == "hat":
         return Xhat, Yhat
-    # Lambda_{k+1}/Lambda_k: conjugating by D = diag(sqrt(Lambda_n)) moves
-    # this ratio onto one off-diagonal of the bar pair
-    ratio = [KappaElem(lambda_n(k + 1).exact_div(lambda_n(k)))
-             for k in range(dim - 1)]
+    # Lambda_{k+1}/Lambda_k as the square of Xhat's super-diagonal entry:
+    # conjugating by D = diag(sqrt(Lambda_n)) moves this ratio onto one
+    # off-diagonal of the bar pair
+    ratio = [s * s for s in Xhat.sup]
     if rep == "bar_col":
         return Xbar, MomentBand("Ybar_col", dim, Ybar.diag, Ybar.sup, tuple(
             s * r for s, r in zip(Ybar.sub, ratio)))
@@ -191,8 +195,9 @@ def eval_L_matrix(x):
 def similarity_check(dim):
     """Assert the three generator pictures are diagonal-similar, as
     bar_col D = D hat and D bar_row = hat D.  The bar pictures come from
-    the closed-form bar bands and Lambda ratios, the hat picture from the
-    bi-orthonormal bands, so this compares two constructions."""
+    the closed-form bar bands and the squared hat super-diagonal, D from
+    the closed form sqrt_lambda, so a passing report proves each ratio is
+    Lambda_{k+1}/Lambda_k."""
     rep = CheckReport(f"diagonal similarity dim {dim}")
     d = _diagonal([sqrt_lambda(k) for k in range(dim)])
     hat = Picture(dim, "hat").gens

@@ -2,10 +2,10 @@
 
 Poly2 is a polynomial in the commuting variables alpha, beta with integer
 coefficients, stored as the dict {(i, j): c} of its nonzero terms
-c*alpha^i*beta^j; that dict is its one representation.  Sums, products
-and exact quotients are loops over it: a product visits every pair of
-terms, and an exact quotient is long division with the remainder's
-leading terms on a heap.
+c*alpha^i*beta^j; that dict is its one representation.  Sums and
+products are loops over it: a product visits every pair of terms.  No
+polynomial is divided: every quotient the paper needs, such as
+Lambda_{n+1}/Lambda_n, is read off a closed form.
 
 KappaElem is an element a + b*kappa of the extension ring with the
 reduction rule kappa**2 = alpha*beta*(alpha+beta-1).
@@ -26,11 +26,8 @@ for one polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 from operator import index, mul
-
-from .errors import InexactDivision
 
 
 def _grlex_key(ij):
@@ -157,49 +154,6 @@ class Poly2:
             base = base * base
             n >>= 1
         return out
-
-    def exact_div(self, other):
-        """Quotient by a divisor that divides exactly; InexactDivision
-        otherwise.
-
-        Long division by a single divisor under the graded-lex order: any
-        nonzero multiple of q has a leading term divisible by lead(q), so a
-        failed term division proves inexactness.  The remainder's leading
-        term comes from a heap of grlex keys; a key whose term has
-        cancelled is skipped.
-        """
-        other = self._coerce(other)
-        if other is NotImplemented or not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = other._t
-        qi, qj = max(q, key=_grlex_key)
-        qc = q[(qi, qj)]
-        rem = dict(self._t)
-        heap = [(-i - j, -j) for i, j in rem]
-        heapify(heap)
-        quo = {}
-        while rem:
-            neg_deg, neg_j = heappop(heap)
-            ri, rj = neg_j - neg_deg, -neg_j
-            rc = rem.get((ri, rj))
-            if rc is None:
-                continue
-            if ri < qi or rj < qj or rc % qc:
-                raise InexactDivision("inexact polynomial division")
-            mi, mj = ri - qi, rj - qj
-            c = rc // qc
-            quo[(mi, mj)] = c
-            for (i, j), cq in q.items():
-                k = (i + mi, j + mj)
-                old = rem.get(k, 0)
-                s = old - c * cq
-                if s:
-                    if not old:
-                        heappush(heap, (-k[0] - k[1], -k[1]))
-                    rem[k] = s
-                elif old:
-                    del rem[k]
-        return Poly2._raw(quo)
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -17,16 +17,19 @@ or closed-form constructions that the library computes another way.
 * `fraction_free` is Bareiss elimination of a grid over Z[alpha, beta],
   `det_fraction_free` its determinant, and `biorthogonal_pair` reads
   every leading minor det B_n, P_n and Q_n off one elimination of
-  [B | I] and of [B^T | I]; the library solves nothing: it proves the
-  closed forms with the LDU certificate P B Q^T = diag(Lambda_n).
+  [B | I] and of [B^T | I], dividing with `long_div`; the library solves
+  and divides nothing: it proves the closed forms with the LDU
+  certificate P B Q^T = diag(Lambda_n).
 * `p_cramer` and `q_cramer` build P_n and Q_n by Cramer's rule, n + 2
   determinants each, a second path beside the elimination.
 * `pretty` prints an AST back to the DSL, for parser round trips.
 * `swap_ab` exchanges alpha and beta in a Poly2.
-* `schoolbook_mul` and `long_div` multiply and exactly divide Poly2
-  values term by term in sorted order, and long division rescans for the
-  leading term; the library loops over the term dicts and keeps the
-  remainder's leading terms on a heap.
+* `schoolbook_mul` multiplies Poly2 values term by term in sorted order;
+  the library loops over the term dicts.  `long_div` divides exactly,
+  rescanning the remainder for its leading term, and raises
+  `InexactDivision` on a remainder; the library divides no polynomial,
+  and reads each quotient it needs, Lambda_{k+1}/Lambda_k, off a closed
+  form.
 * `state_word` maps one state to its word, and `stationary_probabilities`
   evaluates each weight and Z_L on its own and divides; the library
   enumerates all words at once and evaluates Z_L and every weight on one
@@ -43,7 +46,7 @@ from math import comb
 from biops.asep import all_states, partition_Z
 from biops.bimoment import build_bimoment
 from biops.biortho import UniPoly
-from biops.errors import InexactDivision, TruncationTooSmall
+from biops.errors import TruncationTooSmall
 from biops.expr import Gen, ScalarPoly, BiOrtho, Sum, Product, Power, Negation
 from biops.matrep import RepMatrix, generator_matrices, second_moment
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, AB, ALPHA, BETA, K_ZERO,
@@ -239,7 +242,7 @@ def fraction_free(grid):
             lead = row[k]
             for j in range(k + 1, w):
                 if row[j] or top[j]:
-                    row[j] = (pivot * row[j] - lead * top[j]).exact_div(prev)
+                    row[j] = long_div(pivot * row[j] - lead * top[j], prev)
             row[k] = ZERO
         prev = pivot
     return sign, m
@@ -269,7 +272,7 @@ def biorthogonal_pair(N):
     for g, variable in ((grid, "e1"), (tuple(zip(*grid)), "e2")):
         _, rows = fraction_free([a + b for a, b in zip(g, unit)])
         pivots = [rows[k][k] for k in range(N + 1)]
-        pair.append([UniPoly(variable, [c.exact_div(d) for c in row[N + 1:]])
+        pair.append([UniPoly(variable, [long_div(c, d) for c in row[N + 1:]])
                      for row, d in zip(rows, [ONE, *pivots])])
     return pivots, *pair
 
@@ -287,7 +290,7 @@ def _cramer(grid, variable):
         sign = 1 if (i + n) % 2 == 0 else -1
         minor = det_fraction_free([row[:n] for k, row in enumerate(grid)
                                    if k != i])
-        coeffs.append((sign * minor).exact_div(denom))
+        coeffs.append(long_div(sign * minor, denom))
     return UniPoly(variable, tuple(coeffs))
 
 
@@ -354,25 +357,31 @@ def schoolbook_mul(p, q):
     return Poly2(out)
 
 
-def long_div(p, q):
-    """p/q when q divides p exactly, else InexactDivision: long division
-    under the lex order with beta first, rescanning the remainder for its
-    leading term every step."""
-    def lead(terms):
-        return max(terms, key=lambda ij: (ij[1], ij[0]))
+class InexactDivision(ArithmeticError):
+    """A division by long_div left a remainder."""
 
-    rem = dict(p.sorted_terms())
-    d = dict(q.sorted_terms())
-    di, dj = lead(d)
+
+def long_div(p, q):
+    """p/q when q divides p exactly, else InexactDivision (ZeroDivisionError
+    when q is 0): long division under the lex order with beta first,
+    rescanning the remainder for its leading term every step.  A failed
+    term division proves inexactness, since the leading term of any
+    nonzero multiple of q is divisible by q's.  Terms are keyed (j, i),
+    so the leading key is the largest."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = {(j, i): c for (i, j), c in p.sorted_terms()}
+    d = {(j, i): c for (i, j), c in q.sorted_terms()}
+    dj, di = max(d)
     quo = {}
     while rem:
-        ri, rj = lead(rem)
-        if ri < di or rj < dj or rem[ri, rj] % d[di, dj]:
+        rj, ri = max(rem)
+        if ri < di or rj < dj or rem[rj, ri] % d[dj, di]:
             raise InexactDivision("inexact polynomial division")
-        m, c = (ri - di, rj - dj), rem[ri, rj] // d[di, dj]
-        quo[m] = c
-        for (i, j), cd in d.items():
-            k = (i + m[0], j + m[1])
+        mj, mi, c = rj - dj, ri - di, rem[rj, ri] // d[dj, di]
+        quo[mi, mj] = c
+        for (j, i), cd in d.items():
+            k = (j + mj, i + mi)
             rem[k] = rem.get(k, 0) - c * cd
             if not rem[k]:
                 del rem[k]

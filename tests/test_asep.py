@@ -33,6 +33,16 @@ class TestStates:
         assert state_index((1, 0, 0)) == 1
         assert state_index((0, 0, 1)) == 4
 
+    def test_listed_in_state_index_order(self):
+        # the order of transitions' indices and of the stationary rows
+        assert all_states(2) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        for L in range(1, 11):
+            assert [state_index(tau) for tau in all_states(L)] == list(
+                range(2**L))
+            table = stationary_mpa(L, Fraction(2, 3), Fraction(3, 7))
+            for d in (table.weights, table.probabilities, table.numerators):
+                assert list(d) == all_states(L)
+
     def test_word(self):
         assert state_word((1, 0, 1)) == (1, 2, 1)
 

@@ -4,6 +4,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biops import biortho
 from biops.errors import DegenerateParameters
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
                         KAPPA, K_ZERO, K_ONE)
@@ -17,7 +18,7 @@ from biops.biortho import (UniPoly, p_explicit, q_explicit, lambda_n,
                            first_moment_matrices, moment_consistency,
                            require_generic_point, lambda_value, band_values)
 from oracles import (swap_ab, p_cramer, q_cramer, biorthogonal_pair,
-                     det_fraction_free, fraction_free)
+                     det_fraction_free, fraction_free, long_div)
 
 
 def break_shift_mul(monkeypatch):
@@ -183,7 +184,7 @@ class TestElimination:
         assert pivots == [det_closed_form(k) for k in range(17)]
         assert pivots[0] == lambda_n(0)
         for n in range(1, 17):
-            assert pivots[n].exact_div(pivots[n - 1]) == lambda_n(n)
+            assert long_div(pivots[n], pivots[n - 1]) == lambda_n(n)
 
 
 class TestLDUCertificate:
@@ -198,8 +199,21 @@ class TestLDUCertificate:
     def test_passes_with_one_record_per_entry(self, N):
         rep = ldu_certificate(N)
         assert rep.ok
-        # P_n and Q_n monic, then every entry of P B Q^T
-        assert rep.checked == 2 * (N + 1) + (N + 1) ** 2
+        # P_n and Q_n monic, every entry of P B Q^T, and
+        # Lambda_0 ... Lambda_n against the closed form, for every n
+        assert rep.checked == 3 * (N + 1) + (N + 1) ** 2
+
+    @pytest.mark.parametrize("wrong", [0, 3, 6])
+    def test_wrong_closed_form_fails_under_its_label(self, monkeypatch,
+                                                     wrong):
+        def off_by_one(n):
+            return det_closed_form(n) + (n == wrong)
+
+        monkeypatch.setattr(biortho, "det_closed_form", off_by_one)
+        rep = ldu_certificate(6)
+        assert rep.failures == [
+            f"Lambda_0...Lambda_{wrong} = det_closed_form({wrong})"]
+        assert rep.checked == 3 * 7 + 7 ** 2
 
     def test_every_changed_entry_of_B_fails(self):
         for i in range(self.N + 1):

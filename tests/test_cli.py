@@ -285,6 +285,18 @@ class TestErrors:
         assert out == ""
         assert err == "error: the LDU certificate does not prove det B_3\n"
 
+    def test_wrong_closed_form_exit_1(self, capsys, monkeypatch):
+        # the closed form that the certificate checks is off by 1 at n = 2
+        right = biortho.det_closed_form
+        monkeypatch.setattr(biortho, "det_closed_form",
+                            lambda n: right(n) + (n == 2))
+        code, out, _ = run_cli(capsys, "det", "--n", "3")
+        assert code == 1
+        assert json.loads(out)["matches_closed_form"] is False
+        code, out, _ = run_cli(capsys, "det", "--n", "1")
+        assert code == 0
+        assert json.loads(out)["matches_closed_form"] is True
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["det"])

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from biops.ring import Poly2, ZERO, ALPHA, BETA, AB, KappaElem, K_ZERO, K_ONE, KAPPA
 from biops.tensor import TensorElem, E1, E2, linear_form, linear_forms
 from biops.asep import partition_Z
-from biops.biortho import (first_moment_matrices, p_explicit, q_explicit,
-                           sqrt_lambda)
+from biops.biortho import (first_moment_matrices, lambda_n, p_explicit,
+                           q_explicit, sqrt_lambda)
 from biops.expr import parse, eval_expr, Sum
 from biops import matrep
 from biops.matrep import (GENERATOR_REPS, generator_matrices, represent,
@@ -16,7 +16,7 @@ from biops.matrep import (GENERATOR_REPS, generator_matrices, represent,
                           cheb_reading_report)
 from biops.checks import random_tensor
 from biops.errors import TruncationTooSmall
-from oracles import (power_sum, pq_rep, tensor_ast, word_fold,
+from oracles import (long_div, power_sum, pq_rep, tensor_ast, word_fold,
                      principal_minor_polys)
 from test_expr import random_ast
 
@@ -52,6 +52,19 @@ class TestGenerators:
         h1, h2 = generator_matrices(5, "bar_row")
         assert h2.entry(1, 0) == K_ONE
         assert h1.entry(0, 1) == KAPPA * KAPPA
+
+    def test_bar_ratios_are_lambda_ratios(self):
+        # the scaled off-diagonal of each bar picture is
+        # Lambda_{k+1}/Lambda_k, by multiplication and by long division
+        _, y_col = generator_matrices(17, "bar_col")
+        x_row, _ = generator_matrices(17, "bar_row")
+        assert (y_col.kind, x_row.kind) == ("Ybar_col", "Xbar_row")
+        for ratios in (y_col.sub, x_row.sup):
+            assert len(ratios) == 16
+            for k, r in enumerate(ratios):
+                assert not r.b
+                assert lambda_n(k) * r.a == lambda_n(k + 1)
+                assert r.a == long_div(lambda_n(k + 1), lambda_n(k))
 
     def test_unknown_rep_rejected(self):
         with pytest.raises(ValueError):

@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biops.errors import InexactDivision
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
                         KAPPA, KAPPA_SQ, K_ONE, Evaluator, eval_numerators,
                         poly_sum)
-from oracles import long_div, schoolbook_mul
+from oracles import InexactDivision, long_div, schoolbook_mul
 
 
 def rand_poly(rng, max_deg=3, max_terms=4, max_coeff=6):
@@ -41,19 +40,24 @@ class TestPoly2:
         assert AB * AB * (ALPHA + BETA - 1) == expect
 
     def test_exact_div_examples(self):
-        assert (AB * (ALPHA + BETA - 1)).exact_div(AB) == ALPHA + BETA - 1
+        # the oracle's quotients are those the products promise
+        assert long_div(AB * (ALPHA + BETA - 1), AB) == ALPHA + BETA - 1
+        assert schoolbook_mul(AB, ALPHA + BETA - 1) == AB * (ALPHA + BETA - 1)
         # det B^(1) / det B^(0) = Lambda_1
-        assert KAPPA_SQ.exact_div(ONE) == KAPPA_SQ
+        assert long_div(KAPPA_SQ, ONE) == KAPPA_SQ
         sq = ALPHA**2 + 2 * AB + BETA**2
-        assert sq.exact_div(ALPHA + BETA) == ALPHA + BETA
+        assert schoolbook_mul(ALPHA + BETA, ALPHA + BETA) == sq
+        assert long_div(sq, ALPHA + BETA) == ALPHA + BETA
 
     def test_inexact_division_raises(self):
         with pytest.raises(InexactDivision):
-            (ALPHA + 1).exact_div(BETA)
+            long_div(ALPHA + 1, BETA)
         with pytest.raises(InexactDivision):
-            Poly2.const(3).exact_div(Poly2.const(2))
+            long_div(Poly2.const(3), Poly2.const(2))
         with pytest.raises(ZeroDivisionError):
-            ALPHA.exact_div(ZERO)
+            long_div(ALPHA, ZERO)
+        with pytest.raises(ZeroDivisionError):
+            long_div(ZERO, ZERO)
 
     def test_eval_examples(self):
         assert (ALPHA + BETA).eval(Fraction(1, 2), Fraction(1, 3)) \
@@ -72,7 +76,7 @@ class TestPoly2:
         results = [p + q, p + (q - p), p - q, p - p, c - p, p + c, -p,
                    p * q, p * (q - p), c * p]
         if q:
-            results.append((p * q).exact_div(q))
+            results.append(long_div(p * q, q))
         for r in results:
             assert 0 not in dict(r.sorted_terms()).values()
 
@@ -107,7 +111,8 @@ class TestPoly2:
     def test_div_roundtrip(self, p, q):
         if not q:
             return
-        assert (p * q).exact_div(q) == p
+        assert p * q == schoolbook_mul(p, q)
+        assert long_div(p * q, q) == p
 
     def test_eval_is_homomorphism(self):
         def naive(p, a, b):
@@ -267,22 +272,22 @@ def wrapped(p, width):
 
 class TestLargeOperands:
     """Products and exact quotients of large boxed operands with wide
-    coefficients: the dict loops of `*` and exact_div against the term by
-    term oracles."""
+    coefficients: the dict loops of `*` against the term by term product,
+    and long division back to the factor."""
 
     @settings(max_examples=150, deadline=None)
     @given(boxed_polys(), boxed_polys())
     def test_product_and_quotient_match_the_oracles(self, p, q):
         expect = schoolbook_mul(p, q)
         assert p * q == expect
-        assert expect.exact_div(q) == p == long_div(expect, q)
+        assert long_div(expect, q) == p
 
     @settings(max_examples=60, deadline=None)
     @given(boxed_polys(sparse=True), boxed_polys(sparse=True))
     def test_sparse_boxes_match_the_oracles(self, p, q):
         expect = schoolbook_mul(p, q)
         assert p * q == expect
-        assert expect.exact_div(q) == p == long_div(expect, q)
+        assert long_div(expect, q) == p
 
     @settings(max_examples=100, deadline=None)
     @given(boxed_polys(), boxed_polys(), st.data())
@@ -293,21 +298,19 @@ class TestLargeOperands:
         c = data.draw(st.integers(-(1 << 80), 1 << 80).filter(bool))
         a = a + Poly2({(i, j): c})
         with pytest.raises(InexactDivision):
-            a.exact_div(q)
-        with pytest.raises(InexactDivision):
             long_div(a, q)
 
     def test_empty_quotient_box_proves_inexact_division(self):
         a = (ALPHA + BETA) ** 12
         d = ALPHA**3 * (ALPHA + BETA) ** 9
         with pytest.raises(InexactDivision):
-            a.exact_div(d)
+            long_div(a, d)
         # every exponent of a is as large as d's least, but a spans fewer
         # powers of alpha than d
         d = (1 + ALPHA) ** 4 * (1 + BETA) ** 3
         a = wrapped(d, 3)
         with pytest.raises(InexactDivision):
-            a.exact_div(d)
+            long_div(a, d)
 
     def test_quotient_outside_its_box_is_refused(self):
         # a is q*d with alpha^8 replaced by beta; q reaches alpha^6, and a
@@ -316,8 +319,6 @@ class TestLargeOperands:
         q = (1 + BETA) ** 2 * sum((ALPHA**k for k in range(7)), ZERO)
         a = wrapped(q * d, 8)
         assert max(i for i, _ in terms(a)) == 7
-        with pytest.raises(InexactDivision):
-            a.exact_div(d)
         with pytest.raises(InexactDivision):
             long_div(a, d)
 
