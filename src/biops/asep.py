@@ -156,27 +156,24 @@ def transitions(L):
                 yield i, i ^ (3 << m), 2
 
 
-def certify_stationary(table):
-    """Exact certificate that the normalized weights of `table` (a
-    StationaryTable) are the stationary distribution of the chain, on the
-    table's integer numerators.
+def certify_stationary(L, a, b, n, nz):
+    """Exact certificate that the integer numerators n (in all_states
+    order) over nz are the stationary distribution of the chain of L
+    sites at the rates a, b (Fractions): the numerators of the weights
+    and of Z_L that one `evaluate` call of `_checked_weights` gives.
 
     With alpha = p/q and beta = r/s, the rates times q*s are the integers
-    p*s, r*q and q*s, and pi is the numerators n_i over Z's numerator n_Z.
-    One pass over `transitions` gives the residual sum_i n_i R_ij of
-    pi G = 0 at every state j, and the forward and backward edges of the
-    chain.  Records the residual at every state, then sum(pi) = 1 as
-    sum n_i = n_Z, then irreducibility: every state reaches the empty state
-    and is reached from it.  Irreducibility makes the kernel of G
-    one-dimensional, so a passing report proves pi is the unique
-    stationary state; without it a chain with no transitions would pass
-    the residual check vacuously."""
-    L, a, b = table.L, table.alpha, table.beta
+    p*s, r*q and q*s, and pi is the numerators n_i over nz.  One pass over
+    `transitions` gives the residual sum_i n_i R_ij of pi G = 0 at every
+    state j, and the forward and backward edges of the chain.  Records the
+    residual at every state, then sum(pi) = 1 as sum n_i = nz, then
+    irreducibility: every state reaches the empty state and is reached
+    from it.  Irreducibility makes the kernel of G one-dimensional, so a
+    passing report proves pi is the unique stationary state; without it a
+    chain with no transitions would pass the residual check vacuously."""
     q, s = a.denominator, b.denominator
     rates = (a.numerator * s, b.numerator * q, q * s)
-    states = all_states(L)
-    dim = len(states)
-    n = [table.numerators[tau] for tau in states]
+    dim = len(n)
     residual = [0] * dim
     forward = [set() for _ in range(dim)]
     backward = [set() for _ in range(dim)]
@@ -187,14 +184,13 @@ def certify_stationary(table):
         forward[i].add(j)
         backward[j].add(i)
     rep = CheckReport(f"TASEP L={L} alpha={a} beta={b}")
-    for tau, r in zip(states, residual):
+    for tau, r in zip(all_states(L), residual):
         rep.record(r == 0, "state " + "".join(map(str, tau)))
-    rep.record(sum(n) == table.Z_numerator, "probabilities sum to 1")
+    rep.record(sum(n) == nz, "probabilities sum to 1")
     rep.record(_reaches_all(backward) and _reaches_all(forward),
                "generator is irreducible")
-    # residual_j / (n_Z q s) is (pi G)_j
-    rep.note("max residual "
-             f"{Fraction(max(map(abs, residual)), table.Z_numerator * q * s)}")
+    # residual_j / (nz q s) is (pi G)_j
+    rep.note(f"max residual {Fraction(max(map(abs, residual)), nz * q * s)}")
     return rep
 
 
@@ -211,5 +207,8 @@ def _reaches_all(edges):
 
 def compare(L, a, b):
     """Certify the matrix-product distribution as the stationary state of
-    the chain, state by state and with no elimination."""
-    return certify_stationary(stationary_mpa(L, a, b))
+    the chain, state by state and with no elimination, on the integer
+    numerators of one evaluation: no probability is formed."""
+    a, b = require_positive_rates(a, b)
+    (nz, *nums), _ = _checked_weights(L).evaluate(a, b)
+    return certify_stationary(L, a, b, nums, nz)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .ring import ALPHA, BETA
-from .tensor import TensorElem
+from .tensor import GradedElem, ShockElem, TensorElem
 
 
 # --- AST -------------------------------------------------------------------
@@ -237,32 +237,55 @@ def eval_expr(node, algebra=TensorElem):
     ShockElem evaluates it in the shock ring, where a power stays a
     product of normal-ordered factors instead of expanding into words
     (normal ordering is a ring homomorphism); a `matrep.Picture`
-    evaluates it in its truncated matrices."""
+    evaluates it in its truncated matrices.
+
+    In the shock ring, e1, e2, integers and everything built from them
+    alone evaluate in `GradedElem`, over plain integers.  Only `a`, `b`,
+    P(n) and Q(n) make ShockElem values, and a graded value is lifted to
+    a ShockElem where it meets one of those, in a sum or a product.  So
+    the result is a GradedElem for an expression with no a, b, P or Q,
+    and a ShockElem otherwise; `tensor.linear_form` takes either."""
+    return _eval(node, GradedElem if algebra is ShockElem else algebra,
+                 algebra)
+
+
+def _meet(x, y):
+    """x and y in one algebra: a GradedElem meeting a ShockElem lifts."""
+    if type(x) is not type(y):
+        x, y = (v.lift() if isinstance(v, GradedElem) else v for v in (x, y))
+    return x, y
+
+
+def _eval(node, graded, algebra):
+    """eval_expr, with generators, integers, zero and unit taken from
+    `graded` and alpha, beta, P(n) and Q(n) from `algebra`."""
     if isinstance(node, Gen):
-        return algebra.generator(node.which)
+        return graded.generator(node.which)
     if isinstance(node, ScalarPoly):
         if node.value == "a":
             return algebra.scalar(ALPHA)
         if node.value == "b":
             return algebra.scalar(BETA)
-        return algebra.scalar(node.value)
+        return graded.scalar(node.value)
     if isinstance(node, BiOrtho):
         # biortho loads here, so an expression without P or Q never needs it
         from .biortho import p_explicit, q_explicit
         poly = p_explicit(node.n) if node.which == "P" else q_explicit(node.n)
         return poly.into(algebra)
     if isinstance(node, Sum):
-        out = algebra.zero()
+        out = graded.zero()
         for p in node.parts:
-            out = out + eval_expr(p, algebra)
+            x, y = _meet(out, _eval(p, graded, algebra))
+            out = x + y
         return out
     if isinstance(node, Product):
-        out = algebra.unit()
+        out = graded.unit()
         for p in node.parts:
-            out = out * eval_expr(p, algebra)
+            x, y = _meet(out, _eval(p, graded, algebra))
+            out = x * y
         return out
     if isinstance(node, Power):
-        return eval_expr(node.base, algebra) ** node.exponent
+        return _eval(node.base, graded, algebra) ** node.exponent
     if isinstance(node, Negation):
-        return -eval_expr(node.inner, algebra)
+        return -_eval(node.inner, graded, algebra)
     raise TypeError(f"not an AST node: {node!r}")

@@ -271,10 +271,12 @@ KAPPA_SQ = AB * (ALPHA + BETA - 1)
 
 def accumulate(t, pairs):
     """t[k] += c for each (k, c) in pairs, in place, for a sparse dict of
-    Poly2 or KappaElem coefficients; a key whose sum is zero is dropped,
-    so no zero coefficient is stored.  Returns t."""
+    coefficients in any ring: int, Fraction, Poly2 or KappaElem.  A new
+    key starts from c itself, so no coefficient changes type; a key whose
+    sum is zero is dropped, so no zero coefficient is stored.  Returns t."""
     for k, c in pairs:
-        s = t.get(k, ZERO) + c
+        s = t.get(k)
+        s = c if s is None else s + c
         if s:
             t[k] = s
         elif k in t:

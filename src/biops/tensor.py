@@ -14,8 +14,9 @@ normal form of a word of length N, or of (e1 + e2)^N, has at e2^n e1^m
 an integer times t^(N-n-m), and L of that term is an integer times
 alpha^(N-n) beta^(N-m).  `linear_forms` and `power_sum_form` fold such
 elements over plain integer coefficients and read the power of t off
-the degree at the end; shock-ring elements, whose coefficients carry
-alpha and beta, run the same fold over Poly2 coefficients.
+the degree at the end; GradedElem is that ring as an algebra.
+Shock-ring elements, whose coefficients carry alpha and beta, run the
+same fold over Poly2 coefficients.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ def _clean(terms):
 
 
 class _LinComb:
-    """Shared machinery for finite linear combinations with Poly2 coefficients.
+    """Shared machinery for finite linear combinations with coefficients
+    in the ring of `_ONE`, which an int scalar is multiplied into.
 
     A subclass supplies `_mul`, its product with an element of its own
     type, and the keys of its unit and generators; products by a scalar
@@ -43,6 +45,7 @@ class _LinComb:
     __slots__ = ("_t",)
     _UNIT = None        # key of the ring unit
     _GENERATORS = None  # keys of e1 and e2
+    _ONE = ONE          # unit of the coefficient ring
 
     def __init__(self, terms=None):
         self._t = _clean(dict(terms or {}))
@@ -53,19 +56,19 @@ class _LinComb:
 
     @classmethod
     def unit(cls):
-        return cls({cls._UNIT: ONE})
+        return cls({cls._UNIT: cls._ONE})
 
     @classmethod
     def scalar(cls, p):
         if isinstance(p, int):
-            p = Poly2.const(p)
+            p = p * cls._ONE
         return cls({cls._UNIT: p})
 
     @classmethod
     def generator(cls, i):
         if i not in (1, 2):
             raise ValueError("generator index must be 1 or 2")
-        return cls({cls._GENERATORS[i - 1]: ONE})
+        return cls({cls._GENERATORS[i - 1]: cls._ONE})
 
     def items(self):
         return self._t.items()
@@ -103,8 +106,8 @@ class _LinComb:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = Poly2.const(other)
-        if isinstance(other, Poly2):
+            other = other * self._ONE
+        if isinstance(other, type(self._ONE)):
             out = object.__new__(type(self))
             out._t = _clean({k: other * c for k, c in self._t.items()})
             return out
@@ -113,7 +116,7 @@ class _LinComb:
         return self._mul(other)
 
     def __rmul__(self, other):
-        if isinstance(other, (Poly2, int)):
+        if isinstance(other, (type(self._ONE), int)):
             return self * other
         return NotImplemented
 
@@ -170,6 +173,50 @@ class ShockElem(_LinComb):
             f"({c!s})*e2^{n}e1^{m}" for (n, m), c in sorted(self._t.items())
         ]
         return "ShockElem(" + " + ".join(parts) + ")"
+
+
+class GradedElem(_LinComb):
+    """The integer span of the words in the shock ring, graded by degree:
+    the int c at (N, n, m) stands for c t^(N-n-m) e2^n e1^m.  A product is
+    one integer fold of `_times_e2` per degree."""
+
+    _UNIT = (0, 0, 0)
+    _GENERATORS = ((1, 0, 1), (1, 1, 0))
+    _ONE = 1
+
+    def _mul(self, other):
+        """x_N * c t^(M-k-l) e2^k e1^l, for the part x_N of degree N and a
+        term of `other`, is x_N times e2 k times, shifted by l in the power
+        of e1, times c, in degree N + M."""
+        t = {}
+        ys = sorted(other._t.items(), key=lambda kc: kc[0][1])
+        for N, xk in _by_degree(self._t).items():
+            k = 0  # xk = x_N * e2^k
+            for (M, kk, l), c in ys:
+                while k < kk:
+                    xk, k = _times_e2(xk, pos, 0), k + 1
+                terms = (((N + M, n, m + l), c * cx)
+                         for (n, m), cx in xk.items())
+                # products of nonzero ints are nonzero
+                t = accumulate(t, terms) if t else dict(terms)
+        out = object.__new__(GradedElem)
+        out._t = t
+        return out
+
+    def lift(self):
+        """This element as a ShockElem: the one conversion, multiplying in
+        the power t^(N-n-m) of each coefficient."""
+        return ShockElem(accumulate({}, (
+            ((n, m), Poly2._raw({(N - n - m, N - n - m): c}))
+            for (N, n, m), c in self._t.items())))
+
+
+def _by_degree(t):
+    """{N: {(n, m): c}}: the homogeneous parts of a GradedElem's terms."""
+    parts = {}
+    for (N, n, m), c in t.items():
+        parts.setdefault(N, {})[(n, m)] = c
+    return parts
 
 
 # --- normal ordering ---------------------------------------------------
@@ -310,9 +357,11 @@ def power_sum_form(n):
 
 
 def linear_form(x):
-    """L(x) for a TensorElem or a ShockElem: evaluate via normal ordering,
-    L(e2^n e1^m) = beta^n alpha^m."""
+    """L(x) for a TensorElem, a ShockElem or a GradedElem: evaluate via
+    normal ordering, L(e2^n e1^m) = beta^n alpha^m."""
     if isinstance(x, ShockElem):
         return _L_nf(x._t)
+    if isinstance(x, GradedElem):
+        return poly_sum(_L_graded(t, N) for N, t in _by_degree(x._t).items())
     values = linear_forms(x._t)
     return poly_sum(c * values[w] for w, c in x.items())

@@ -91,6 +91,20 @@ class TestSmoke:
             expected = expected + AB**j * ALPHA**(m - j + 1)
         assert Poly2.from_obj(json.loads(out)["L"]) == expected
 
+    # the tasep deck's L requests: Z_L = L((e1+e2)^L), and the second
+    # moments L((e1 e2)^k) = (alpha*beta)^k Z_k
+    @pytest.mark.parametrize("src, k, scale", [
+        *((f"(e1+e2)^{n}", n, 0) for n in (8, 9, 10)),
+        *((f"(e1*e2)^{k}", k, k) for k in range(14, 19))])
+    def test_L_of_the_deck_expressions(self, capsys, src, k, scale):
+        from biops.asep import partition_Z
+        want = AB**scale * partition_Z(k)
+        code, out, _ = run_cli(capsys, "L", src)
+        assert code == 0
+        assert out == json.dumps({"expr": src, "L": want.to_obj(),
+                                  "text": str(want)},
+                                 indent=2, sort_keys=True) + "\n"
+
     def test_bimoment(self, capsys):
         code, out, _ = run_cli(capsys, "bimoment", "--n", "2")
         assert code == 0

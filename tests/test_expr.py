@@ -1,10 +1,14 @@
 import random
+from math import prod
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from biops.ring import Poly2, ALPHA, BETA
-from biops.tensor import TensorElem, E1, E2
+from biops.asep import partition_Z
+from biops.biortho import p_explicit, q_explicit
+from biops.ring import Poly2, ALPHA, BETA, AB
+from biops.tensor import (TensorElem, ShockElem, GradedElem, E1, E2,
+                          linear_form)
 from biops.expr import (parse, eval_expr, Gen, ScalarPoly, Sum,
                         Product, Power, Negation, BiOrtho)
 from biops.errors import ParseError
@@ -84,22 +88,78 @@ class TestParse:
         assert pretty(node)
 
 
-def random_ast(rng, depth=3):
+def random_ast(rng, depth=3, integer_only=False):
+    """A random AST; with integer_only, its leaves are e1, e2 and integer
+    literals, with no a, b, P or Q."""
     if depth == 0 or rng.random() < 0.3:
-        return rng.choice([Gen(1), Gen(2), ScalarPoly("a"), ScalarPoly("b"),
-                           ScalarPoly(rng.randint(0, 9)),
-                           BiOrtho("P", rng.randint(0, 3)),
-                           BiOrtho("Q", rng.randint(0, 3))])
+        leaves = [Gen(1), Gen(2), ScalarPoly("a"), ScalarPoly("b"),
+                  ScalarPoly(rng.randint(0, 9)),
+                  BiOrtho("P", rng.randint(0, 3)),
+                  BiOrtho("Q", rng.randint(0, 3))]
+        if integer_only:
+            leaves = [leaves[0], leaves[1], leaves[4]]
+        return rng.choice(leaves)
     kind = rng.randint(0, 3)
     if kind == 0:
-        return Sum(tuple(random_ast(rng, depth - 1)
+        return Sum(tuple(random_ast(rng, depth - 1, integer_only)
                          for _ in range(rng.randint(2, 3))))
     if kind == 1:
-        return Product(tuple(random_ast(rng, depth - 1)
+        return Product(tuple(random_ast(rng, depth - 1, integer_only)
                              for _ in range(rng.randint(2, 3))))
     if kind == 2:
-        return Power(random_ast(rng, depth - 1), rng.randint(0, 3))
-    return Negation(random_ast(rng, depth - 1))
+        return Power(random_ast(rng, depth - 1, integer_only),
+                     rng.randint(0, 3))
+    return Negation(random_ast(rng, depth - 1, integer_only))
+
+
+def children(node):
+    if isinstance(node, (Sum, Product)):
+        return node.parts
+    if isinstance(node, Power):
+        return (node.base,)
+    if isinstance(node, Negation):
+        return (node.inner,)
+    return ()
+
+
+def has_poly2_scalar(node):
+    """Whether the AST has an a, b, P(n) or Q(n) leaf."""
+    if isinstance(node, BiOrtho):
+        return True
+    if isinstance(node, ScalarPoly):
+        return node.value in ("a", "b")
+    return any(map(has_poly2_scalar, children(node)))
+
+
+def word_bound(node):
+    """An upper bound on the number of words of eval_expr(node)."""
+    if isinstance(node, BiOrtho):
+        return node.n + 1
+    if isinstance(node, Power):
+        return word_bound(node.base) ** node.exponent
+    bounds = map(word_bound, children(node))
+    return sum(bounds) if isinstance(node, Sum) else prod(bounds)
+
+
+def shock_value(node):
+    """The AST evaluated with ShockElem operations alone: the shock-ring
+    product of the generators, with no graded integer part."""
+    if isinstance(node, Gen):
+        return ShockElem.generator(node.which)
+    if isinstance(node, ScalarPoly):
+        return ShockElem.scalar({"a": ALPHA, "b": BETA}.get(node.value,
+                                                           node.value))
+    if isinstance(node, BiOrtho):
+        explicit = p_explicit if node.which == "P" else q_explicit
+        return explicit(node.n).into(ShockElem)
+    if isinstance(node, Power):
+        return shock_value(node.base) ** node.exponent
+    if isinstance(node, Negation):
+        return -shock_value(node.inner)
+    values = map(shock_value, node.parts)
+    if isinstance(node, Sum):
+        return sum(values, ShockElem.zero())
+    return prod(values, start=ShockElem.unit())
 
 
 class TestPretty:
@@ -132,3 +192,55 @@ class TestEval:
 
     def test_power_zero(self):
         assert eval_expr(parse("e1^0")) == TensorElem.unit()
+
+
+class TestGradedPath:
+    """eval_expr(node, ShockElem) evaluates the parts without a, b, P or Q
+    over plain integers (GradedElem) and lifts them to the shock ring where
+    they meet one; the shock ring alone and word expansion are its
+    oracles."""
+
+    @staticmethod
+    def assert_paths_agree(node):
+        value = eval_expr(node, ShockElem)
+        shock = shock_value(node)
+        if has_poly2_scalar(node):
+            assert isinstance(value, ShockElem)
+            assert value == shock
+        else:
+            assert isinstance(value, GradedElem)
+            assert value.lift() == shock
+        assert linear_form(value) == linear_form(shock)
+        assert linear_form(value) == linear_form(eval_expr(node))
+
+    @pytest.mark.parametrize("integer_only", [True, False],
+                             ids=["integer", "mixed"])
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_asts(self, integer_only, seed):
+        node = random_ast(random.Random(seed), depth=4,
+                          integer_only=integer_only)
+        # word expansion, one of the oracles, is exponential in the size
+        assume(word_bound(node) <= 2000)
+        self.assert_paths_agree(node)
+
+    @pytest.mark.parametrize("src", [
+        "(e1*e2)^0", "e1^0", "(e1 + 3)^0", "e1 - e1", "0*e1",
+        "e1*e2 - e2*e1 - e1*e2 + e2*e1", "-3*e1*e2", "(-2)*e2*e1 + 5",
+        "e1*(-1)*e2^2", "-(e1 - 4)^3",
+        # a graded subtree under a Poly2 scalar, in a product and a sum
+        "a*(e1*e2)^3", "(e1 + e2)^4*b - 2*(e1*e2)^2", "P(2)*(e1 - 2*e2)^3",
+        "a^0*(e1*e2)^2", "0*a*e1 + e2*e1", "Q(0)", "(b*e1)^0 + e2^2"])
+    def test_examples(self, src):
+        self.assert_paths_agree(parse(src))
+
+    def test_second_moments_up_to_60(self):
+        # L((e1 e2)^k) = (alpha*beta)^k Z_k
+        for k in range(61):
+            got = linear_form(eval_expr(parse(f"(e1*e2)^{k}"), ShockElem))
+            assert got == AB**k * partition_Z(k), k
+
+    def test_power_sums_up_to_60(self):
+        for n in range(61):
+            got = linear_form(eval_expr(parse(f"(e1+e2)^{n}"), ShockElem))
+            assert got == partition_Z(n), n

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
-                        KAPPA, KAPPA_SQ, K_ONE, Evaluator, eval_numerators,
-                        poly_sum)
+                        KAPPA, KAPPA_SQ, K_ONE, Evaluator, accumulate,
+                        eval_numerators, poly_sum)
 from oracles import InexactDivision, long_div, schoolbook_mul
 
 
@@ -159,6 +159,30 @@ def max_exponents(ps):
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
+
+
+class TestAccumulate:
+    """accumulate serves every coefficient ring alike: a new key keeps the
+    type of its first coefficient, and a sum that cancels drops its key."""
+
+    @pytest.mark.parametrize("one", [1, Fraction(1, 3), ONE + ALPHA, KAPPA],
+                             ids=["int", "Fraction", "Poly2", "KappaElem"])
+    def test_sums_keep_the_coefficient_type(self, one):
+        t = accumulate({}, [("x", one), ("y", 2 * one), ("x", 3 * one)])
+        assert t == {"x": 4 * one, "y": 2 * one}
+        assert all(type(c) is type(one) for c in t.values())
+        # a sum that cancels deletes its key; a zero never enters
+        assert accumulate(t, [("x", -4 * one), ("z", 0 * one)]) is t
+        assert t == {"y": 2 * one}
+        assert accumulate({}, [("x", one), ("x", -one)]) == {}
+
+    def test_matches_a_sum_per_key(self):
+        rng = random.Random(21)
+        pairs = [(rng.randint(0, 5), rand_poly(rng)) for _ in range(200)]
+        want = {}
+        for k, c in pairs:
+            want[k] = want.get(k, ZERO) + c
+        assert accumulate({}, pairs) == {k: c for k, c in want.items() if c}
 
 
 class TestSharedDenominator:

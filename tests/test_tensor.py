@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from biops import tensor
 from biops.ring import Poly2, ZERO, ONE, ALPHA, BETA, AB
-from biops.tensor import (TensorElem, ShockElem, E1, E2, normal_order,
-                          shock_mul, linear_form, linear_forms, word_to_str)
+from biops.tensor import (TensorElem, ShockElem, GradedElem, E1, E2,
+                          normal_order, shock_mul, linear_form, linear_forms,
+                          word_to_str)
 from oracles import normal_order_word, power_sum
 
 # every word of length <= 10: 2047 words
@@ -234,6 +235,59 @@ class TestGradedFold:
         for N in range(13):
             assert graded(x, N), N
             x = x * normal_order(E1 + E2)
+
+
+def graded_word(w):
+    out = GradedElem.unit()
+    for g in w:
+        out = out * GradedElem.generator(g)
+    return out
+
+
+def rand_graded(rng):
+    """An integer combination of words of several lengths."""
+    out = GradedElem.zero()
+    for _ in range(rng.randint(0, 4)):
+        out = out + rng.randint(-5, 5) * graded_word(rand_word(rng, 6))
+    return out
+
+
+class TestGradedElem:
+    """GradedElem is the shock ring over the integers, graded by the
+    degree in which t = alpha*beta counts as one letter; lift() is its
+    image in ShockElem."""
+
+    def test_unit_and_generators(self):
+        assert GradedElem.unit() == GradedElem({(0, 0, 0): 1})
+        assert [GradedElem.generator(i) for i in (1, 2)] == [
+            GradedElem({(1, 0, 1): 1}), GradedElem({(1, 1, 0): 1})]
+        assert GradedElem.scalar(-3) == -3 * GradedElem.unit()
+        assert all(type(c) is int for _, c in
+                   (5 * GradedElem.generator(1) * GradedElem.generator(2))
+                   .items())
+
+    def test_e1_e2_is_t_times_e1_plus_e2(self):
+        e1, e2 = GradedElem.generator(1), GradedElem.generator(2)
+        assert e1 * e2 == GradedElem({(2, 0, 1): 1, (2, 1, 0): 1})
+        assert (e1 * e2).lift() == normal_order(E1 * E2)
+
+    def test_words_lift_to_their_normal_forms(self, rewritten):
+        for w in ALL_WORDS:
+            assert graded_word(w).lift() == rewritten[w], w
+
+    def test_product_and_sum_commute_with_lift(self):
+        rng = random.Random(17)
+        for _ in range(100):
+            x, y = rand_graded(rng), rand_graded(rng)
+            assert (x * y).lift() == x.lift() * y.lift()
+            assert (x - y).lift() == x.lift() - y.lift()
+            assert linear_form(x * y) == linear_form((x * y).lift())
+
+    def test_poly2_scalar_refused(self):
+        with pytest.raises(TypeError):
+            ALPHA * GradedElem.generator(1)
+        with pytest.raises(TypeError):
+            GradedElem.generator(1) + ShockElem.generator(1)
 
 
 class TestPowerSum:
