@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .ring import ALPHA, BETA
-from .tensor import GradedElem, ShockElem, TensorElem
+from .tensor import TensorElem
 
 
 # --- AST -------------------------------------------------------------------
@@ -234,58 +234,36 @@ def parse(src):
 
 def eval_expr(node, algebra=TensorElem):
     """Evaluate an AST in `algebra`: TensorElem expands it into words;
-    ShockElem evaluates it in the shock ring, where a power stays a
-    product of normal-ordered factors instead of expanding into words
-    (normal ordering is a ring homomorphism); a `matrep.Picture`
-    evaluates it in its truncated matrices.
-
-    In the shock ring, e1, e2, integers and everything built from them
-    alone evaluate in `GradedElem`, over plain integers.  Only `a`, `b`,
-    P(n) and Q(n) make ShockElem values, and a graded value is lifted to
-    a ShockElem where it meets one of those, in a sum or a product.  So
-    the result is a GradedElem for an expression with no a, b, P or Q,
-    and a ShockElem otherwise; `tensor.linear_form` takes either."""
-    return _eval(node, GradedElem if algebra is ShockElem else algebra,
-                 algebra)
-
-
-def _meet(x, y):
-    """x and y in one algebra: a GradedElem meeting a ShockElem lifts."""
-    if type(x) is not type(y):
-        x, y = (v.lift() if isinstance(v, GradedElem) else v for v in (x, y))
-    return x, y
-
-
-def _eval(node, graded, algebra):
-    """eval_expr, with generators, integers, zero and unit taken from
-    `graded` and alpha, beta, P(n) and Q(n) from `algebra`."""
+    ShockElem evaluates it in the shock ring over the integers, keyed by
+    bidegree, where a power stays a product of normal-ordered factors
+    instead of expanding into words (normal ordering is a ring
+    homomorphism); a `matrep.Picture` evaluates it in its truncated
+    matrices."""
     if isinstance(node, Gen):
-        return graded.generator(node.which)
+        return algebra.generator(node.which)
     if isinstance(node, ScalarPoly):
         if node.value == "a":
             return algebra.scalar(ALPHA)
         if node.value == "b":
             return algebra.scalar(BETA)
-        return graded.scalar(node.value)
+        return algebra.scalar(node.value)
     if isinstance(node, BiOrtho):
         # biortho loads here, so an expression without P or Q never needs it
         from .biortho import p_explicit, q_explicit
         poly = p_explicit(node.n) if node.which == "P" else q_explicit(node.n)
         return poly.into(algebra)
     if isinstance(node, Sum):
-        out = graded.zero()
+        out = algebra.zero()
         for p in node.parts:
-            x, y = _meet(out, _eval(p, graded, algebra))
-            out = x + y
+            out = out + eval_expr(p, algebra)
         return out
     if isinstance(node, Product):
-        out = graded.unit()
+        out = algebra.unit()
         for p in node.parts:
-            x, y = _meet(out, _eval(p, graded, algebra))
-            out = x * y
+            out = out * eval_expr(p, algebra)
         return out
     if isinstance(node, Power):
-        return _eval(node.base, graded, algebra) ** node.exponent
+        return eval_expr(node.base, algebra) ** node.exponent
     if isinstance(node, Negation):
-        return -_eval(node.inner, graded, algebra)
+        return -eval_expr(node.inner, algebra)
     raise TypeError(f"not an AST node: {node!r}")

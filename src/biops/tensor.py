@@ -3,27 +3,25 @@ linear form L defined by the two-parameter stationarity equations.
 
 Words are tuples over {1, 2} (1 = e1, 2 = e2); the empty tuple is the
 ring unit.  Normal ordering reduces modulo e1*e2 = alpha*beta*(e1 + e2)
-to the shock ring, whose basis is the words e2^n e1^m.  It is computed
-as a left fold over a word's letters with closed-form right products by
-e1 and e2, so it costs time polynomial in the word length.  On the
-basis, L(e2^n e1^m) = beta^n * alpha^m.
+to the shock ring, whose basis is the words e2^n e1^m.  On the basis,
+L(e2^n e1^m) = beta^n * alpha^m.
 
-The relation is homogeneous when t = alpha*beta counts as one letter:
-each rewrite shortens a word by one and multiplies it by t.  So the
-normal form of a word of length N, or of (e1 + e2)^N, has at e2^n e1^m
-an integer times t^(N-n-m), and L of that term is an integer times
-alpha^(N-n) beta^(N-m).  `linear_forms` and `power_sum_form` fold such
-elements over plain integer coefficients and read the power of t off
-the degree at the end; GradedElem is that ring as an algebra.
-Shock-ring elements, whose coefficients carry alpha and beta, run the
-same fold over Poly2 coefficients.
+The relation is homogeneous when alpha has bidegree (1, 0), beta has
+(0, 1), and e1 and e2 both have (1, 1).  So a shock-ring element over
+Z[alpha, beta] is a sum of bihomogeneous parts, and in the part of
+bidegree (I, J) the coordinate of e2^n e1^m is an integer times
+alpha^(I-n-m) beta^(J-n-m).  ShockElem stores exactly these integers,
+keyed (I, J, n, m), and L of such a term is the integer times
+alpha^(I-n) beta^(J-m).  A right product by e1 or e2 maps a part of
+bidegree (I, J) to one of (I+1, J+1) with integer additions alone
+(`_times_gen`), so a product costs time polynomial in the degree.
+Words and (e1 + e2)^N lie on the diagonal I = J = N: `linear_forms` and
+`power_sum_form` fold them over (n, m) keys and read N off the length.
 """
 
 from __future__ import annotations
 
-from operator import pos
-
-from .ring import Poly2, ZERO, ONE, AB, accumulate, poly_sum
+from .ring import Poly2, ONE, accumulate, poly_sum
 
 
 def word_to_str(w):
@@ -36,7 +34,8 @@ def _clean(terms):
 
 class _LinComb:
     """Shared machinery for finite linear combinations with coefficients
-    in the ring of `_ONE`, which an int scalar is multiplied into.
+    in the ring of `_ONE`, which an int scalar is multiplied into; a
+    Poly2 scalar of integer coefficients multiplies as `scalar(p)`.
 
     A subclass supplies `_mul`, its product with an element of its own
     type, and the keys of its unit and generators; products by a scalar
@@ -111,12 +110,14 @@ class _LinComb:
             out = object.__new__(type(self))
             out._t = _clean({k: other * c for k, c in self._t.items()})
             return out
+        if isinstance(other, Poly2):
+            other = self.scalar(other)
         if not isinstance(other, type(self)):
             return NotImplemented
         return self._mul(other)
 
     def __rmul__(self, other):
-        if isinstance(other, (type(self._ONE), int)):
+        if isinstance(other, (Poly2, int)):
             return self * other
         return NotImplemented
 
@@ -158,111 +159,78 @@ E2 = TensorElem.generator(2)
 
 
 class ShockElem(_LinComb):
-    """Element of the shock ring: map (n, m) -> coefficient of e2^n e1^m."""
+    """Element of the shock ring over Z[alpha, beta]: the int c at
+    (I, J, n, m) stands for c alpha^(I-n-m) beta^(J-n-m) e2^n e1^m."""
 
-    _UNIT = (0, 0)
-    _GENERATORS = ((0, 1), (1, 0))
+    _UNIT = (0, 0, 0, 0)
+    _GENERATORS = ((1, 1, 0, 1), (1, 1, 1, 0))
+    _ONE = 1
+
+    @classmethod
+    def scalar(cls, p):
+        """p as a ShockElem: each term c alpha^i beta^j at (i, j, 0, 0)."""
+        if isinstance(p, int):
+            p = Poly2.const(p)
+        return cls({(i, j, 0, 0): c for (i, j), c in p._t.items()})
 
     def _mul(self, other):
         return shock_mul(self, other)
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        parts = {(0, 0): {(0, 0): 1}}
+        for _ in range(n):
+            parts = _times_parts(parts, self)
+        return _from_parts(parts)
 
     def __repr__(self):
         if not self._t:
             return "ShockElem(0)"
         parts = [
-            f"({c!s})*e2^{n}e1^{m}" for (n, m), c in sorted(self._t.items())
+            f"{c}*a^{I - n - m}*b^{J - n - m}*e2^{n}e1^{m}"
+            for (I, J, n, m), c in sorted(self._t.items())
         ]
         return "ShockElem(" + " + ".join(parts) + ")"
 
 
-class GradedElem(_LinComb):
-    """The integer span of the words in the shock ring, graded by degree:
-    the int c at (N, n, m) stands for c t^(N-n-m) e2^n e1^m.  A product is
-    one integer fold of `_times_e2` per degree."""
-
-    _UNIT = (0, 0, 0)
-    _GENERATORS = ((1, 0, 1), (1, 1, 0))
-    _ONE = 1
-
-    def _mul(self, other):
-        """x_N * c t^(M-k-l) e2^k e1^l, for the part x_N of degree N and a
-        term of `other`, is x_N times e2 k times, shifted by l in the power
-        of e1, times c, in degree N + M."""
-        t = {}
-        ys = sorted(other._t.items(), key=lambda kc: kc[0][1])
-        for N, xk in _by_degree(self._t).items():
-            k = 0  # xk = x_N * e2^k
-            for (M, kk, l), c in ys:
-                while k < kk:
-                    xk, k = _times_e2(xk, pos, 0), k + 1
-                terms = (((N + M, n, m + l), c * cx)
-                         for (n, m), cx in xk.items())
-                # products of nonzero ints are nonzero
-                t = accumulate(t, terms) if t else dict(terms)
-        out = object.__new__(GradedElem)
-        out._t = t
-        return out
-
-    def lift(self):
-        """This element as a ShockElem: the one conversion, multiplying in
-        the power t^(N-n-m) of each coefficient."""
-        return ShockElem(accumulate({}, (
-            ((n, m), Poly2._raw({(N - n - m, N - n - m): c}))
-            for (N, n, m), c in self._t.items())))
-
-
-def _by_degree(t):
-    """{N: {(n, m): c}}: the homogeneous parts of a GradedElem's terms."""
-    parts = {}
-    for (N, n, m), c in t.items():
-        parts.setdefault(N, {})[(n, m)] = c
-    return parts
-
-
 # --- normal ordering ---------------------------------------------------
 
-def _times_e2(t, times_t, zero):
-    """x*e2 for x = sum of t[(n, m)] e2^n e1^m, in the shock ring, with
-    coefficients whose product by t = alpha*beta is times_t and whose zero
-    is `zero` (Poly2 coefficients, or integers whose power of t is the
-    degree's, so that times t is the identity).
+def _times_e2(t):
+    """x*e2 for the part x = sum of t[(n, m)] e2^n e1^m of one bidegree,
+    in the shock ring; the result's bidegree is one more in each place.
 
-    e2^n e1^m e2 = sum_{k=1..m} t^(m-k+1) e2^n e1^k + t^m e2^(n+1),
-    so within one power n of e2 the coefficient of e1^k is the suffix sum
-    S_k = t (c_k + S_(k+1)), and e2^(n+1) gets c_0 + S_1.  Every output
-    key comes from exactly one n.
+    e2^n e1^m e2 = sum_{k=1..m} t^(m-k+1) e2^n e1^k + t^m e2^(n+1)
+    with t = alpha*beta, and the power of t is read off the bidegree, so
+    within one power n of e2 the coefficient of e1^k is the suffix sum
+    S_k = c_k + S_(k+1), and e2^(n+1) gets c_0 + S_1.  Every output key
+    comes from exactly one n.
     """
     rows = {}
     for (n, m), c in t.items():
         rows.setdefault(n, {})[m] = c
     out = {}
     for n, row in rows.items():
-        s = zero
+        s = 0
         for k in range(max(row), 0, -1):
             c = row.get(k)
-            s = times_t(s + c if c is not None else s)
+            if c is not None:
+                s += c
             if s:
                 out[(n, k)] = s
         c = row.get(0)
-        s = s + c if c is not None else s
+        if c is not None:
+            s += c
         if s:
             out[(n + 1, 0)] = s
     return out
 
 
-def _right_product(times_t, zero):
-    """The right product (t, g) -> t*e_g of a normal-ordered dict, for
-    coefficients whose product by alpha*beta is times_t."""
-    def times_gen(t, g):
-        if g == 1:
-            return {(n, m + 1): c for (n, m), c in t.items()}
-        return _times_e2(t, times_t, zero)
-    return times_gen
-
-
-_POLY2_PRODUCT = _right_product(AB.__mul__, ZERO)
-# integer coefficients of a homogeneous element: times t is the identity
-_GRADED_PRODUCT = _right_product(pos, 0)
+def _times_gen(t, g):
+    """The right product t*e_g of one bihomogeneous part."""
+    if g == 1:
+        return {(n, m + 1): c for (n, m), c in t.items()}
+    return _times_e2(t)
 
 
 def fold_words(words, unit, times_gen):
@@ -270,8 +238,8 @@ def fold_words(words, unit, times_gen):
     order, where a word's value is the left fold of times_gen(value, g)
     over its letters g, starting from `unit`.  A stack holds the values of
     the current word's prefixes, so each node of the word trie costs one
-    product.  Normal ordering folds (n,m)->coefficient dicts with a
-    `_right_product`; `matrep.eval_L_matrix` folds the row e_0 times the
+    product.  Normal ordering folds (n,m)->coefficient dicts with
+    `_times_gen`; `matrep.eval_L_matrix` folds the row e_0 times the
     generator matrices."""
     stack = [unit]  # stack[i] = value of prev[:i]
     prev = ()
@@ -287,26 +255,58 @@ def fold_words(words, unit, times_gen):
 
 
 def normal_order(x):
-    """Project a TensorElem onto the shock ring (normal-ordered form)."""
+    """Project a TensorElem onto the shock ring (normal-ordered form): a
+    word w of length N folds to a part of bidegree (N, N), and a term
+    c alpha^i beta^j of its coefficient moves that part to
+    (N + i, N + j)."""
     t = {}
-    for w, nf in fold_words(x._t, {(0, 0): ONE}, _POLY2_PRODUCT):
-        c = x._t[w]
-        accumulate(t, ((k, c * ck) for k, ck in nf.items()))
-    return ShockElem(t)
+    for w, nf in fold_words(x._t, {(0, 0): 1}, _times_gen):
+        N = len(w)
+        for (i, j), c in x._t[w]._t.items():
+            accumulate(t, (((N + i, N + j, n, m), c * cw)
+                           for (n, m), cw in nf.items()))
+    out = object.__new__(ShockElem)
+    out._t = t
+    return out
 
 
 # --- shock ring product -------------------------------------------------
 
+def _times_parts(parts, y):
+    """x*y for x given as its bihomogeneous parts {(I, J): {(n, m): c}},
+    returned as parts.  A part of x times c alpha^a beta^b e2^k e1^l is
+    that part times e2 k times, shifted by l in the power of e1, times c,
+    in bidegree (I + a + k + l, J + b + k + l): bidegrees add."""
+    out = {}
+    ys = sorted(y._t.items(), key=lambda kc: kc[0][2])
+    for (I, J), xk in parts.items():
+        k = 0  # xk = x_(I, J) * e2^k
+        for (I2, J2, kk, l), c in ys:
+            while k < kk:
+                xk, k = _times_e2(xk), k + 1
+            terms = (((n, m + l), c * cx) for (n, m), cx in xk.items())
+            part = out.get((I + I2, J + J2))
+            if part is None:
+                # products of nonzero ints are nonzero
+                out[(I + I2, J + J2)] = dict(terms)
+            else:
+                accumulate(part, terms)
+    return out
+
+
+def _from_parts(parts):
+    out = object.__new__(ShockElem)
+    out._t = {(I, J, n, m): c for (I, J), part in parts.items()
+              for (n, m), c in part.items()}
+    return out
+
+
 def shock_mul(x, y):
-    """Product in the shock ring: x * e2^k e1^l is x times e2 k times,
-    shifted by l in the power of e1."""
-    t = {}
-    xk, k = x._t, 0  # xk = x * e2^k
-    for (kk, l), c in sorted(y.items()):
-        while k < kk:
-            xk, k = _times_e2(xk, AB.__mul__, ZERO), k + 1
-        accumulate(t, (((n, m + l), c * cx) for (n, m), cx in xk.items()))
-    return ShockElem(t)
+    """Product in the shock ring, one bihomogeneous part of x at a time."""
+    parts = {}
+    for (I, J, n, m), c in x._t.items():
+        parts.setdefault((I, J), {})[(n, m)] = c
+    return _from_parts(_times_parts(parts, y))
 
 
 # --- the linear form ----------------------------------------------------
@@ -314,22 +314,11 @@ def shock_mul(x, y):
 _L_CACHE = {}
 
 
-def _L_nf(t):
-    """L on a normal-ordered dict with Poly2 coefficients, L(e2^n e1^m) =
-    beta^n alpha^m, accumulated term by term into one dict."""
-    out = {}
-    for (n, m), c in t.items():
-        for (i, j), v in c._t.items():
-            k = (i + m, j + n)
-            out[k] = out.get(k, 0) + v
-    return Poly2._raw({k: v for k, v in out.items() if v})
-
-
 def _L_graded(t, N):
-    """L on the normal form, with integer coefficients, of a homogeneous
-    element of degree N: the integer c at (n, m) stands for
-    c t^(N-n-m) e2^n e1^m, whose L is c alpha^(N-n) beta^(N-m).  Distinct
-    keys give distinct monomials, and a fold stores no zero."""
+    """L on the part of bidegree (N, N), over (n, m) keys: the integer c
+    at (n, m) stands for c (alpha*beta)^(N-n-m) e2^n e1^m, whose L is
+    c alpha^(N-n) beta^(N-m).  Distinct keys give distinct monomials, and
+    a fold stores no zero."""
     return Poly2._raw({(N - n, N - m): c for (n, m), c in t.items()})
 
 
@@ -339,7 +328,7 @@ def linear_forms(words):
     sharing prefix folds."""
     words = set(words)
     missing = (w for w in words if w not in _L_CACHE)
-    for w, nf in fold_words(missing, {(0, 0): 1}, _GRADED_PRODUCT):
+    for w, nf in fold_words(missing, {(0, 0): 1}, _times_gen):
         _L_CACHE[w] = _L_graded(nf, len(w))
     return {w: _L_CACHE[w] for w in words}
 
@@ -349,19 +338,15 @@ def power_sum_form(n):
     coefficients: each step is x*e1 + x*e2."""
     x = {(0, 0): 1}
     for _ in range(n):
-        y = _GRADED_PRODUCT(x, 2)
-        for k, c in _GRADED_PRODUCT(x, 1).items():
-            y[k] = y.get(k, 0) + c
-        x = y
+        x = accumulate(_times_e2(x), _times_gen(x, 1).items())
     return _L_graded(x, n)
 
 
 def linear_form(x):
-    """L(x) for a TensorElem, a ShockElem or a GradedElem: evaluate via
-    normal ordering, L(e2^n e1^m) = beta^n alpha^m."""
+    """L(x) for a TensorElem or a ShockElem: on the shock ring,
+    L(c alpha^(I-n-m) beta^(J-n-m) e2^n e1^m) = c alpha^(I-n) beta^(J-m)."""
     if isinstance(x, ShockElem):
-        return _L_nf(x._t)
-    if isinstance(x, GradedElem):
-        return poly_sum(_L_graded(t, N) for N, t in _by_degree(x._t).items())
+        return Poly2._raw(accumulate({}, (
+            ((I - n, J - m), c) for (I, J, n, m), c in x._t.items())))
     values = linear_forms(x._t)
     return poly_sum(c * values[w] for w, c in x.items())

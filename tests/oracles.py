@@ -3,6 +3,10 @@ or closed-form constructions that the library computes another way.
 
 * `normal_order_word` rewrites adjacent e1*e2 pairs one at a time; the
   library folds a word's letters with closed-form right products.
+  `poly2_fold` is that fold over Poly2 coefficients, multiplying by
+  alpha*beta at each rewrite; the library folds over integers and reads
+  the powers of alpha and beta off the bidegree.  Both give a normal
+  form as {(n, m): Poly2}, and `as_shock` writes one as a ShockElem.
 * `power_sum` expands (e1 + e2)^L into its 2^L words; the library takes
   the L-th power in the shock ring.
 * `pq_rep` writes the band matrices of P_n and Q_n down from their
@@ -51,7 +55,7 @@ from biops.expr import Gen, ScalarPoly, BiOrtho, Sum, Product, Power, Negation
 from biops.matrep import RepMatrix, generator_matrices, second_moment
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, AB, ALPHA, BETA, K_ZERO,
                         K_ONE, accumulate)
-from biops.tensor import TensorElem, fold_words, linear_form
+from biops.tensor import ShockElem, TensorElem, fold_words, linear_form
 
 
 # --- normal ordering by rewriting ----------------------------------------
@@ -102,6 +106,41 @@ def normal_order_word(word, strategy="leftmost", max_steps=None):
         pending.append((u + (1,) + v, AB * coeff))
         pending.append((u + (2,) + v, AB * coeff))
     return done, steps
+
+
+def poly2_fold(word):
+    """The normal form of a word as {(n, m): Poly2}, by a left fold over
+    its letters: x*e1 shifts m, and x*e2 gives e1^k, within one power n
+    of e2, the suffix sum S_k = alpha*beta*(c_k + S_(k+1)) and e2^(n+1)
+    c_0 + S_1."""
+    t = {(0, 0): ONE}
+    for g in word:
+        if g == 1:
+            t = {(n, m + 1): c for (n, m), c in t.items()}
+            continue
+        rows = {}
+        for (n, m), c in t.items():
+            rows.setdefault(n, {})[m] = c
+        t = {}
+        for n, row in rows.items():
+            s = ZERO
+            for k in range(max(row), 0, -1):
+                s = AB * (s + row.get(k, ZERO))
+                if s:
+                    t[(n, k)] = s
+            s = s + row.get(0, ZERO)
+            if s:
+                t[(n + 1, 0)] = s
+    return t
+
+
+def as_shock(nf):
+    """The ShockElem of a normal form {(n, m): Poly2}: a term
+    c alpha^i beta^j of the coefficient of e2^n e1^m is the integer c at
+    bidegree (i + n + m, j + n + m)."""
+    return ShockElem({(i + n + m, j + n + m, n, m): c
+                      for (n, m), p in nf.items()
+                      for (i, j), c in p.sorted_terms()})
 
 
 def power_sum(L):

@@ -106,8 +106,8 @@ class TestPartitionFunction:
             assert partition_Z(L) == enumerated_Z(L), L
 
     def test_equals_poly2_shock_ring_power(self):
-        # the integer fold against the power of e1 + e2 in the shock ring
-        # with Poly2 coefficients
+        # the integer fold on (n, m) keys against the power of e1 + e2 in
+        # the shock ring over Z[alpha, beta], keyed by bidegree
         x = normal_order(TensorElem.unit())
         for L in range(31):
             assert partition_Z(L) == linear_form(x), L

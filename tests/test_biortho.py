@@ -17,7 +17,7 @@ from biops.biortho import (UniPoly, p_explicit, q_explicit, lambda_n,
                            _ldu_report, recurrence_check,
                            first_moment_matrices, moment_consistency,
                            require_generic_point, lambda_value, band_values)
-from oracles import (swap_ab, p_cramer, q_cramer, biorthogonal_pair,
+from oracles import (as_shock, swap_ab, p_cramer, q_cramer, biorthogonal_pair,
                      det_fraction_free, fraction_free, long_div)
 
 
@@ -135,8 +135,8 @@ class TestInto:
         for poly, which, key in ((p_explicit(n), "P", lambda k: (0, k)),
                                  (q_explicit(n), "Q", lambda k: (k, 0))):
             shock = poly.into(ShockElem)
-            assert shock == ShockElem({key(k): c for k, c
-                                       in enumerate(poly.coeffs)})
+            assert shock == as_shock({key(k): c for k, c
+                                      in enumerate(poly.coeffs)})
             assert shock == normal_order(poly.into(TensorElem))
             assert shock == eval_expr(parse(f"{which}({n})"), ShockElem)
 

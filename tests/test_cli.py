@@ -11,8 +11,10 @@ import biops
 from biops import biortho, cli
 from biops.asep import stationary_mpa
 from biops.cli import main
+from biops.expr import eval_expr, parse
 from biops.report import CheckReport
 from biops.ring import Poly2, ALPHA, BETA, AB
+from biops.tensor import linear_form
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(biops.__file__)))
 
@@ -99,6 +101,38 @@ class TestSmoke:
     def test_L_of_the_deck_expressions(self, capsys, src, k, scale):
         from biops.asep import partition_Z
         want = AB**scale * partition_Z(k)
+        code, out, _ = run_cli(capsys, "L", src)
+        assert code == 0
+        assert out == json.dumps({"expr": src, "L": want.to_obj(),
+                                  "text": str(want)},
+                                 indent=2, sort_keys=True) + "\n"
+
+    # the algebra deck's L requests: its four expression forms, each with
+    # every one of its five scalars; word expansion is the oracle
+    @pytest.mark.parametrize("src", [
+        "a*Q(2)*e1*P(1) + e1^3",
+        "b*Q(2)*e1*P(1) + e1^3",
+        "a*b*Q(2)*e1*P(1) + e1^3",
+        "2*Q(2)*e1*P(1) + e1^3",
+        "3*Q(2)*e1*P(1) + e1^3",
+        "a*P(3)*e1^2*Q(3)",
+        "b*P(3)*e1^2*Q(3)",
+        "a*b*P(3)*e1^2*Q(3)",
+        "2*P(3)*e1^2*Q(3)",
+        "3*P(3)*e1^2*Q(3)",
+        "a*e2^2*P(2) + P(1)*e1*Q(2)*e2",
+        "b*e2^2*P(2) + P(1)*e1*Q(2)*e2",
+        "a*b*e2^2*P(2) + P(1)*e1*Q(2)*e2",
+        "2*e2^2*P(2) + P(1)*e1*Q(2)*e2",
+        "3*e2^2*P(2) + P(1)*e1*Q(2)*e2",
+        "P(2)*Q(2)*P(2) + a*e2^4 + a*Q(1)",
+        "P(2)*Q(2)*P(2) + b*e2^4 + b*Q(1)",
+        "P(2)*Q(2)*P(2) + a*b*e2^4 + a*b*Q(1)",
+        "P(2)*Q(2)*P(2) + 2*e2^4 + 2*Q(1)",
+        "P(2)*Q(2)*P(2) + 3*e2^4 + 3*Q(1)",
+    ])
+    def test_L_of_the_algebra_deck_expressions(self, capsys, src):
+        want = linear_form(eval_expr(parse(src)))
         code, out, _ = run_cli(capsys, "L", src)
         assert code == 0
         assert out == json.dumps({"expr": src, "L": want.to_obj(),

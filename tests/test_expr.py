@@ -5,10 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from biops.asep import partition_Z
-from biops.biortho import p_explicit, q_explicit
 from biops.ring import Poly2, ALPHA, BETA, AB
-from biops.tensor import (TensorElem, ShockElem, GradedElem, E1, E2,
-                          linear_form)
+from biops.tensor import (TensorElem, ShockElem, E1, E2, linear_form,
+                          normal_order)
 from biops.expr import (parse, eval_expr, Gen, ScalarPoly, Sum,
                         Product, Power, Negation, BiOrtho)
 from biops.errors import ParseError
@@ -122,15 +121,6 @@ def children(node):
     return ()
 
 
-def has_poly2_scalar(node):
-    """Whether the AST has an a, b, P(n) or Q(n) leaf."""
-    if isinstance(node, BiOrtho):
-        return True
-    if isinstance(node, ScalarPoly):
-        return node.value in ("a", "b")
-    return any(map(has_poly2_scalar, children(node)))
-
-
 def word_bound(node):
     """An upper bound on the number of words of eval_expr(node)."""
     if isinstance(node, BiOrtho):
@@ -139,27 +129,6 @@ def word_bound(node):
         return word_bound(node.base) ** node.exponent
     bounds = map(word_bound, children(node))
     return sum(bounds) if isinstance(node, Sum) else prod(bounds)
-
-
-def shock_value(node):
-    """The AST evaluated with ShockElem operations alone: the shock-ring
-    product of the generators, with no graded integer part."""
-    if isinstance(node, Gen):
-        return ShockElem.generator(node.which)
-    if isinstance(node, ScalarPoly):
-        return ShockElem.scalar({"a": ALPHA, "b": BETA}.get(node.value,
-                                                           node.value))
-    if isinstance(node, BiOrtho):
-        explicit = p_explicit if node.which == "P" else q_explicit
-        return explicit(node.n).into(ShockElem)
-    if isinstance(node, Power):
-        return shock_value(node.base) ** node.exponent
-    if isinstance(node, Negation):
-        return -shock_value(node.inner)
-    values = map(shock_value, node.parts)
-    if isinstance(node, Sum):
-        return sum(values, ShockElem.zero())
-    return prod(values, start=ShockElem.unit())
 
 
 class TestPretty:
@@ -195,23 +164,17 @@ class TestEval:
 
 
 class TestGradedPath:
-    """eval_expr(node, ShockElem) evaluates the parts without a, b, P or Q
-    over plain integers (GradedElem) and lifts them to the shock ring where
-    they meet one; the shock ring alone and word expansion are its
-    oracles."""
+    """eval_expr(node, ShockElem) evaluates the whole AST in the shock ring
+    over the integers, keyed by bidegree; the normal order of the word
+    expansion, and L of it, are its oracles."""
 
     @staticmethod
     def assert_paths_agree(node):
         value = eval_expr(node, ShockElem)
-        shock = shock_value(node)
-        if has_poly2_scalar(node):
-            assert isinstance(value, ShockElem)
-            assert value == shock
-        else:
-            assert isinstance(value, GradedElem)
-            assert value.lift() == shock
-        assert linear_form(value) == linear_form(shock)
-        assert linear_form(value) == linear_form(eval_expr(node))
+        words = eval_expr(node)
+        assert isinstance(value, ShockElem)
+        assert value == normal_order(words)
+        assert linear_form(value) == linear_form(words)
 
     @pytest.mark.parametrize("integer_only", [True, False],
                              ids=["integer", "mixed"])

@@ -6,20 +6,26 @@ from hypothesis import given, settings, strategies as st
 
 from biops import tensor
 from biops.ring import Poly2, ZERO, ONE, ALPHA, BETA, AB
-from biops.tensor import (TensorElem, ShockElem, GradedElem, E1, E2,
-                          normal_order, shock_mul, linear_form, linear_forms,
-                          word_to_str)
-from oracles import normal_order_word, power_sum
+from biops.expr import eval_expr, parse
+from biops.tensor import (TensorElem, ShockElem, E1, E2, normal_order,
+                          shock_mul, linear_form, linear_forms, word_to_str)
+from oracles import as_shock, normal_order_word, poly2_fold, power_sum
 
 # every word of length <= 10: 2047 words
 ALL_WORDS = [w for n in range(11) for w in itertools.product((1, 2), repeat=n)]
 
 
 @pytest.fixture(scope="module")
-def rewritten():
-    """Normal form of every word in ALL_WORDS by leftmost rewriting."""
-    return {w: ShockElem(normal_order_word(w, "leftmost")[0])
-            for w in ALL_WORDS}
+def rewritten_nf():
+    """Normal form {(n, m): Poly2} of every word in ALL_WORDS by leftmost
+    rewriting."""
+    return {w: normal_order_word(w, "leftmost")[0] for w in ALL_WORDS}
+
+
+@pytest.fixture(scope="module")
+def rewritten(rewritten_nf):
+    """The normal forms of `rewritten_nf` as ShockElems."""
+    return {w: as_shock(nf) for w, nf in rewritten_nf.items()}
 
 
 def rewritten_L(nf):
@@ -46,15 +52,15 @@ def test_word_text_syntax():
 class TestNormalOrder:
     def test_single_swap(self):
         no = normal_order(E1 * E2)
-        assert no == ShockElem({(0, 1): AB, (1, 0): AB})
+        assert no == as_shock({(0, 1): AB, (1, 0): AB})
 
     def test_already_ordered(self):
-        assert normal_order(E2 * E1) == ShockElem({(1, 1): ONE})
+        assert normal_order(E2 * E1) == as_shock({(1, 1): ONE})
 
     def test_two_step(self):
         # e1 e1 e2 -> ab e1^2 + (ab)^2 e1 + (ab)^2 e2
         no = normal_order(E1 * E1 * E2)
-        assert no == ShockElem({(0, 2): AB, (0, 1): AB * AB, (1, 0): AB * AB})
+        assert no == as_shock({(0, 2): AB, (0, 1): AB * AB, (1, 0): AB * AB})
 
     def test_confluence_leftmost_vs_rightmost(self):
         rng = random.Random(5)
@@ -69,7 +75,7 @@ class TestNormalOrder:
             fold = normal_order(TensorElem({w: ONE}))
             assert fold == rewritten[w], w
             right, _ = normal_order_word(w, "rightmost")
-            assert fold == ShockElem(right), w
+            assert fold == as_shock(right), w
 
     def test_shared_prefix_fold_on_power_sums(self, rewritten):
         for n in range(11):
@@ -83,7 +89,7 @@ class TestNormalOrder:
         nf = normal_order(TensorElem({(1,) * m + (2,): ONE}))
         expected = {(0, k): AB**(m - k + 1) for k in range(1, m + 1)}
         expected[(1, 0)] = AB**m
-        assert nf == ShockElem(expected)
+        assert nf == as_shock(expected)
 
     def test_termination_within_budget(self):
         rng = random.Random(6)
@@ -94,9 +100,11 @@ class TestNormalOrder:
 
 
 @pytest.mark.parametrize("cls, keys", [(TensorElem, ((1,), (2,))),
-                                        (ShockElem, ((0, 1), (1, 0)))])
+                                        (ShockElem, ((1, 1, 0, 1),
+                                                     (1, 1, 1, 0)))])
 def test_generators(cls, keys):
-    assert [cls.generator(i) for i in (1, 2)] == [cls({k: ONE}) for k in keys]
+    one = 1 if cls is ShockElem else ONE
+    assert [cls.generator(i) for i in (1, 2)] == [cls({k: one}) for k in keys]
     for i in (0, 3):
         with pytest.raises(ValueError):
             cls.generator(i)
@@ -104,18 +112,18 @@ def test_generators(cls, keys):
 
 class TestShockRing:
     def test_product_base_cases(self):
-        e1s = ShockElem({(0, 1): ONE})
-        e2s = ShockElem({(1, 0): ONE})
-        assert shock_mul(e1s, e2s) == ShockElem({(0, 1): AB, (1, 0): AB})
-        assert shock_mul(e2s, e1s) == ShockElem({(1, 1): ONE})
+        e1s = as_shock({(0, 1): ONE})
+        e2s = as_shock({(1, 0): ONE})
+        assert shock_mul(e1s, e2s) == as_shock({(0, 1): AB, (1, 0): AB})
+        assert shock_mul(e2s, e1s) == as_shock({(1, 1): ONE})
 
     def test_concat_cases(self):
         # m = 0: plain concatenation of e2 powers
-        assert shock_mul(ShockElem({(2, 0): ONE}), ShockElem({(1, 3): ONE})) \
-            == ShockElem({(3, 3): ONE})
+        assert shock_mul(as_shock({(2, 0): ONE}), as_shock({(1, 3): ONE})) \
+            == as_shock({(3, 3): ONE})
         # k = 0: plain concatenation of e1 powers
-        assert shock_mul(ShockElem({(1, 2): ONE}), ShockElem({(0, 3): ONE})) \
-            == ShockElem({(1, 5): ONE})
+        assert shock_mul(as_shock({(1, 2): ONE}), as_shock({(0, 3): ONE})) \
+            == as_shock({(1, 5): ONE})
 
     def test_agrees_with_normal_order_of_concat(self):
         rng = random.Random(9)
@@ -134,9 +142,16 @@ class TestShockRing:
                     == rewritten[w], (w, i)
 
     def test_power_is_repeated_product(self):
+        # a power carries its parts from factor to factor; shock_mul
+        # regroups its left factor each time
         x = normal_order(E1 * E2 + ALPHA * E2)
         assert x ** 0 == ShockElem.unit()
         assert x ** 3 == normal_order((E1 * E2 + ALPHA * E2) ** 3)
+        y = normal_order(3 * E1 - BETA * E2 * E2 + TensorElem.scalar(AB))
+        acc = ShockElem.unit()
+        for k in range(8):
+            assert y ** k == acc, k
+            acc = shock_mul(acc, y)
 
     def test_homomorphism_on_linear_combinations(self):
         rng = random.Random(10)
@@ -172,12 +187,12 @@ class TestLinearForm:
         x = E1 * E2 * E2 - BETA * E2 * E1 * E1
         assert linear_form(normal_order(x)) == linear_form(x)
 
-    def test_cold_words_match_rewriting(self, rewritten, monkeypatch):
+    def test_cold_words_match_rewriting(self, rewritten_nf, monkeypatch):
         # an empty cache, so every word goes through the shared fold
         monkeypatch.setattr(tensor, "_L_CACHE", {})
         values = linear_forms(ALL_WORDS)
         for w in ALL_WORDS:
-            assert values[w] == rewritten_L(rewritten[w]), w
+            assert values[w] == rewritten_L(rewritten_nf[w]), w
         # the first call filled the cache and the second one reads it
         assert len(tensor._L_CACHE) == len(ALL_WORDS)
         again = linear_forms(ALL_WORDS[:5])
@@ -199,12 +214,12 @@ class TestLinearForm:
 
 class TestGradedFold:
     """`linear_forms` folds words over integer coefficients and reads the
-    power of alpha*beta off the degree; the Poly2 fold of `normal_order`
-    is its oracle."""
+    power of alpha*beta off the degree; `poly2_fold`, the same fold over
+    Poly2 coefficients, is its oracle."""
 
     @staticmethod
     def poly2_fold(w):
-        return linear_form(normal_order(TensorElem({w: ONE})))
+        return rewritten_L(poly2_fold(w))
 
     def test_equals_poly2_fold_on_every_word_up_to_12(self, monkeypatch):
         monkeypatch.setattr(tensor, "_L_CACHE", {})
@@ -221,73 +236,100 @@ class TestGradedFold:
         w = tuple(letters)
         tensor._L_CACHE.pop(w, None)  # fold it, not read it
         assert linear_forms([w])[w] == self.poly2_fold(w)
+        assert normal_order(TensorElem({w: ONE})) == as_shock(poly2_fold(w))
 
-    def test_normal_form_is_homogeneous(self, rewritten):
+    def test_normal_form_is_homogeneous(self, rewritten_nf):
         # the degree the fold relies on: a word of length N, and
         # (e1 + e2)^N, has at e2^n e1^m a positive integer times
-        # (alpha*beta)^(N-n-m)
-        def graded(x, N):
+        # (alpha*beta)^(N-n-m), so its ShockElem keys are all (N, N, n, m)
+        def graded(nf, N):
             return all(N >= n + m and c == int(c.eval(1, 1)) * AB**(N - n - m)
-                       and c.eval(1, 1) > 0 for (n, m), c in x.items())
+                       and c.eval(1, 1) > 0 for (n, m), c in nf.items())
 
-        assert all(graded(rewritten[w], len(w)) for w in ALL_WORDS)
+        def on_diagonal(x, N):
+            return all(I == J == N and c > 0 for (I, J, _, _), c in x.items())
+
+        assert all(graded(rewritten_nf[w], len(w)) for w in ALL_WORDS)
+        assert all(on_diagonal(normal_order(TensorElem({w: ONE})), len(w))
+                   for w in ALL_WORDS)
         x = ShockElem.unit()
         for N in range(13):
-            assert graded(x, N), N
+            assert on_diagonal(x, N), N
             x = x * normal_order(E1 + E2)
 
 
-def graded_word(w):
-    out = GradedElem.unit()
-    for g in w:
-        out = out * GradedElem.generator(g)
-    return out
-
-
-def rand_graded(rng):
+def rand_words(rng):
     """An integer combination of words of several lengths."""
-    out = GradedElem.zero()
-    for _ in range(rng.randint(0, 4)):
-        out = out + rng.randint(-5, 5) * graded_word(rand_word(rng, 6))
+    return TensorElem({rand_word(rng, 6): Poly2.const(rng.randint(-5, 5))
+                       for _ in range(rng.randint(0, 4))})
+
+
+def shock_word(w):
+    out = ShockElem.unit()
+    for g in w:
+        out = out * ShockElem.generator(g)
     return out
 
 
-class TestGradedElem:
-    """GradedElem is the shock ring over the integers, graded by the
-    degree in which t = alpha*beta counts as one letter; lift() is its
-    image in ShockElem."""
+class TestBidegree:
+    """ShockElem is the shock ring over Z[alpha, beta] with integer
+    coordinates keyed by bidegree: the int c at (I, J, n, m) stands for
+    c alpha^(I-n-m) beta^(J-n-m) e2^n e1^m.  normal_order is a ring
+    homomorphism onto it."""
 
     def test_unit_and_generators(self):
-        assert GradedElem.unit() == GradedElem({(0, 0, 0): 1})
-        assert [GradedElem.generator(i) for i in (1, 2)] == [
-            GradedElem({(1, 0, 1): 1}), GradedElem({(1, 1, 0): 1})]
-        assert GradedElem.scalar(-3) == -3 * GradedElem.unit()
+        assert ShockElem.unit() == ShockElem({(0, 0, 0, 0): 1})
+        assert [ShockElem.generator(i) for i in (1, 2)] == [
+            ShockElem({(1, 1, 0, 1): 1}), ShockElem({(1, 1, 1, 0): 1})]
+        assert ShockElem.scalar(-3) == -3 * ShockElem.unit()
+        assert ShockElem.scalar(ALPHA**2 - 4 * BETA) \
+            == ShockElem({(2, 0, 0, 0): 1, (0, 1, 0, 0): -4})
         assert all(type(c) is int for _, c in
-                   (5 * GradedElem.generator(1) * GradedElem.generator(2))
+                   (5 * ShockElem.generator(1) * ShockElem.generator(2))
                    .items())
 
     def test_e1_e2_is_t_times_e1_plus_e2(self):
-        e1, e2 = GradedElem.generator(1), GradedElem.generator(2)
-        assert e1 * e2 == GradedElem({(2, 0, 1): 1, (2, 1, 0): 1})
-        assert (e1 * e2).lift() == normal_order(E1 * E2)
+        e1, e2 = ShockElem.generator(1), ShockElem.generator(2)
+        assert e1 * e2 == ShockElem({(2, 2, 0, 1): 1, (2, 2, 1, 0): 1})
+        assert e1 * e2 == normal_order(E1 * E2)
 
-    def test_words_lift_to_their_normal_forms(self, rewritten):
+    def test_words_are_products_of_their_letters(self, rewritten):
         for w in ALL_WORDS:
-            assert graded_word(w).lift() == rewritten[w], w
+            assert shock_word(w) == rewritten[w], w
 
-    def test_product_and_sum_commute_with_lift(self):
+    def test_normal_order_is_a_homomorphism(self):
         rng = random.Random(17)
         for _ in range(100):
-            x, y = rand_graded(rng), rand_graded(rng)
-            assert (x * y).lift() == x.lift() * y.lift()
-            assert (x - y).lift() == x.lift() - y.lift()
-            assert linear_form(x * y) == linear_form((x * y).lift())
+            x, y = rand_words(rng), rand_words(rng)
+            assert normal_order(x * y) == normal_order(x) * normal_order(y)
+            assert normal_order(x - y) == normal_order(x) - normal_order(y)
+            assert linear_form(x * y) == linear_form(normal_order(x * y))
 
-    def test_poly2_scalar_refused(self):
+    def test_poly2_scalar_moves_the_bidegree(self):
+        e1 = ShockElem.generator(1)
+        assert ALPHA * e1 == e1 * ALPHA == ShockElem.scalar(ALPHA) * e1
+        assert ALPHA * e1 == ShockElem({(2, 1, 0, 1): 1})
+        assert ALPHA * e1 == normal_order(ALPHA * E1)
         with pytest.raises(TypeError):
-            ALPHA * GradedElem.generator(1)
-        with pytest.raises(TypeError):
-            GradedElem.generator(1) + ShockElem.generator(1)
+            e1 + E1
+
+    def test_int_coefficients_on_bidegree_keys(self):
+        # every coordinate is an int, and alpha^(I-n-m) beta^(J-n-m) has
+        # no negative exponent, whatever built the element
+        rng = random.Random(23)
+        values = [eval_expr(parse(src), ShockElem) for src in (
+            "(a*e1 + b*e2)^6", "P(3)*Q(2)*e1 - 2*e2*e1", "(e1*e2)^5 + a",
+            "(e1+e2)^7*b^2", "Q(4)*P(4)")]
+        for _ in range(30):
+            x = TensorElem({rand_word(rng, 5): rand_poly(rng)
+                            for _ in range(3)})
+            y = normal_order(x)
+            values += [y, y * y, y ** 3, y - normal_order(rand_words(rng))]
+        for x in values:
+            assert x
+            for (I, J, n, m), c in x.items():
+                assert type(c) is int and c
+                assert min(I, J) >= n + m >= 0 and n >= 0 and m >= 0
 
 
 class TestPowerSum:
