@@ -2,9 +2,14 @@
 
 The matrix-product weights f(tau) ~ L(prod_i (tau_i e1 + (1 - tau_i) e2)),
 evaluated at rational (alpha, beta) as integer numerators over one common
-denominator.  The states, the weights, Z_L and a ring.Evaluator of them do
-not depend on (alpha, beta): they are made once per L, so each new point
-costs one product per distinct monomial and one multiply-add per term.
+denominator.  At a point the weights need no polynomial: the equations
+that define L, L(e2 X) = beta L(X), L(X e1) = alpha L(X) and
+L(U e1 e2 V) = alpha beta (L(U e1 V) + L(U e2 V)), fill the numerators of
+the 2^k states from those of the 2^(k-1) states one site shorter
+(`stationary_numerators`).  Z_L comes a second way, as the shock-ring
+power L((e1+e2)^L), and the two must agree at every point.  The symbolic
+weights, normal-ordered into Poly2s, are built only when a table's
+`weights` are read.
 `compare` certifies the normalized weights exactly on those integers:
 with the rates scaled to integers, pi G = 0 at every state, sum(pi) = 1,
 and the chain irreducible, so pi is the one stationary state; no
@@ -17,7 +22,6 @@ indices that `transitions` uses.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DegenerateParameters
@@ -51,14 +55,14 @@ class StationaryTable:
     """The stationary distribution of L sites at rational (alpha, beta);
     its dicts list the states in all_states order."""
 
-    __slots__ = ("L", "weights", "Z", "alpha", "beta", "probabilities",
+    __slots__ = ("L", "_weights", "Z", "alpha", "beta", "probabilities",
                  "numerators", "Z_numerator", "denominator")
     __hash__ = None
 
-    def __init__(self, L, weights, Z, alpha, beta, probabilities,
-                 numerators, Z_numerator, denominator):
+    def __init__(self, L, Z, alpha, beta, probabilities, numerators,
+                 Z_numerator, denominator):
         self.L = L
-        self.weights = weights              # state tuple -> Poly2
+        self._weights = None
         self.Z = Z                          # Poly2
         self.alpha = alpha                  # Fraction
         self.beta = beta                    # Fraction
@@ -68,6 +72,16 @@ class StationaryTable:
         self.numerators = numerators
         self.Z_numerator = Z_numerator
         self.denominator = denominator
+
+    @property
+    def weights(self):
+        """state tuple -> Poly2, the symbolic weights, made on first
+        access from the record of L that `_checked_weights` keeps; the
+        dict is this table's own."""
+        if self._weights is None:
+            weights = _checked_weights(self.L)
+            self._weights = dict(zip(_partition(self.L)[0], weights))
+        return self._weights
 
     def to_obj(self, symbolic=False):
         den = self.denominator
@@ -98,44 +112,106 @@ def require_positive_rates(a, b):
     return a, b
 
 
-# L -> its CheckedWeights, stored once the sum of the weights has been
-# checked against Z_L.  Tuples, so no caller can change what the next
-# call reads.
-CheckedWeights = namedtuple("CheckedWeights", "states weights Z evaluate")
+def stationary_numerators(L, a, b):
+    """The numerators of the 2^L weights at alpha = a = p/q, beta = b = r/s
+    over (q s)^L, in state_index order, with no polynomial formed.
+
+    The numerators of one site are [r q, p s].  Those of k sites come from
+    those of k - 1 sites, N, by the equations that define L, one state at
+    a time; x is a state of k sites, site 1 its lowest bit:
+    - site 1 empty (x even): L(e2 X) = beta L(X), so M[x] = r q N[x >> 1];
+    - sites 1 and k occupied: L(X e1) = alpha L(X), so
+      M[x] = p s N[x - 2^(k-1)];
+    - a run of t >= 1 occupied sites, then an empty one before site k:
+      contracting that e1 e2, M[x] = p r (N[y] + N[y']), where y and y'
+      drop the empty site and the last occupied one of the run."""
+    if L < 1:
+        raise ValueError("L must be at least 1")
+    p, q = a.numerator, a.denominator
+    r, s = b.numerator, b.denominator
+    by_e1, by_e2, by_hop = p * s, r * q, p * r
+    nums = [by_e2, by_e1]
+    for k in range(2, L + 1):
+        top = 1 << (k - 1)  # site k occupied
+        half = top >> 1     # site k - 1 occupied
+        new = [0] * (2 * top)
+        new[0::2] = map(by_e2.__mul__, nums)
+        new[top + 1::2] = map(by_e1.__mul__, nums[1::2])
+        # runs of t <= k - 2 sites: site k of x, empty, is site k - 1 of
+        # y and y', which lie below `half`
+        low = nums[:half]
+        for t in range(1, k - 1):
+            run, step = (1 << t) - 1, 1 << t
+            new[run:top:2 * step] = [by_hop * (u + v) for u, v in zip(
+                low[run::step], low[run >> 1::step])]
+        # sites 1..k-1 occupied, site k empty
+        new[top - 1] = by_hop * (nums[top - 1] + nums[half - 1])
+        nums = new
+    return nums
+
+
+# L -> (states, Z_L, the Evaluator of [Z_L]): what a point at L needs
+# besides the numerators of the weights.
+_PARTITION = {}
+
+
+def _partition(L):
+    got = _PARTITION.get(L)
+    if got is None:
+        Z = partition_Z(L)
+        got = _PARTITION[L] = (tuple(all_states(L)), Z, Evaluator([Z]))
+    return got
+
+
+def _point(L, a, b):
+    """(states, Z_L, numerators of the weights, numerator of Z_L,
+    denominator) at the positive rates a, b, all numerators over (q s)^L.
+    Z's numerator is the shock-ring power evaluated, and the weights'
+    numerators must sum to it."""
+    states, Z, evaluate = _partition(L)
+    nums = stationary_numerators(L, a, b)
+    (nz,), den = evaluate(a, b)
+    scale = (a.denominator * b.denominator) ** L
+    nz, rem = divmod(nz * scale, den)
+    if rem or sum(nums) != nz:
+        raise RuntimeError("partition function paths disagree")
+    return states, Z, nums, nz, scale
+
+
+# L -> the 2^L weights as Poly2s in all_states order, stored once their
+# sum has been checked against Z_L.  A tuple, so no caller can change what
+# the next call reads.
 _CHECKED_WEIGHTS = {}
 
 
 def _checked_weights(L):
     got = _CHECKED_WEIGHTS.get(L)
     if got is None:
-        states = tuple(all_states(L))
+        states, Z, _ = _partition(L)
         # occupied site -> e1, empty site -> e2, in site order
         words = [tuple(map((2, 1).__getitem__, tau)) for tau in states]
         values = linear_forms(words)
-        weights = tuple(values[w] for w in words)
-        Z = partition_Z(L)
-        if poly_sum(weights) != Z:
+        got = tuple(values[w] for w in words)
+        if poly_sum(got) != Z:
             raise RuntimeError("partition function paths disagree")
-        got = _CHECKED_WEIGHTS[L] = CheckedWeights(
-            states, weights, Z, Evaluator([Z, *weights]))
+        _CHECKED_WEIGHTS[L] = got
     return got
 
 
 def stationary_mpa(L, a, b):
     """Exact matrix-product stationary distribution at rational (a, b).
 
-    One call of the Evaluator of [Z_L, *weights] gives Z_L and the 2^L
-    weights as integer numerators over one common denominator, which
-    cancels: each probability is one normalization of two integers.  Z_L
-    comes two ways, as the sum of the weights and as the shock-ring power,
-    and the two must agree term by term; that check runs on the first call
-    for each L, before the Evaluator is compiled and kept."""
+    `stationary_numerators` gives the 2^L weights as integer numerators
+    over one common denominator, which cancels: each probability is one
+    normalization of two integers.  Z_L is evaluated from the shock-ring
+    power, a second path, and the numerators must sum to it at every
+    call.  The table's symbolic weights are normal-ordered only when read,
+    with their sum checked against Z_L term by term once per L."""
     a, b = require_positive_rates(a, b)
-    states, weights, Z, evaluate = _checked_weights(L)
     # Z(a, b) > 0: positive coefficients at positive rates
-    (nz, *nums), den = evaluate(a, b)
+    states, Z, nums, nz, den = _point(L, a, b)
     return StationaryTable(
-        L, dict(zip(states, weights)), Z, a, b,
+        L, Z, a, b,
         dict(zip(states, map(Fraction, nums, itertools.repeat(nz)))),
         dict(zip(states, nums)), nz, den)
 
@@ -160,7 +236,7 @@ def certify_stationary(L, a, b, n, nz):
     """Exact certificate that the integer numerators n (in all_states
     order) over nz are the stationary distribution of the chain of L
     sites at the rates a, b (Fractions): the numerators of the weights
-    and of Z_L that one `evaluate` call of `_checked_weights` gives.
+    from `stationary_numerators` and of Z_L from the shock-ring power.
 
     With alpha = p/q and beta = r/s, the rates times q*s are the integers
     p*s, r*q and q*s, and pi is the numerators n_i over nz.  One pass over
@@ -208,7 +284,8 @@ def _reaches_all(edges):
 def compare(L, a, b):
     """Certify the matrix-product distribution as the stationary state of
     the chain, state by state and with no elimination, on the integer
-    numerators of one evaluation: no probability is formed."""
+    numerators of the weights and of Z_L, each from its own path: no
+    probability is formed."""
     a, b = require_positive_rates(a, b)
-    (nz, *nums), _ = _checked_weights(L).evaluate(a, b)
+    _, _, nums, nz, _ = _point(L, a, b)
     return certify_stationary(L, a, b, nums, nz)

@@ -284,7 +284,11 @@ def _times_parts(parts, y):
         for (I2, J2, kk, l), c in ys:
             while k < kk:
                 xk, k = _times_e2(xk), k + 1
-            terms = (((n, m + l), c * cx) for (n, m), cx in xk.items())
+            terms = xk.items()
+            if l:
+                terms = (((n, m + l), cx) for (n, m), cx in terms)
+            if c != 1:
+                terms = ((key, c * cx) for key, cx in terms)
             part = out.get((I + I2, J + J2))
             if part is None:
                 # products of nonzero ints are nonzero

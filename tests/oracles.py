@@ -35,9 +35,12 @@ or closed-form constructions that the library computes another way.
   and reads each quotient it needs, Lambda_{k+1}/Lambda_k, off a closed
   form.
 * `state_word` maps one state to its word, and `stationary_probabilities`
-  evaluates each weight and Z_L on its own and divides; the library
-  enumerates all words at once and evaluates Z_L and every weight on one
-  common denominator.
+  evaluates each weight and Z_L on its own and divides.
+  `weights_evaluator` normal-orders every state's word into a Poly2 and
+  compiles one Evaluator of Z_L and the 2^L weights, which gives their
+  numerators over one common denominator at a point.  The library forms
+  no weight polynomial at a point: it fills the numerators by the
+  equations that define L, one site at a time.
 * `principal_minor_polys` expands the leading principal minors of
   (xI - W) by cofactors (`_cofactor_det`), exponential in the size; the
   library runs the three-term recurrence of W and decides the reading by
@@ -54,8 +57,9 @@ from biops.errors import TruncationTooSmall
 from biops.expr import Gen, ScalarPoly, BiOrtho, Sum, Product, Power, Negation
 from biops.matrep import RepMatrix, generator_matrices, second_moment
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, AB, ALPHA, BETA, K_ZERO,
-                        K_ONE, accumulate)
-from biops.tensor import ShockElem, TensorElem, fold_words, linear_form
+                        K_ONE, Evaluator, accumulate)
+from biops.tensor import (ShockElem, TensorElem, fold_words, linear_form,
+                          linear_forms)
 
 
 # --- normal ordering by rewriting ----------------------------------------
@@ -440,6 +444,15 @@ def stationary_probabilities(L, a, b):
     z = partition_Z(L).eval(a, b)
     return {tau: linear_form(TensorElem({state_word(tau): ONE})).eval(a, b) / z
             for tau in all_states(L)}
+
+
+def weights_evaluator(L):
+    """The Evaluator of [Z_L, *weights], the weights in all_states order,
+    each L of its state's word as a Poly2: a call at (a, b) gives
+    ([Z's numerator, *the weights' numerators], denominator)."""
+    words = [state_word(tau) for tau in all_states(L)]
+    values = linear_forms(words)
+    return Evaluator([partition_Z(L), *(values[w] for w in words)])
 
 
 # --- characteristic polynomials by cofactors -------------------------------

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biops import asep, tensor
-from biops.ring import ZERO, ONE, ALPHA, BETA, AB, Evaluator, poly_sum
+from biops.ring import ZERO, ONE, ALPHA, BETA, AB, poly_sum
 from biops.tensor import E1, E2, TensorElem, linear_form, normal_order
 from biops.asep import (all_states, state_index, partition_Z,
-                        stationary_mpa, transitions, certify_stationary,
-                        compare)
+                        stationary_mpa, stationary_numerators, transitions,
+                        certify_stationary, compare)
 from biops.errors import DegenerateParameters
 from markov_oracle import (SingularSystem, build_generator, state_from_index,
                            stationary_oracle)
 from oracles import (normal_order_word, state_word, stationary_probabilities,
-                     swap_ab)
+                     swap_ab, weights_evaluator)
 
 
 def weight(tau):
@@ -232,10 +232,12 @@ class TestStationary:
         got = stationary_mpa(L, a, b).probabilities
         assert list(got.items()) == list(want.items())
 
-    def test_one_evaluator_serves_every_point(self, monkeypatch):
-        # the record of each L, made on its first call, evaluates every
-        # later point: a = b, both rates above 1, and a generic point
-        checked = {}
+    def test_one_record_per_L_serves_every_point(self, monkeypatch):
+        # the record of each L, made on its first call, serves every later
+        # point: a = b, both rates above 1, and a generic point; no
+        # symbolic weight is made
+        partition, checked = {}, {}
+        monkeypatch.setattr(asep, "_PARTITION", partition)
         monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", checked)
         points = [(Fraction(3, 5), Fraction(3, 5)),
                   (Fraction(7, 2), Fraction(9, 4)),
@@ -245,80 +247,113 @@ class TestStationary:
                 got = stationary_mpa(L, a, b).probabilities
                 want = stationary_probabilities(L, a, b)
                 assert list(got.items()) == list(want.items()), (L, a, b)
-            assert list(checked) == list(range(1, L + 1))
-            rec = checked[L]
-            assert rec.states == tuple(all_states(L))
-            assert rec.Z == partition_Z(L)
-            assert rec.weights == tuple(map(weight, rec.states))
+            assert list(partition) == list(range(1, L + 1))
+            states, Z, _ = partition[L]
+            assert states == tuple(all_states(L))
+            assert Z == partition_Z(L)
+        assert checked == {}
 
     def test_disagreeing_paths_raise(self, monkeypatch):
+        # a wrong word weight fails the symbolic path and stores nothing
         a, b = Fraction(1, 2), Fraction(1, 3)
-        word = state_word((1, 0, 1, 0))
-        stationary_mpa(4, a, b)  # fills the per-word cache
-        # the first call for L = 4 in a fresh process
+        tau = (1, 0, 1, 0)
+        word = state_word(tau)
+        right = weight(tau)  # fills the per-word cache
         checked = {}
         monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", checked)
+        table = stationary_mpa(4, a, b)
         with monkeypatch.context() as m:
-            m.setitem(tensor._L_CACHE, word, tensor._L_CACHE[word] + AB)
+            m.setitem(tensor._L_CACHE, word, right + AB)
             with pytest.raises(RuntimeError,
                                match="partition function paths disagree"):
-                stationary_mpa(4, a, b)
-        # a failed check stores nothing
-        assert checked == {}
-        assert sum(stationary_mpa(4, a, b).probabilities.values()) == 1
-        # the passing check stores the record of L = 4, with the right word
-        assert list(checked) == [4]
-        rec = checked[4]
-        assert dict(zip(rec.states, rec.weights))[(1, 0, 1, 0)] == weight(
-            (1, 0, 1, 0))
-
-    def test_wrong_Z_raises_on_the_first_call_for_L(self, monkeypatch):
-        right = asep.partition_Z
-        checked = {}
-        monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", checked)
-        monkeypatch.setattr(asep, "partition_Z", lambda L: right(L) + AB)
-        for _ in range(2):
-            with pytest.raises(RuntimeError,
-                               match="partition function paths disagree"):
-                stationary_mpa(3, Fraction(1, 2), Fraction(1, 3))
+                table.weights
             assert checked == {}
+            # the numeric path reads no weight
+            again = stationary_mpa(4, a, b)
+            assert again.numerators == table.numerators
+        # the passing check stores the record of L = 4, with the right word
+        assert table.weights[tau] == right
+        assert list(checked) == [4]
+        assert dict(zip(all_states(4), checked[4]))[tau] == right
+
+    def test_wrong_Z_raises_on_every_call(self, monkeypatch):
+        right = asep.partition_Z
+        monkeypatch.setattr(asep, "_PARTITION", {})
+        monkeypatch.setattr(asep, "partition_Z", lambda L: right(L) + AB)
+        for a, b in ((Fraction(1, 2), Fraction(1, 3)),
+                     (Fraction(9, 4), Fraction(9, 4))):
+            for run in (stationary_mpa, compare, stationary_mpa, compare):
+                with pytest.raises(RuntimeError,
+                                   match="partition function paths disagree"):
+                    run(3, a, b)
+
+    def test_wrong_numerators_raise(self, monkeypatch):
+        right = asep.stationary_numerators
+
+        def one_off(L, a, b):
+            nums = right(L, a, b)
+            nums[-1] += 1
+            return nums
+
+        monkeypatch.setattr(asep, "stationary_numerators", one_off)
+        for run in (stationary_mpa, compare):
+            with pytest.raises(RuntimeError,
+                               match="partition function paths disagree"):
+                run(5, Fraction(2, 3), Fraction(3, 7))
 
     def test_sum_is_checked_once_per_L(self, monkeypatch):
-        sums, compiled = [], []
+        # the symbolic check runs once per L, on the first read of a
+        # table's weights, and an edited table never reaches a later call
+        sums = []
 
         def counted_sum(polys):
             sums.append(1)
             return poly_sum(polys)
 
-        def counted_evaluator(polys):
-            compiled.append(1)
-            return Evaluator(polys)
-
         monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", {})
         monkeypatch.setattr(asep, "poly_sum", counted_sum)
-        monkeypatch.setattr(asep, "Evaluator", counted_evaluator)
         points = [(Fraction(1, 2), Fraction(1, 3)),
                   (Fraction(9, 4), Fraction(5, 7))]
         first = stationary_mpa(5, *points[0])
+        assert sums == []
         assert (list(first.probabilities.items())
                 == list(stationary_probabilities(5, *points[0]).items()))
-        # a caller that changes its table changes no later call
         full = (1,) * 5
+        assert first.weights[full] == weight(full)
+        assert len(sums) == 1
+        # a caller that changes its table changes no later call
         first.weights[full] = ZERO
         first.numerators[full] = 0
         first.probabilities[full] = Fraction(0)
         second = stationary_mpa(5, *points[1])
-        assert len(sums) == len(compiled) == 1
         assert second.weights[full] == weight(full)
+        assert len(sums) == 1
         assert (list(second.probabilities.items())
                 == list(stationary_probabilities(5, *points[1]).items()))
         again = stationary_mpa(5, *points[0])
-        assert len(sums) == len(compiled) == 1
+        assert again.weights[full] == weight(full)
+        assert len(sums) == 1
         assert (list(again.probabilities.items())
                 == list(stationary_probabilities(5, *points[0]).items()))
         assert sum(again.numerators.values()) == again.Z_numerator
-        stationary_mpa(6, *points[0])
-        assert len(sums) == len(compiled) == 2
+        stationary_mpa(6, *points[0]).weights
+        assert len(sums) == 2
+
+    def test_numeric_path_normal_orders_no_word(self, monkeypatch):
+        def refuse(words):
+            raise AssertionError("linear_forms called")
+
+        monkeypatch.setattr(asep, "_PARTITION", {})
+        monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", {})
+        monkeypatch.setattr(asep, "linear_forms", refuse)
+        a, b = Fraction(9, 4), Fraction(5, 7)
+        table = stationary_mpa(10, a, b)
+        assert sum(table.probabilities.values()) == 1
+        assert len(table.to_obj()["states"]) == 2**10
+        rep = compare(8, a, b)
+        assert rep.ok and rep.checked == 2**8 + 2
+        with pytest.raises(AssertionError, match="linear_forms called"):
+            table.weights
 
     def test_singular_guard(self):
         g = build_generator(2, Fraction(1, 2), Fraction(1, 3))
@@ -327,6 +362,62 @@ class TestStationary:
             row.clear()
         with pytest.raises(SingularSystem):
             stationary_oracle(g)
+
+
+# the four kinds of point: a = b, both rates above 1, a generic point, and
+# a = b = 1
+RECURSION_POINTS = [(Fraction(2, 3), Fraction(2, 3)),
+                    (Fraction(7, 2), Fraction(9, 4)),
+                    (Fraction(99991, 7), Fraction(65537, 99989)),
+                    (Fraction(1), Fraction(1))]
+
+
+def assert_equals_replaced_path(L, a, b, evaluate):
+    """The recursion's numerators, and stationary_mpa's numerators, Z
+    numerator and denominator, against one call of the Evaluator of
+    [Z_L, *weights]."""
+    (nz, *nums), den = evaluate(a, b)
+    assert stationary_numerators(L, a, b) == nums, (L, a, b)
+    table = stationary_mpa(L, a, b)
+    assert list(table.numerators.values()) == nums, (L, a, b)
+    assert (table.Z_numerator, table.denominator) == (nz, den), (L, a, b)
+
+
+class TestRecursion:
+    def test_equals_the_replaced_path_up_to_L12(self):
+        for L in range(1, 13):
+            evaluate = weights_evaluator(L)
+            for a, b in RECURSION_POINTS:
+                assert_equals_replaced_path(L, a, b, evaluate)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8),
+           st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),
+           st.fractions(min_value=Fraction(1, 10**6), max_value=10**6))
+    def test_equals_the_replaced_path_at_rational_points(self, L, a, b):
+        assert_equals_replaced_path(L, a, b, weights_evaluator(L))
+
+    # the generic point has smaller numbers here: the oracle eliminates
+    # in Fractions
+    @pytest.mark.parametrize("a, b", [*RECURSION_POINTS[:2],
+                                      (Fraction(3, 11), Fraction(8, 5)),
+                                      RECURSION_POINTS[3]])
+    def test_equals_the_markov_oracle_up_to_L8(self, a, b):
+        for L in range(1, 9):
+            pi = stationary_oracle(build_generator(L, a, b))
+            got = stationary_mpa(L, a, b).probabilities
+            assert list(got.items()) == list(pi.items()), L
+
+    def test_small_L_by_hand(self):
+        # alpha = p/q, beta = r/s: one site [r q, p s], and the two-site
+        # weights beta^2, ab(a + b), ab, alpha^2 over (q s)^2
+        p, q, r, s = 2, 3, 5, 7
+        assert stationary_numerators(1, Fraction(p, q), Fraction(r, s)) == [
+            r * q, p * s]
+        assert stationary_numerators(2, Fraction(p, q), Fraction(r, s)) == [
+            (r * q)**2, p * r * (p * s + r * q), p * r * q * s, (p * s)**2]
+        with pytest.raises(ValueError):
+            stationary_numerators(0, Fraction(p, q), Fraction(r, s))
 
 
 CERTIFICATE_POINTS = [(Fraction(2, 3), Fraction(2, 3)),
