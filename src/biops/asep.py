@@ -2,14 +2,15 @@
 
 The matrix-product weights f(tau) ~ L(prod_i (tau_i e1 + (1 - tau_i) e2)),
 evaluated at rational (alpha, beta) as integer numerators over one common
-denominator.  At a point the weights need no polynomial: the equations
-that define L, L(e2 X) = beta L(X), L(X e1) = alpha L(X) and
-L(U e1 e2 V) = alpha beta (L(U e1 V) + L(U e2 V)), fill the numerators of
-the 2^k states from those of the 2^(k-1) states one site shorter
-(`stationary_numerators`).  Z_L comes a second way, as the shock-ring
-power L((e1+e2)^L), and the two must agree at every point.  The symbolic
-weights, normal-ordered into Poly2s, are built only when a table's
-`weights` are read.
+denominator.  The equations that define L, L(e2 X) = beta L(X),
+L(X e1) = alpha L(X) and L(U e1 e2 V) = alpha beta (L(U e1 V) + L(U e2 V)),
+fill the weights of the 2^k states from those of the 2^(k-1) states one
+site shorter (`stationary_numerators`), in any ring: over the integers at
+a point, and over Z[alpha, beta] for a table's symbolic `weights`, which
+are filled only when read.  The DEHP cancellation is why the fill is
+exact over Z[alpha, beta] and not only at a point.  Z_L comes a second
+way, as the shock-ring power L((e1+e2)^L), and the two must agree: at
+every point, and term by term once per table for the symbolic weights.
 `compare` certifies the normalized weights exactly on those integers:
 with the rates scaled to integers, pi G = 0 at every state, sum(pi) = 1,
 and the chain irreducible, so pi is the one stationary state; no
@@ -26,8 +27,8 @@ from fractions import Fraction
 
 from .errors import DegenerateParameters
 from .report import CheckReport
-from .ring import Evaluator, poly_sum
-from .tensor import linear_forms, power_sum_form
+from .ring import ALPHA, BETA, AB, eval_numerators, poly_sum
+from .tensor import power_sum_form
 
 
 def all_states(L):
@@ -75,11 +76,13 @@ class StationaryTable:
 
     @property
     def weights(self):
-        """state tuple -> Poly2, the symbolic weights, made on first
-        access from the record of L that `_checked_weights` keeps; the
-        dict is this table's own."""
+        """state tuple -> Poly2, the symbolic weights, filled on first
+        access by `stationary_numerators` over Z[alpha, beta] and kept once
+        their sum equals Z term by term; the dict is this table's own."""
         if self._weights is None:
-            weights = _checked_weights(self.L)
+            weights = stationary_numerators(self.L, ALPHA, BETA, AB)
+            if poly_sum(weights) != self.Z:
+                raise RuntimeError("partition function paths disagree")
             self._weights = dict(zip(_partition(self.L)[0], weights))
         return self._weights
 
@@ -112,24 +115,26 @@ def require_positive_rates(a, b):
     return a, b
 
 
-def stationary_numerators(L, a, b):
-    """The numerators of the 2^L weights at alpha = a = p/q, beta = b = r/s
-    over (q s)^L, in state_index order, with no polynomial formed.
+def stationary_numerators(L, by_e1, by_e2, by_hop):
+    """The 2^L weights in state_index order, filled by the equations that
+    define L with the factors by_e1 for alpha, by_e2 for beta and by_hop
+    for alpha beta, in any ring.  With (ALPHA, BETA, AB) they are the
+    weights in Z[alpha, beta]; with (p s, r q, p r) they are the integer
+    numerators of the weights at alpha = p/q, beta = r/s over (q s)^L.
 
-    The numerators of one site are [r q, p s].  Those of k sites come from
-    those of k - 1 sites, N, by the equations that define L, one state at
-    a time; x is a state of k sites, site 1 its lowest bit:
-    - site 1 empty (x even): L(e2 X) = beta L(X), so M[x] = r q N[x >> 1];
+    The weights of one site are [by_e2, by_e1].  Those of k sites come
+    from those of k - 1 sites, N, one state at a time; x is a state of k
+    sites, site 1 its lowest bit:
+    - site 1 empty (x even): L(e2 X) = beta L(X), so M[x] = by_e2 N[x >> 1];
     - sites 1 and k occupied: L(X e1) = alpha L(X), so
-      M[x] = p s N[x - 2^(k-1)];
+      M[x] = by_e1 N[x - 2^(k-1)];
     - a run of t >= 1 occupied sites, then an empty one before site k:
-      contracting that e1 e2, M[x] = p r (N[y] + N[y']), where y and y'
-      drop the empty site and the last occupied one of the run."""
+      contracting that e1 e2, M[x] = by_hop (N[y] + N[y']), where y and y'
+      drop the empty site and the last occupied one of the run.
+    Every state falls under exactly one rule, so every entry of M is
+    written."""
     if L < 1:
         raise ValueError("L must be at least 1")
-    p, q = a.numerator, a.denominator
-    r, s = b.numerator, b.denominator
-    by_e1, by_e2, by_hop = p * s, r * q, p * r
     nums = [by_e2, by_e1]
     for k in range(2, L + 1):
         top = 1 << (k - 1)  # site k occupied
@@ -150,16 +155,14 @@ def stationary_numerators(L, a, b):
     return nums
 
 
-# L -> (states, Z_L, the Evaluator of [Z_L]): what a point at L needs
-# besides the numerators of the weights.
+# L -> (states, Z_L): what a table of L sites needs besides its weights.
 _PARTITION = {}
 
 
 def _partition(L):
     got = _PARTITION.get(L)
     if got is None:
-        Z = partition_Z(L)
-        got = _PARTITION[L] = (tuple(all_states(L)), Z, Evaluator([Z]))
+        got = _PARTITION[L] = (tuple(all_states(L)), partition_Z(L))
     return got
 
 
@@ -168,34 +171,16 @@ def _point(L, a, b):
     denominator) at the positive rates a, b, all numerators over (q s)^L.
     Z's numerator is the shock-ring power evaluated, and the weights'
     numerators must sum to it."""
-    states, Z, evaluate = _partition(L)
-    nums = stationary_numerators(L, a, b)
-    (nz,), den = evaluate(a, b)
-    scale = (a.denominator * b.denominator) ** L
+    states, Z = _partition(L)
+    p, q = a.numerator, a.denominator
+    r, s = b.numerator, b.denominator
+    nums = stationary_numerators(L, p * s, r * q, p * r)
+    (nz,), den = eval_numerators((Z,), a, b)
+    scale = (q * s) ** L
     nz, rem = divmod(nz * scale, den)
     if rem or sum(nums) != nz:
         raise RuntimeError("partition function paths disagree")
     return states, Z, nums, nz, scale
-
-
-# L -> the 2^L weights as Poly2s in all_states order, stored once their
-# sum has been checked against Z_L.  A tuple, so no caller can change what
-# the next call reads.
-_CHECKED_WEIGHTS = {}
-
-
-def _checked_weights(L):
-    got = _CHECKED_WEIGHTS.get(L)
-    if got is None:
-        states, Z, _ = _partition(L)
-        # occupied site -> e1, empty site -> e2, in site order
-        words = [tuple(map((2, 1).__getitem__, tau)) for tau in states]
-        values = linear_forms(words)
-        got = tuple(values[w] for w in words)
-        if poly_sum(got) != Z:
-            raise RuntimeError("partition function paths disagree")
-        _CHECKED_WEIGHTS[L] = got
-    return got
 
 
 def stationary_mpa(L, a, b):
@@ -205,8 +190,8 @@ def stationary_mpa(L, a, b):
     over one common denominator, which cancels: each probability is one
     normalization of two integers.  Z_L is evaluated from the shock-ring
     power, a second path, and the numerators must sum to it at every
-    call.  The table's symbolic weights are normal-ordered only when read,
-    with their sum checked against Z_L term by term once per L."""
+    call.  The table's symbolic weights are filled only when read, with
+    their sum checked against Z_L term by term."""
     a, b = require_positive_rates(a, b)
     # Z(a, b) > 0: positive coefficients at positive rates
     states, Z, nums, nz, den = _point(L, a, b)
@@ -251,14 +236,15 @@ def certify_stationary(L, a, b, n, nz):
     rates = (a.numerator * s, b.numerator * q, q * s)
     dim = len(n)
     residual = [0] * dim
-    forward = [set() for _ in range(dim)]
-    backward = [set() for _ in range(dim)]
+    # transitions yields each edge once, so lists hold no repeat
+    forward = [[] for _ in range(dim)]
+    backward = [[] for _ in range(dim)]
     for i, j, k in transitions(L):
         flow = n[i] * rates[k]
         residual[j] += flow
         residual[i] -= flow
-        forward[i].add(j)
-        backward[j].add(i)
+        forward[i].append(j)
+        backward[j].append(i)
     rep = CheckReport(f"TASEP L={L} alpha={a} beta={b}")
     for tau, r in zip(all_states(L), residual):
         rep.record(r == 0, "state " + "".join(map(str, tau)))
@@ -273,12 +259,15 @@ def certify_stationary(L, a, b, n, nz):
 def _reaches_all(edges):
     """Whether a search from the empty state (index 0) along edges[i]
     visits every state."""
-    seen, stack = {0}, [0]
+    seen = bytearray(len(edges))
+    seen[0] = 1
+    stack = [0]
     while stack:
-        for j in edges[stack.pop()] - seen:
-            seen.add(j)
-            stack.append(j)
-    return len(seen) == len(edges)
+        for j in edges[stack.pop()]:
+            if not seen[j]:
+                seen[j] = 1
+                stack.append(j)
+    return 0 not in seen
 
 
 def compare(L, a, b):

@@ -32,7 +32,7 @@ from .errors import DegenerateParameters
 from .report import CheckReport
 from .ring import (KappaElem, ZERO, ONE, ALPHA, BETA, AB, K_ZERO, K_ONE,
                    KAPPA, eval_numerators, poly_sum)
-from .tensor import E1, E2, TensorElem, linear_form
+from .tensor import ShockElem, linear_form
 from .bimoment import build_bimoment, det_closed_form
 
 
@@ -166,12 +166,14 @@ def sqrt_lambda(n):
 
 
 def check_orthogonality(N):
-    """Verify L(P_n (x) Q_m) = Lambda_n * delta_{n,m} for all n,m <= N."""
+    """Verify L(P_n (x) Q_m) = Lambda_n * delta_{n,m} for all n,m <= N,
+    with P_n and Q_m in the shock ring."""
     rep = CheckReport(f"bi-orthogonality n,m <= {N}")
+    qs = [q_explicit(m).into(ShockElem) for m in range(N + 1)]
     for n in range(N + 1):
-        pn = p_explicit(n).into(TensorElem)
-        for m in range(N + 1):
-            val = linear_form(pn * q_explicit(m).into(TensorElem))
+        pn = p_explicit(n).into(ShockElem)
+        for m, qm in enumerate(qs):
+            val = linear_form(pn * qm)
             want = lambda_n(n) if n == m else ZERO
             rep.record(val == want, f"L(P{n} Q{m}) != expected")
     return rep
@@ -308,19 +310,20 @@ def first_moment_matrices(dim):
 
 def moment_consistency(dim):
     """Cross-check the closed-form bands against direct evaluations of
-    L(P_n e1 Q_m) and L(P_n e2 Q_m), and the expansion identity
-    P_n * e1 = sum_k Xbar[n][k] P_k."""
+    L(P_n e1 Q_m) and L(P_n e2 Q_m) in the shock ring, and the expansion
+    identity P_n * e1 = sum_k Xbar[n][k] P_k."""
     rep = CheckReport(f"first-moment consistency dim {dim}")
     X, Y, Xbar, Ybar, Xhat, Yhat = first_moment_matrices(dim)
     ps = [p_explicit(n) for n in range(dim + 1)]
-    qs = [q_explicit(m) for m in range(dim)]
-    pt = [p.into(TensorElem) for p in ps]
-    qt = [q.into(TensorElem) for q in qs]
+    qt = [q_explicit(m).into(ShockElem) for m in range(dim)]
+    g1, g2 = ShockElem.generator(1), ShockElem.generator(2)
     slam = [sqrt_lambda(n) for n in range(dim)]
     for n in range(dim):
+        pn = ps[n].into(ShockElem)
+        pe1, pe2 = pn * g1, pn * g2
         for m in range(dim):
-            xval = linear_form(pt[n] * E1 * qt[m])
-            yval = linear_form(pt[n] * E2 * qt[m])
+            xval = linear_form(pe1 * qt[m])
+            yval = linear_form(pe2 * qt[m])
             rep.record(KappaElem(xval) == X.entry(n, m), f"X[{n}][{m}]")
             rep.record(KappaElem(yval) == Y.entry(n, m), f"Y[{n}][{m}]")
             # normalized bands, cross-multiplied to stay in the kappa ring

@@ -9,7 +9,10 @@ takes the larger): a product of k truncated bands has an exact top-left
 (dim - k) x (dim - k) block, recorded as valid_block, and a product of
 degree above dim - 2, where entry (0,0) would be inexact, raises
 TruncationTooSmall before it is formed.  Folding the single row e_0 over
-a TensorElem's word trie (`tensor.fold_words`) gives L as entry (0,0).
+a TensorElem's word trie (`tensor.fold_words`) gives L as entry (0,0)
+(`eval_L_matrix`), a second path beside the shock ring of
+`tensor.linear_form`; the moments of `cheb_reading_report` come from the
+shock ring.
 
 Three generator pictures, each built from the closed-form bands:
 
@@ -31,7 +34,7 @@ from .errors import TruncationTooSmall
 from .report import CheckReport
 from .ring import (KappaElem, ZERO, ALPHA, BETA, AB, K_ZERO, K_ONE, accumulate,
                    poly_sum)
-from .tensor import fold_words, linear_forms
+from .tensor import ShockElem, fold_words, linear_form
 from .biortho import (MomentBand, UniPoly, first_moment_matrices,
                       sqrt_lambda)
 from . import GENERATOR_REPS
@@ -271,9 +274,11 @@ def cheb_reading_report(N):
     # 0.3 s at 16), so the cheb command and the check suite stop at 6
     N = min(N, 6)
     rep = CheckReport(f"Chebyshev-like recurrence reading, n <= {N}")
-    words = [(1, 2) * k for k in range(2 * N + 1)]
-    moments = linear_forms(words)
-    mu = [moments[w] for w in words]
+    e1e2 = ShockElem.generator(1) * ShockElem.generator(2)
+    mu, power = [], ShockElem.unit()
+    for _ in range(2 * N + 1):
+        mu.append(linear_form(power))
+        power = power * e1e2
     W = second_moment(max(N + 1, 3))
     norms = [K_ONE]
     for k in range(N):

@@ -11,23 +11,18 @@ KappaElem is an element a + b*kappa of the extension ring with the
 reduction rule kappa**2 = alpha*beta*(alpha+beta-1).
 
 Evaluation at a rational point a = p/q, b = r/s is exact and runs over the
-integers, in two steps.  Evaluator(polys) compiles a list of Poly2 values
-once: it stores their distinct monomials, the largest exponents I and J
-over all of them, and each value's terms as (monomial index, coefficient)
-pairs.  A call at a point builds one table of scaled powers p^i q^(I-i)
-and r^j s^(J-j), forms each distinct monomial's value with one product,
-and then each value's integer numerator over the one shared denominator
-q^I s^J with one multiply-add per term.  A caller that evaluates the same
-values at many points (the 2^L stationary weights) keeps the Evaluator;
-eval_numerators is one call of a fresh one, and Poly2.eval is that call
-for one polynomial.
+integers.  eval_numerators(polys, a, b) builds one table of scaled powers
+p^i q^(I-i) per variable, I the largest alpha exponent over all of
+`polys` (and r^j s^(J-j) for beta), and then each polynomial's integer
+numerator over the one shared denominator q^I s^J with one product per
+term.  Poly2.eval is that call for one polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
-from operator import index, mul
+from itertools import chain
+from operator import index
 
 
 def _grlex_key(ij):
@@ -209,44 +204,19 @@ class Poly2:
         return " ".join(parts)
 
 
-class Evaluator:
-    """The Poly2s `polys`, compiled for exact evaluation at many points.
-
-    A call at alpha=a, beta=b returns (numerators, denominator): with
-    a = p/q, b = r/s and I, J the largest alpha and beta exponents over
-    all of `polys`, the denominator is q^I s^J and the numerator of a
-    polynomial is sum c p^i q^(I-i) r^j s^(J-j) over its terms c a^i b^j."""
-
-    __slots__ = ("_monomials", "_I", "_J", "_indices", "_coeffs", "_lengths")
-
-    def __init__(self, polys):
-        ts = [p._t for p in polys]
-        monomials = tuple(set().union(*ts))
-        index_of = dict(zip(monomials, range(len(monomials)))).__getitem__
-        self._monomials = monomials
-        self._I, self._J = map(max, zip((0, 0), *monomials))
-        # each term's monomial index and coefficient, polynomial after
-        # polynomial: a term dict's keys and values iterate in one order
-        self._indices = tuple(map(index_of, chain.from_iterable(ts)))
-        self._coeffs = tuple(chain.from_iterable(map(dict.values, ts)))
-        self._lengths = tuple(map(len, ts))
-
-    def __call__(self, a, b):
-        a, b = Fraction(a), Fraction(b)
-        I, J = self._I, self._J
-        pa = _scaled_powers(a.numerator, a.denominator, I)
-        pb = _scaled_powers(b.numerator, b.denominator, J)
-        value = [pa[i] * pb[j] for i, j in self._monomials].__getitem__
-        terms = map(mul, map(value, self._indices), self._coeffs)
-        nums = [sum(islice(terms, n)) for n in self._lengths]
-        return nums, a.denominator**I * b.denominator**J
-
-
 def eval_numerators(polys, a, b):
     """The values of the Poly2s `polys` at alpha=a, beta=b on one common
-    denominator, as (numerators, denominator): one call of their
-    Evaluator."""
-    return Evaluator(polys)(a, b)
+    denominator, as (numerators, denominator): with a = p/q, b = r/s and
+    I, J the largest alpha and beta exponents over all of `polys`, the
+    denominator is q^I s^J and the numerator of a polynomial is
+    sum c p^i q^(I-i) r^j s^(J-j) over its terms c a^i b^j."""
+    a, b = Fraction(a), Fraction(b)
+    ts = [p._t for p in polys]
+    I, J = map(max, zip((0, 0), *chain.from_iterable(ts)))
+    pa = _scaled_powers(a.numerator, a.denominator, I)
+    pb = _scaled_powers(b.numerator, b.denominator, J)
+    nums = [sum(c * pa[i] * pb[j] for (i, j), c in t.items()) for t in ts]
+    return nums, a.denominator**I * b.denominator**J
 
 
 def poly_sum(polys):

@@ -15,13 +15,14 @@ keyed (I, J, n, m), and L of such a term is the integer times
 alpha^(I-n) beta^(J-m).  A right product by e1 or e2 maps a part of
 bidegree (I, J) to one of (I+1, J+1) with integer additions alone
 (`_times_gen`), so a product costs time polynomial in the degree.
-Words and (e1 + e2)^N lie on the diagonal I = J = N: `linear_forms` and
-`power_sum_form` fold them over (n, m) keys and read N off the length.
+L of a TensorElem is L of its normal order: one path to L.  Words and
+(e1 + e2)^N lie on the diagonal I = J = N: `power_sum_form` folds
+(e1 + e2)^N over (n, m) keys and reads N off the length.
 """
 
 from __future__ import annotations
 
-from .ring import Poly2, ONE, accumulate, poly_sum
+from .ring import Poly2, ONE, accumulate
 
 
 def word_to_str(w):
@@ -315,26 +316,12 @@ def shock_mul(x, y):
 
 # --- the linear form ----------------------------------------------------
 
-_L_CACHE = {}
-
-
 def _L_graded(t, N):
     """L on the part of bidegree (N, N), over (n, m) keys: the integer c
     at (n, m) stands for c (alpha*beta)^(N-n-m) e2^n e1^m, whose L is
     c alpha^(N-n) beta^(N-m).  Distinct keys give distinct monomials, and
     a fold stores no zero."""
     return Poly2._raw({(N - n, N - m): c for (n, m), c in t.items()})
-
-
-def linear_forms(words):
-    """{word: L(word)} for an iterable of words.  Words missing from the
-    per-word cache are normal-ordered together over integer coefficients,
-    sharing prefix folds."""
-    words = set(words)
-    missing = (w for w in words if w not in _L_CACHE)
-    for w, nf in fold_words(missing, {(0, 0): 1}, _times_gen):
-        _L_CACHE[w] = _L_graded(nf, len(w))
-    return {w: _L_CACHE[w] for w in words}
 
 
 def power_sum_form(n):
@@ -347,10 +334,10 @@ def power_sum_form(n):
 
 
 def linear_form(x):
-    """L(x) for a TensorElem or a ShockElem: on the shock ring,
+    """L(x) for a TensorElem or a ShockElem: a TensorElem is normal-ordered
+    first, and on the shock ring
     L(c alpha^(I-n-m) beta^(J-n-m) e2^n e1^m) = c alpha^(I-n) beta^(J-m)."""
-    if isinstance(x, ShockElem):
-        return Poly2._raw(accumulate({}, (
-            ((I - n, J - m), c) for (I, J, n, m), c in x._t.items())))
-    values = linear_forms(x._t)
-    return poly_sum(c * values[w] for w, c in x.items())
+    if not isinstance(x, ShockElem):
+        x = normal_order(x)
+    return Poly2._raw(accumulate({}, (
+        ((I - n, J - m), c) for (I, J, n, m), c in x._t.items())))

@@ -34,19 +34,22 @@ or closed-form constructions that the library computes another way.
   `InexactDivision` on a remainder; the library divides no polynomial,
   and reads each quotient it needs, Lambda_{k+1}/Lambda_k, off a closed
   form.
-* `state_word` maps one state to its word, and `stationary_probabilities`
-  evaluates each weight and Z_L on its own and divides.
-  `weights_evaluator` normal-orders every state's word into a Poly2 and
-  compiles one Evaluator of Z_L and the 2^L weights, which gives their
-  numerators over one common denominator at a point.  The library forms
-  no weight polynomial at a point: it fills the numerators by the
-  equations that define L, one site at a time.
+* `state_word` maps one state to its word, and `state_weights`
+  normal-orders every state's word into a Poly2, the words together, one
+  integer fold per node of their word trie (`_word_forms`);
+  `stationary_probabilities` evaluates each weight and Z_L on their own
+  and divides, and `weights_evaluator` evaluates Z_L and the 2^L weights
+  on one common denominator at a point.  The library normal-orders no
+  state's word: it fills the weights by the equations that define L, one
+  site at a time, over the integers at a point and over Z[alpha, beta]
+  for the symbolic weights.
 * `principal_minor_polys` expands the leading principal minors of
   (xI - W) by cofactors (`_cofactor_det`), exponential in the size; the
   library runs the three-term recurrence of W and decides the reading by
   orthogonality under the moments L((e1 e2)^k).
 """
 
+import functools
 import itertools
 from math import comb
 
@@ -57,9 +60,9 @@ from biops.errors import TruncationTooSmall
 from biops.expr import Gen, ScalarPoly, BiOrtho, Sum, Product, Power, Negation
 from biops.matrep import RepMatrix, generator_matrices, second_moment
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, AB, ALPHA, BETA, K_ZERO,
-                        K_ONE, Evaluator, accumulate)
-from biops.tensor import (ShockElem, TensorElem, fold_words, linear_form,
-                          linear_forms)
+                        K_ONE, accumulate, eval_numerators)
+from biops.tensor import (ShockElem, TensorElem, fold_words, _L_graded,
+                          _times_gen)
 
 
 # --- normal ordering by rewriting ----------------------------------------
@@ -438,21 +441,36 @@ def state_word(tau):
     return tuple(1 if bit else 2 for bit in tau)
 
 
+def _word_forms(words):
+    """{word: L(word)} for an iterable of words, normal-ordering them
+    together over integer coefficients: the words share the folds of
+    their common prefixes, and L of a word of length N reads the power of
+    alpha*beta off the bidegree (N, N)."""
+    return {w: _L_graded(nf, len(w))
+            for w, nf in fold_words(set(words), {(0, 0): 1}, _times_gen)}
+
+
+def state_weights(L):
+    """The 2^L weights in all_states order, each L of its state's word as
+    a Poly2."""
+    words = [state_word(tau) for tau in all_states(L)]
+    values = _word_forms(words)
+    return [values[w] for w in words]
+
+
 def stationary_probabilities(L, a, b):
     """{state: probability} in the order of all_states: L of each state's
     word evaluated on its own, divided by Z_L evaluated on its own."""
     z = partition_Z(L).eval(a, b)
-    return {tau: linear_form(TensorElem({state_word(tau): ONE})).eval(a, b) / z
-            for tau in all_states(L)}
+    return {tau: w.eval(a, b) / z
+            for tau, w in zip(all_states(L), state_weights(L))}
 
 
 def weights_evaluator(L):
-    """The Evaluator of [Z_L, *weights], the weights in all_states order,
-    each L of its state's word as a Poly2: a call at (a, b) gives
-    ([Z's numerator, *the weights' numerators], denominator)."""
-    words = [state_word(tau) for tau in all_states(L)]
-    values = linear_forms(words)
-    return Evaluator([partition_Z(L), *(values[w] for w in words)])
+    """Z_L and the state_weights, ready to evaluate: a call at (a, b)
+    gives ([Z's numerator, *the weights' numerators], denominator)."""
+    return functools.partial(eval_numerators,
+                             [partition_Z(L), *state_weights(L)])
 
 
 # --- characteristic polynomials by cofactors -------------------------------

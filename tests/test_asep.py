@@ -4,8 +4,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biops import asep, tensor
-from biops.ring import ZERO, ONE, ALPHA, BETA, AB, poly_sum
+from biops import asep
+from biops.ring import ZERO, ONE, ALPHA, BETA, AB, Poly2, poly_sum
 from biops.tensor import E1, E2, TensorElem, linear_form, normal_order
 from biops.asep import (all_states, state_index, partition_Z,
                         stationary_mpa, stationary_numerators, transitions,
@@ -13,8 +13,8 @@ from biops.asep import (all_states, state_index, partition_Z,
 from biops.errors import DegenerateParameters
 from markov_oracle import (SingularSystem, build_generator, state_from_index,
                            stationary_oracle)
-from oracles import (normal_order_word, state_word, stationary_probabilities,
-                     swap_ab, weights_evaluator)
+from oracles import (normal_order_word, state_weights, state_word,
+                     stationary_probabilities, swap_ab, weights_evaluator)
 
 
 def weight(tau):
@@ -233,48 +233,64 @@ class TestStationary:
         assert list(got.items()) == list(want.items())
 
     def test_one_record_per_L_serves_every_point(self, monkeypatch):
-        # the record of each L, made on its first call, serves every later
-        # point: a = b, both rates above 1, and a generic point; no
-        # symbolic weight is made
-        partition, checked = {}, {}
+        # the record (states, Z) of each L, made on its first call, serves
+        # every later point: a = b, both rates above 1, and a generic
+        # point; no symbolic weight is made
+        partition, tables = {}, []
         monkeypatch.setattr(asep, "_PARTITION", partition)
-        monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", checked)
         points = [(Fraction(3, 5), Fraction(3, 5)),
                   (Fraction(7, 2), Fraction(9, 4)),
                   (Fraction(2, 7), Fraction(5, 3))]
         for L in range(1, 11):
             for a, b in points:
-                got = stationary_mpa(L, a, b).probabilities
+                tables.append(stationary_mpa(L, a, b))
+                got = tables[-1].probabilities
                 want = stationary_probabilities(L, a, b)
                 assert list(got.items()) == list(want.items()), (L, a, b)
             assert list(partition) == list(range(1, L + 1))
-            states, Z, _ = partition[L]
+            states, Z = partition[L]
             assert states == tuple(all_states(L))
             assert Z == partition_Z(L)
-        assert checked == {}
+        assert all(t._weights is None for t in tables)
 
     def test_disagreeing_paths_raise(self, monkeypatch):
-        # a wrong word weight fails the symbolic path and stores nothing
+        # a wrong filled weight fails the symbolic path and keeps nothing
         a, b = Fraction(1, 2), Fraction(1, 3)
         tau = (1, 0, 1, 0)
-        word = state_word(tau)
-        right = weight(tau)  # fills the per-word cache
-        checked = {}
-        monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", checked)
+        right_fill = asep.stationary_numerators
+
+        def one_wrong(L, *factors):
+            weights = right_fill(L, *factors)
+            if isinstance(weights[0], Poly2):
+                weights[state_index(tau)] += AB
+            return weights
+
         table = stationary_mpa(4, a, b)
         with monkeypatch.context() as m:
-            m.setitem(tensor._L_CACHE, word, right + AB)
+            m.setattr(asep, "stationary_numerators", one_wrong)
             with pytest.raises(RuntimeError,
                                match="partition function paths disagree"):
                 table.weights
-            assert checked == {}
-            # the numeric path reads no weight
+            assert table._weights is None
+            # the numeric path fills integers, which stay right
             again = stationary_mpa(4, a, b)
             assert again.numerators == table.numerators
-        # the passing check stores the record of L = 4, with the right word
-        assert table.weights[tau] == right
-        assert list(checked) == [4]
-        assert dict(zip(all_states(4), checked[4]))[tau] == right
+        # the passing check keeps the right weights on the table
+        assert list(table.weights.values()) == state_weights(4)
+
+    def test_wrong_Z_leaves_weights_unset(self):
+        # a table whose Z is not the sum of its filled weights refuses to
+        # fill them, and a later read checks again
+        table = stationary_mpa(5, Fraction(2, 3), Fraction(3, 7))
+        right = table.Z
+        table.Z = right + AB
+        for _ in range(2):
+            with pytest.raises(RuntimeError,
+                               match="partition function paths disagree"):
+                table.weights
+            assert table._weights is None
+        table.Z = right
+        assert list(table.weights.values()) == state_weights(5)
 
     def test_wrong_Z_raises_on_every_call(self, monkeypatch):
         right = asep.partition_Z
@@ -290,8 +306,8 @@ class TestStationary:
     def test_wrong_numerators_raise(self, monkeypatch):
         right = asep.stationary_numerators
 
-        def one_off(L, a, b):
-            nums = right(L, a, b)
+        def one_off(L, *factors):
+            nums = right(L, *factors)
             nums[-1] += 1
             return nums
 
@@ -301,16 +317,15 @@ class TestStationary:
                                match="partition function paths disagree"):
                 run(5, Fraction(2, 3), Fraction(3, 7))
 
-    def test_sum_is_checked_once_per_L(self, monkeypatch):
-        # the symbolic check runs once per L, on the first read of a
-        # table's weights, and an edited table never reaches a later call
+    def test_sum_is_checked_once_per_table(self, monkeypatch):
+        # the symbolic check runs once per table, on the first read of its
+        # weights, and an edited table never reaches a later call
         sums = []
 
         def counted_sum(polys):
             sums.append(1)
             return poly_sum(polys)
 
-        monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", {})
         monkeypatch.setattr(asep, "poly_sum", counted_sum)
         points = [(Fraction(1, 2), Fraction(1, 3)),
                   (Fraction(9, 4), Fraction(5, 7))]
@@ -320,6 +335,7 @@ class TestStationary:
                 == list(stationary_probabilities(5, *points[0]).items()))
         full = (1,) * 5
         assert first.weights[full] == weight(full)
+        first.weights  # a second read of the table sums nothing
         assert len(sums) == 1
         # a caller that changes its table changes no later call
         first.weights[full] = ZERO
@@ -327,32 +343,32 @@ class TestStationary:
         first.probabilities[full] = Fraction(0)
         second = stationary_mpa(5, *points[1])
         assert second.weights[full] == weight(full)
-        assert len(sums) == 1
+        assert len(sums) == 2
         assert (list(second.probabilities.items())
                 == list(stationary_probabilities(5, *points[1]).items()))
         again = stationary_mpa(5, *points[0])
         assert again.weights[full] == weight(full)
-        assert len(sums) == 1
+        assert len(sums) == 3
         assert (list(again.probabilities.items())
                 == list(stationary_probabilities(5, *points[0]).items()))
         assert sum(again.numerators.values()) == again.Z_numerator
         stationary_mpa(6, *points[0]).weights
-        assert len(sums) == 2
+        assert len(sums) == 4
 
     def test_numeric_path_normal_orders_no_word(self, monkeypatch):
-        def refuse(words):
-            raise AssertionError("linear_forms called")
+        # at a point no polynomial weight is formed, so none is summed
+        def refuse(polys):
+            raise AssertionError("poly_sum called")
 
         monkeypatch.setattr(asep, "_PARTITION", {})
-        monkeypatch.setattr(asep, "_CHECKED_WEIGHTS", {})
-        monkeypatch.setattr(asep, "linear_forms", refuse)
+        monkeypatch.setattr(asep, "poly_sum", refuse)
         a, b = Fraction(9, 4), Fraction(5, 7)
         table = stationary_mpa(10, a, b)
         assert sum(table.probabilities.values()) == 1
         assert len(table.to_obj()["states"]) == 2**10
         rep = compare(8, a, b)
         assert rep.ok and rep.checked == 2**8 + 2
-        with pytest.raises(AssertionError, match="linear_forms called"):
+        with pytest.raises(AssertionError, match="poly_sum called"):
             table.weights
 
     def test_singular_guard(self):
@@ -372,12 +388,19 @@ RECURSION_POINTS = [(Fraction(2, 3), Fraction(2, 3)),
                     (Fraction(1), Fraction(1))]
 
 
+def numerators_at(L, a, b):
+    """stationary_numerators at a = p/q, b = r/s: the weights' integer
+    numerators over (q s)^L."""
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    return stationary_numerators(L, p * s, r * q, p * r)
+
+
 def assert_equals_replaced_path(L, a, b, evaluate):
     """The recursion's numerators, and stationary_mpa's numerators, Z
-    numerator and denominator, against one call of the Evaluator of
-    [Z_L, *weights]."""
+    numerator and denominator, against Z_L and the word weights evaluated
+    on one common denominator."""
     (nz, *nums), den = evaluate(a, b)
-    assert stationary_numerators(L, a, b) == nums, (L, a, b)
+    assert numerators_at(L, a, b) == nums, (L, a, b)
     table = stationary_mpa(L, a, b)
     assert list(table.numerators.values()) == nums, (L, a, b)
     assert (table.Z_numerator, table.denominator) == (nz, den), (L, a, b)
@@ -385,10 +408,16 @@ def assert_equals_replaced_path(L, a, b, evaluate):
 
 class TestRecursion:
     def test_equals_the_replaced_path_up_to_L12(self):
+        # the integer fill at each point, and the symbolic fill that each
+        # table's weights read, against the words normal-ordered
         for L in range(1, 13):
             evaluate = weights_evaluator(L)
+            want = state_weights(L)
+            assert stationary_numerators(L, ALPHA, BETA, AB) == want, L
             for a, b in RECURSION_POINTS:
                 assert_equals_replaced_path(L, a, b, evaluate)
+                table = stationary_mpa(L, a, b)
+                assert list(table.weights.values()) == want, (L, a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 8),
@@ -412,12 +441,15 @@ class TestRecursion:
         # alpha = p/q, beta = r/s: one site [r q, p s], and the two-site
         # weights beta^2, ab(a + b), ab, alpha^2 over (q s)^2
         p, q, r, s = 2, 3, 5, 7
-        assert stationary_numerators(1, Fraction(p, q), Fraction(r, s)) == [
+        assert numerators_at(1, Fraction(p, q), Fraction(r, s)) == [
             r * q, p * s]
-        assert stationary_numerators(2, Fraction(p, q), Fraction(r, s)) == [
+        assert numerators_at(2, Fraction(p, q), Fraction(r, s)) == [
             (r * q)**2, p * r * (p * s + r * q), p * r * q * s, (p * s)**2]
+        # the same fill over Z[alpha, beta]: beta^2, ab(a + b), ab, alpha^2
+        assert stationary_numerators(2, ALPHA, BETA, AB) == [
+            BETA**2, AB * (ALPHA + BETA), AB, ALPHA**2]
         with pytest.raises(ValueError):
-            stationary_numerators(0, Fraction(p, q), Fraction(r, s))
+            numerators_at(0, Fraction(p, q), Fraction(r, s))
 
 
 CERTIFICATE_POINTS = [(Fraction(2, 3), Fraction(2, 3)),

@@ -265,6 +265,15 @@ class TestOrthogonality:
         rep = check_orthogonality(8)
         assert rep.ok and rep.checked == 81
 
+    @pytest.mark.parametrize("wrong", [0, 3, 6])
+    def test_wrong_lambda_fails_under_its_label(self, monkeypatch, wrong):
+        right = biortho.lambda_n
+        monkeypatch.setattr(biortho, "lambda_n",
+                            lambda n: right(n) + int(n == wrong))
+        rep = check_orthogonality(6)
+        assert rep.failures == [f"L(P{wrong} Q{wrong}) != expected"]
+        assert rep.checked == 49
+
     def test_individual_values(self):
         def pq(n, m):
             return linear_form(p_explicit(n).into(TensorElem)
@@ -327,6 +336,28 @@ class TestMomentBands:
     def test_consistency_report(self):
         rep = moment_consistency(6)
         assert rep.ok
+
+    # (band index in first_moment_matrices, its row, entry, failure)
+    @pytest.mark.parametrize("band, row, k, label", [
+        (0, "diag", 2, "X[2][2]"),
+        (1, "sub", 3, "Y[4][3]"),
+        (2, "sup", 1, "P1*e1 expansion"),
+        (4, "sup", 0, "Xhat[0][1]"),
+        (5, "diag", 5, "Yhat[5][5]"),
+    ])
+    def test_changed_band_entry_fails_under_its_label(self, monkeypatch,
+                                                      band, row, k, label):
+        right = biortho.first_moment_matrices
+
+        def changed(dim):
+            bands = right(dim)
+            values = list(getattr(bands[band], row))
+            values[k] = values[k] + 1
+            setattr(bands[band], row, tuple(values))
+            return bands
+
+        monkeypatch.setattr(biortho, "first_moment_matrices", changed)
+        assert moment_consistency(6).failures == [label]
 
     def test_simple_moments(self):
         assert linear_form(p_explicit(0).into(TensorElem) * E1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
-                        KAPPA, KAPPA_SQ, K_ONE, Evaluator, accumulate,
+                        KAPPA, KAPPA_SQ, K_ONE, accumulate,
                         eval_numerators, poly_sum)
 from oracles import InexactDivision, long_div, schoolbook_mul
 
@@ -223,24 +223,10 @@ class TestSharedDenominator:
     @given(st.lists(polys, max_size=6), rationals, rationals)
     def test_random_lists(self, ps, a, b):
         self.check(ps, a, b)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(polys, max_size=6),
-           st.lists(st.tuples(rationals, rationals), max_size=4))
-    def test_one_evaluator_at_many_points(self, ps, points):
         # the zero polynomial, constants, and negated copies (shared
         # monomials, negative coefficients) beside the drawn polynomials
-        ps = [ZERO, *ps, Poly2.const(-4), ONE, *(-p for p in ps)]
-        points = [(0, 0), (Fraction(-3, 7), -2), *points]
-        evaluate = Evaluator(ps)
-        I, J = max_exponents(ps)
-        for a, b in points:
-            nums, den = evaluate(a, b)
-            assert (nums, den) == eval_numerators(ps, a, b)
-            assert den == (Fraction(a).denominator**I
-                           * Fraction(b).denominator**J)
-            assert [Fraction(n, den) for n in nums] == [
-                naive_value(p, a, b) for p in ps]
+        self.check([ZERO, *ps, Poly2.const(-4), ONE, *(-p for p in ps)],
+                   a, b)
 
     def test_kappa_parts_share_the_table(self):
         # band_values evaluates both parts of a kappa entry in one call

@@ -4,11 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biops import tensor
 from biops.ring import Poly2, ZERO, ONE, ALPHA, BETA, AB
 from biops.expr import eval_expr, parse
 from biops.tensor import (TensorElem, ShockElem, E1, E2, normal_order,
-                          shock_mul, linear_form, linear_forms, word_to_str)
+                          shock_mul, linear_form, word_to_str)
 from oracles import as_shock, normal_order_word, poly2_fold, power_sum
 
 # every word of length <= 10: 2047 words
@@ -187,16 +186,11 @@ class TestLinearForm:
         x = E1 * E2 * E2 - BETA * E2 * E1 * E1
         assert linear_form(normal_order(x)) == linear_form(x)
 
-    def test_cold_words_match_rewriting(self, rewritten_nf, monkeypatch):
-        # an empty cache, so every word goes through the shared fold
-        monkeypatch.setattr(tensor, "_L_CACHE", {})
-        values = linear_forms(ALL_WORDS)
+    def test_cold_words_match_rewriting(self, rewritten_nf):
+        # nothing is kept from one call to the next: every word is folded
         for w in ALL_WORDS:
-            assert values[w] == rewritten_L(rewritten_nf[w]), w
-        # the first call filled the cache and the second one reads it
-        assert len(tensor._L_CACHE) == len(ALL_WORDS)
-        again = linear_forms(ALL_WORDS[:5])
-        assert all(again[w] is values[w] for w in ALL_WORDS[:5])
+            assert linear_form(TensorElem({w: ONE})) \
+                == rewritten_L(rewritten_nf[w]), w
 
     def test_defining_relations(self):
         rng = random.Random(13)
@@ -213,29 +207,26 @@ class TestLinearForm:
 
 
 class TestGradedFold:
-    """`linear_forms` folds words over integer coefficients and reads the
-    power of alpha*beta off the degree; `poly2_fold`, the same fold over
-    Poly2 coefficients, is its oracle."""
+    """Normal ordering folds words over integer coefficients and L reads
+    the power of alpha*beta off the degree; `poly2_fold`, the same fold
+    over Poly2 coefficients, is its oracle."""
 
     @staticmethod
     def poly2_fold(w):
         return rewritten_L(poly2_fold(w))
 
-    def test_equals_poly2_fold_on_every_word_up_to_12(self, monkeypatch):
-        monkeypatch.setattr(tensor, "_L_CACHE", {})
+    def test_equals_poly2_fold_on_every_word_up_to_12(self):
         words = [w for n in range(13)
                  for w in itertools.product((1, 2), repeat=n)]
-        values = linear_forms(words)
-        assert len(values) == 8191
+        assert len(words) == 8191
         for w in words:
-            assert values[w] == self.poly2_fold(w), w
+            assert linear_form(TensorElem({w: ONE})) == self.poly2_fold(w), w
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from((1, 2)), max_size=40))
     def test_equals_poly2_fold_on_random_words(self, letters):
         w = tuple(letters)
-        tensor._L_CACHE.pop(w, None)  # fold it, not read it
-        assert linear_forms([w])[w] == self.poly2_fold(w)
+        assert linear_form(TensorElem({w: ONE})) == self.poly2_fold(w)
         assert normal_order(TensorElem({w: ONE})) == as_shock(poly2_fold(w))
 
     def test_normal_form_is_homogeneous(self, rewritten_nf):
