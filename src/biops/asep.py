@@ -9,8 +9,10 @@ site shorter (`stationary_numerators`), in any ring: over the integers at
 a point, and over Z[alpha, beta] for a table's symbolic `weights`, which
 are filled only when read.  The DEHP cancellation is why the fill is
 exact over Z[alpha, beta] and not only at a point.  Z_L comes a second
-way, as the shock-ring power L((e1+e2)^L), and the two must agree: at
-every point, and term by term once per table for the symbolic weights.
+way, as L of the power (e1+e2)^L in the shock ring, and the two must
+agree: at every point, and term by term once per table for the symbolic
+weights.  A table keeps the fill's integer list as it is, and one dict
+keyed by the states for the probabilities.
 `compare` certifies the normalized weights exactly on those integers:
 with the rates scaled to integers, pi G = 0 at every state, sum(pi) = 1,
 and the chain irreducible, so pi is the one stationary state; no
@@ -28,7 +30,7 @@ from fractions import Fraction
 from .errors import DegenerateParameters
 from .report import CheckReport
 from .ring import ALPHA, BETA, AB, eval_numerators, poly_sum
-from .tensor import power_sum_form
+from .tensor import ShockElem, linear_form
 
 
 def all_states(L):
@@ -43,18 +45,25 @@ def state_index(tau):
     return sum(bit << i for i, bit in enumerate(tau))
 
 
+def _state_strings(L):
+    """The 2^L states as strings of bits, site 1 first, in state_index
+    order: the i-th is i in binary, read from site 1 (the lowest bit)."""
+    fmt = f"0{L}b"
+    return (format(i, fmt)[::-1] for i in range(1 << L))
+
+
 def partition_Z(L):
-    """Z_L = L((e1+e2)^L), as the L-th power of e1 + e2 in the shock ring
-    over integer coefficients: time polynomial in L, no sum over the 2^L
-    states."""
+    """Z_L = L((e1+e2)^L), with the power taken in the shock ring: time
+    polynomial in L, no sum over the 2^L states."""
     if L < 0:
         raise ValueError("L must be nonnegative")
-    return power_sum_form(L)
+    return linear_form((ShockElem.generator(1) + ShockElem.generator(2))**L)
 
 
 class StationaryTable:
-    """The stationary distribution of L sites at rational (alpha, beta);
-    its dicts list the states in all_states order."""
+    """The stationary distribution of L sites at rational (alpha, beta):
+    the dict `probabilities` and the list `numerators` hold the states in
+    all_states order."""
 
     __slots__ = ("L", "_weights", "Z", "alpha", "beta", "probabilities",
                  "numerators", "Z_numerator", "denominator")
@@ -68,8 +77,8 @@ class StationaryTable:
         self.alpha = alpha                  # Fraction
         self.beta = beta                    # Fraction
         self.probabilities = probabilities  # state tuple -> Fraction
-        # state tuple -> int: the weight's value times `denominator`, and
-        # Z(alpha, beta) times `denominator`
+        # ints: the weights' values in state_index order, and
+        # Z(alpha, beta), each times `denominator`
         self.numerators = numerators
         self.Z_numerator = Z_numerator
         self.denominator = denominator
@@ -87,13 +96,14 @@ class StationaryTable:
         return self._weights
 
     def to_obj(self, symbolic=False):
-        den = self.denominator
-        rows = [{
-            "state": "".join(map(str, tau)),
-            "probability": str(self.probabilities[tau]),
-            "weight": (self.weights[tau].to_obj() if symbolic
-                       else str(Fraction(num, den))),
-        } for tau, num in self.numerators.items()]
+        if symbolic:
+            weights = [w.to_obj() for w in self.weights.values()]
+        else:
+            den = self.denominator
+            weights = [str(Fraction(n, den)) for n in self.numerators]
+        rows = [{"state": state, "probability": str(p), "weight": w}
+                for state, p, w in zip(_state_strings(self.L),
+                                       self.probabilities.values(), weights)]
         return {
             "L": self.L,
             "alpha": str(self.alpha),
@@ -198,7 +208,7 @@ def stationary_mpa(L, a, b):
     return StationaryTable(
         L, Z, a, b,
         dict(zip(states, map(Fraction, nums, itertools.repeat(nz)))),
-        dict(zip(states, nums)), nz, den)
+        nums, nz, den)
 
 
 def transitions(L):
@@ -246,8 +256,8 @@ def certify_stationary(L, a, b, n, nz):
         forward[i].append(j)
         backward[j].append(i)
     rep = CheckReport(f"TASEP L={L} alpha={a} beta={b}")
-    for tau, r in zip(all_states(L), residual):
-        rep.record(r == 0, "state " + "".join(map(str, tau)))
+    for state, r in zip(_state_strings(L), residual):
+        rep.record(r == 0, "state " + state)
     rep.record(sum(n) == nz, "probabilities sum to 1")
     rep.record(_reaches_all(backward) and _reaches_all(forward),
                "generator is irreducible")

@@ -311,11 +311,13 @@ def first_moment_matrices(dim):
 def moment_consistency(dim):
     """Cross-check the closed-form bands against direct evaluations of
     L(P_n e1 Q_m) and L(P_n e2 Q_m) in the shock ring, and the expansion
-    identity P_n * e1 = sum_k Xbar[n][k] P_k."""
+    identities P_n * e1 = sum_k Xbar[n][k] P_k and its transpose
+    Q_m * e2 = sum_k Ybar[k][m] Q_k."""
     rep = CheckReport(f"first-moment consistency dim {dim}")
     X, Y, Xbar, Ybar, Xhat, Yhat = first_moment_matrices(dim)
-    ps = [p_explicit(n) for n in range(dim + 1)]
-    qt = [q_explicit(m).into(ShockElem) for m in range(dim)]
+    ps = [p_explicit(n) for n in range(dim)]
+    qs = [q_explicit(m) for m in range(dim)]
+    qt = [q.into(ShockElem) for q in qs]
     g1, g2 = ShockElem.generator(1), ShockElem.generator(2)
     slam = [sqrt_lambda(n) for n in range(dim)]
     for n in range(dim):
@@ -331,12 +333,15 @@ def moment_consistency(dim):
                        f"Xhat[{n}][{m}]")
             rep.record(Yhat.entry(n, m) * slam[n] * slam[m] == KappaElem(yval),
                        f"Yhat[{n}][{m}]")
-    e1 = UniPoly("e1", (ZERO, ONE))
-    for n in range(dim - 1):
-        rhs = UniPoly("e1", ())
-        for k in range(n + 2):
-            rhs = rhs + ps[k] * Xbar.entry(n, k).a
-        rep.record(rhs == ps[n] * e1, f"P{n}*e1 expansion")
+    for name, var, polys, entry in (
+            ("P", "e1", ps, Xbar.entry),
+            ("Q", "e2", qs, lambda m, k: Ybar.entry(k, m))):
+        gen = UniPoly(var, (ZERO, ONE))
+        for n in range(dim - 1):
+            rhs = UniPoly(var, ())
+            for k in range(n + 2):
+                rhs = rhs + polys[k] * entry(n, k).a
+            rep.record(rhs == polys[n] * gen, f"{name}{n}*{var} expansion")
     return rep
 
 

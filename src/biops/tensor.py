@@ -15,9 +15,7 @@ keyed (I, J, n, m), and L of such a term is the integer times
 alpha^(I-n) beta^(J-m).  A right product by e1 or e2 maps a part of
 bidegree (I, J) to one of (I+1, J+1) with integer additions alone
 (`_times_gen`), so a product costs time polynomial in the degree.
-L of a TensorElem is L of its normal order: one path to L.  Words and
-(e1 + e2)^N lie on the diagonal I = J = N: `power_sum_form` folds
-(e1 + e2)^N over (n, m) keys and reads N off the length.
+L of a TensorElem is L of its normal order: one path to L.
 """
 
 from __future__ import annotations
@@ -315,23 +313,6 @@ def shock_mul(x, y):
 
 
 # --- the linear form ----------------------------------------------------
-
-def _L_graded(t, N):
-    """L on the part of bidegree (N, N), over (n, m) keys: the integer c
-    at (n, m) stands for c (alpha*beta)^(N-n-m) e2^n e1^m, whose L is
-    c alpha^(N-n) beta^(N-m).  Distinct keys give distinct monomials, and
-    a fold stores no zero."""
-    return Poly2._raw({(N - n, N - m): c for (n, m), c in t.items()})
-
-
-def power_sum_form(n):
-    """L((e1 + e2)^n), folding the n factors e1 + e2 over integer
-    coefficients: each step is x*e1 + x*e2."""
-    x = {(0, 0): 1}
-    for _ in range(n):
-        x = accumulate(_times_e2(x), _times_gen(x, 1).items())
-    return _L_graded(x, n)
-
 
 def linear_form(x):
     """L(x) for a TensorElem or a ShockElem: a TensorElem is normal-ordered

@@ -8,7 +8,10 @@ or closed-form constructions that the library computes another way.
   the powers of alpha and beta off the bidegree.  Both give a normal
   form as {(n, m): Poly2}, and `as_shock` writes one as a ShockElem.
 * `power_sum` expands (e1 + e2)^L into its 2^L words; the library takes
-  the L-th power in the shock ring.
+  the L-th power in the shock ring.  `power_sum_form` folds L((e1 + e2)^L)
+  on the one bidegree (L, L) over (n, m) keys, each step x*e1 + x*e2, and
+  `_L_graded` reads L off that bidegree; `dehp_Z` is the closed form of
+  Derrida, Evans, Hakim and Pasquier.
 * `pq_rep` writes the band matrices of P_n and Q_n down from their
   pattern; the library evaluates P_n and Q_n in the matrix algebra by
   Horner's rule.
@@ -51,7 +54,7 @@ or closed-form constructions that the library computes another way.
 
 import functools
 import itertools
-from math import comb
+from math import comb, factorial
 
 from biops.asep import all_states, partition_Z
 from biops.bimoment import build_bimoment
@@ -61,7 +64,7 @@ from biops.expr import Gen, ScalarPoly, BiOrtho, Sum, Product, Power, Negation
 from biops.matrep import RepMatrix, generator_matrices, second_moment
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, AB, ALPHA, BETA, K_ZERO,
                         K_ONE, accumulate, eval_numerators)
-from biops.tensor import (ShockElem, TensorElem, fold_words, _L_graded,
+from biops.tensor import (ShockElem, TensorElem, fold_words, _times_e2,
                           _times_gen)
 
 
@@ -157,7 +160,40 @@ def power_sum(L):
     return TensorElem({w: ONE for w in itertools.product((1, 2), repeat=L)})
 
 
+def _L_graded(t, N):
+    """L on the part of bidegree (N, N), over (n, m) keys: the integer c
+    at (n, m) stands for c (alpha*beta)^(N-n-m) e2^n e1^m, whose L is
+    c alpha^(N-n) beta^(N-m).  Distinct keys give distinct monomials, and
+    a fold stores no zero."""
+    return Poly2._raw({(N - n, N - m): c for (n, m), c in t.items()})
+
+
+def power_sum_form(L):
+    """L((e1 + e2)^L), folding the L factors e1 + e2 over integer
+    coefficients on the diagonal bidegree alone: each step is
+    x*e1 + x*e2."""
+    x = {(0, 0): 1}
+    for _ in range(L):
+        x = accumulate(_times_e2(x), _times_gen(x, 1).items())
+    return _L_graded(x, L)
+
+
 # --- closed forms ----------------------------------------------------------
+
+def dehp_Z(L):
+    """Derrida-Evans-Hakim-Pasquier, J. Phys. A 26 (1993) 1493:
+    Z_L = sum_{p=1..L} p (2L-1-p)! / (L! (L-p)!)
+          * sum_{k=0..p} alpha^(L-k) beta^(L-p+k)."""
+    terms = {}
+    for p in range(1, L + 1):
+        count, rem = divmod(p * factorial(2 * L - 1 - p),
+                            factorial(L) * factorial(L - p))
+        assert rem == 0
+        for k in range(p + 1):
+            key = (L - k, L - p + k)
+            terms[key] = terms.get(key, 0) + count
+    return Poly2(terms)
+
 
 def pq_rep(n, which, dim):
     """Closed-form band matrix of P_n (which='P', in the bar_col picture)

@@ -1,20 +1,21 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from biops import asep
 from biops.ring import ZERO, ONE, ALPHA, BETA, AB, Poly2, poly_sum
-from biops.tensor import E1, E2, TensorElem, linear_form, normal_order
+from biops.tensor import TensorElem, linear_form
 from biops.asep import (all_states, state_index, partition_Z,
                         stationary_mpa, stationary_numerators, transitions,
                         certify_stationary, compare)
 from biops.errors import DegenerateParameters
 from markov_oracle import (SingularSystem, build_generator, state_from_index,
                            stationary_oracle)
-from oracles import (normal_order_word, state_weights, state_word,
-                     stationary_probabilities, swap_ab, weights_evaluator)
+from oracles import (dehp_Z, normal_order_word, power_sum_form,
+                     state_weights, state_word, stationary_probabilities,
+                     swap_ab, weights_evaluator)
 
 
 def weight(tau):
@@ -36,12 +37,19 @@ class TestStates:
     def test_listed_in_state_index_order(self):
         # the order of transitions' indices and of the stationary rows
         assert all_states(2) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        a, b = Fraction(2, 3), Fraction(3, 7)
         for L in range(1, 11):
             assert [state_index(tau) for tau in all_states(L)] == list(
                 range(2**L))
-            table = stationary_mpa(L, Fraction(2, 3), Fraction(3, 7))
-            for d in (table.weights, table.probabilities, table.numerators):
+            table = stationary_mpa(L, a, b)
+            for d in (table.weights, table.probabilities):
                 assert list(d) == all_states(L)
+            # the numerators are the fill's list, entry i the state of
+            # index i
+            assert table.numerators == numerators_at(L, a, b)
+            assert [Fraction(n, table.Z_numerator)
+                    for n in table.numerators] == list(
+                        table.probabilities.values())
 
     def test_word(self):
         assert state_word((1, 0, 1)) == (1, 2, 1)
@@ -72,20 +80,6 @@ class TestWeights:
         assert partition_Z(1) == ALPHA + BETA
 
 
-def dehp_Z(L):
-    """Derrida-Evans-Hakim-Pasquier, J. Phys. A 26 (1993) 1493:
-    Z_L = sum_{p=1..L} p (2L-1-p)! / (L! (L-p)!)
-          * sum_{k=0..p} alpha^(L-k) beta^(L-p+k)."""
-    out = ZERO
-    for p in range(1, L + 1):
-        count, rem = divmod(p * factorial(2 * L - 1 - p),
-                            factorial(L) * factorial(L - p))
-        assert rem == 0
-        out = out + count * sum((ALPHA**(L - k) * BETA**(L - p + k)
-                                 for k in range(p + 1)), ZERO)
-    return out
-
-
 def enumerated_Z(L):
     """Sum of L over all 2^L state words, each normal-ordered by rewriting."""
     out = ZERO
@@ -105,13 +99,12 @@ class TestPartitionFunction:
         for L in range(1, 11):
             assert partition_Z(L) == enumerated_Z(L), L
 
-    def test_equals_poly2_shock_ring_power(self):
-        # the integer fold on (n, m) keys against the power of e1 + e2 in
-        # the shock ring over Z[alpha, beta], keyed by bidegree
-        x = normal_order(TensorElem.unit())
-        for L in range(31):
-            assert partition_Z(L) == linear_form(x), L
-            x = x * normal_order(E1 + E2)
+    def test_equals_the_diagonal_fold_and_dehp_up_to_L60(self):
+        # the power of e1 + e2 in the shock ring keyed by bidegree, against
+        # the integer fold on the diagonal's (n, m) keys and the closed form
+        assert partition_Z(0) == power_sum_form(0) == ONE
+        for L in range(1, 61):
+            assert partition_Z(L) == power_sum_form(L) == dehp_Z(L), L
 
     def test_catalan_at_alpha_beta_one(self):
         # DEHP at alpha = beta = 1: Z_L(1, 1) is the Catalan number C_(L+1)
@@ -339,7 +332,7 @@ class TestStationary:
         assert len(sums) == 1
         # a caller that changes its table changes no later call
         first.weights[full] = ZERO
-        first.numerators[full] = 0
+        first.numerators[state_index(full)] = 0
         first.probabilities[full] = Fraction(0)
         second = stationary_mpa(5, *points[1])
         assert second.weights[full] == weight(full)
@@ -351,7 +344,7 @@ class TestStationary:
         assert len(sums) == 3
         assert (list(again.probabilities.items())
                 == list(stationary_probabilities(5, *points[0]).items()))
-        assert sum(again.numerators.values()) == again.Z_numerator
+        assert sum(again.numerators) == again.Z_numerator
         stationary_mpa(6, *points[0]).weights
         assert len(sums) == 4
 
@@ -402,7 +395,7 @@ def assert_equals_replaced_path(L, a, b, evaluate):
     (nz, *nums), den = evaluate(a, b)
     assert numerators_at(L, a, b) == nums, (L, a, b)
     table = stationary_mpa(L, a, b)
-    assert list(table.numerators.values()) == nums, (L, a, b)
+    assert table.numerators == nums, (L, a, b)
     assert (table.Z_numerator, table.denominator) == (nz, den), (L, a, b)
 
 
@@ -459,10 +452,8 @@ CERTIFICATE_POINTS = [(Fraction(2, 3), Fraction(2, 3)),
 def certify_table(table):
     """certify_stationary on a StationaryTable's numerators, which a test
     may have changed."""
-    return certify_stationary(
-        table.L, table.alpha, table.beta,
-        [table.numerators[tau] for tau in all_states(table.L)],
-        table.Z_numerator)
+    return certify_stationary(table.L, table.alpha, table.beta,
+                              table.numerators, table.Z_numerator)
 
 
 def drop_transitions(monkeypatch, keep):
@@ -499,13 +490,13 @@ class TestCertificate:
     def test_perturbed_vector_rejected(self):
         a, b = Fraction(1, 2), Fraction(1, 3)
         table = stationary_mpa(6, a, b)
-        table.numerators[(1, 0, 1, 1, 0, 0)] += 1
-        table.numerators[(0, 1, 1, 0, 1, 0)] -= 1
+        table.numerators[state_index((1, 0, 1, 1, 0, 0))] += 1
+        table.numerators[state_index((0, 1, 1, 0, 1, 0))] -= 1
         rep = certify_table(table)
         # the failures and the note are those of the perturbed pi against
         # the oracle's generator, in Fractions
         pi = {tau: Fraction(n, table.Z_numerator)
-              for tau, n in table.numerators.items()}
+              for tau, n in zip(all_states(6), table.numerators)}
         assert sum(pi.values()) == 1
         g = build_generator(6, a, b)
         residual = [sum((pi[state_from_index(i, 6)] * row.get(j, 0)
@@ -520,8 +511,7 @@ class TestCertificate:
 
     def test_unnormalized_vector_rejected_by_normalization(self):
         table = stationary_mpa(4, Fraction(1, 2), Fraction(1, 3))
-        for tau in table.numerators:
-            table.numerators[tau] *= 2
+        table.numerators = [2 * n for n in table.numerators]
         rep = certify_table(table)
         assert rep.failures == ["probabilities sum to 1"]
         assert rep.notes == ["max residual 0"]
@@ -542,8 +532,8 @@ class TestCertificate:
         a, b = Fraction(1, 2), Fraction(1, 3)
         drop_transitions(monkeypatch, lambda i, j, k: (a, b, 1)[k] != cut)
         table = stationary_mpa(3, a, b)
-        table.numerators = {tau: int(tau == (absorbing,) * 3)
-                            for tau in all_states(3)}
+        table.numerators = [int(tau == (absorbing,) * 3)
+                            for tau in all_states(3)]
         table.Z_numerator = 1
         rep = certify_table(table)
         assert rep.failures == ["generator is irreducible"]

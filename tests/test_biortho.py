@@ -336,12 +336,16 @@ class TestMomentBands:
     def test_consistency_report(self):
         rep = moment_consistency(6)
         assert rep.ok
+        # four bands at 6 x 6 entries, and 5 expansions each of P_n e1
+        # and Q_m e2
+        assert rep.checked == 4 * 36 + 2 * 5
 
     # (band index in first_moment_matrices, its row, entry, failure)
     @pytest.mark.parametrize("band, row, k, label", [
         (0, "diag", 2, "X[2][2]"),
         (1, "sub", 3, "Y[4][3]"),
         (2, "sup", 1, "P1*e1 expansion"),
+        (3, "sub", 2, "Q2*e2 expansion"),
         (4, "sup", 0, "Xhat[0][1]"),
         (5, "diag", 5, "Yhat[5][5]"),
     ])

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -304,6 +305,35 @@ class TestFormats:
             indent=2, sort_keys=True).iterencode(obj))
         # one write per batch of encoder chunks, then the newline
         assert out.writes == -(-chunks // cli._JSON_BATCH) + 1
+
+
+class TestPinnedStdout:
+    """The sha256 of stdout for requests whose bytes a refactor must keep.
+    A change that means to alter one of these answers updates its hash
+    here, on purpose."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("stationary", "--L", "9", "--alpha", "7/9", "--beta", "9/4"),
+         "45d450deb98ba175c3256ed2cd30cab25674db323f9c73f6b8faa0e8067b7619"),
+        (("stationary", "--L", "9", "--alpha", "7/9", "--beta", "9/4",
+          "--symbolic"),
+         "bd55f0e8c6045f12e92636699b4fe6f8cf43690fd9042f6fb5857030d2d735f5"),
+        (("stationary", "--L", "12", "--alpha", "2/3", "--beta", "3/7",
+          "--format", "csv"),
+         "77d3ce05de371a29bf643d4a6e4a7c96d0f0d0d53512f97e219400fb3b339892"),
+        (("compare", "--L", "12", "--alpha", "2/3", "--beta", "3/7"),
+         "51d108937ade6fe797d12a4e70910703d9d95f63697faef2eddc533cc01adb1e"),
+        (("L", "(e1+e2)^20"),
+         "98c0b7ab87937ea244291d671d6deb761f601bc148cb1a7bef4059d6fd815dff"),
+        (("det", "--n", "12"),
+         "5bf2d19ccf77b85d60d770a11061fc8b6c79b5cc3e4b0d58e2e4e0ef0a413fe5"),
+        (("represent", "(e1+e2)^6", "--dim", "10", "--rep", "bar_col"),
+         "5be4a6b5054948fd4f4ec205f7bf424d56e410e98e79c5c3cb472847d3b8b2d0"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+    def test_stdout_bytes(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestErrors:

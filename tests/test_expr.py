@@ -11,7 +11,7 @@ from biops.tensor import (TensorElem, ShockElem, E1, E2, linear_form,
 from biops.expr import (parse, eval_expr, Gen, ScalarPoly, Sum,
                         Product, Power, Negation, BiOrtho)
 from biops.errors import ParseError
-from oracles import pretty
+from oracles import dehp_Z, power_sum_form, pretty
 
 
 class TestParse:
@@ -204,6 +204,9 @@ class TestGradedPath:
             assert got == AB**k * partition_Z(k), k
 
     def test_power_sums_up_to_60(self):
+        # the graded product against the diagonal fold and, from n = 1,
+        # the DEHP closed form
         for n in range(61):
             got = linear_form(eval_expr(parse(f"(e1+e2)^{n}"), ShockElem))
-            assert got == partition_Z(n), n
+            assert got == power_sum_form(n), n
+            assert n == 0 or got == dehp_Z(n), n
