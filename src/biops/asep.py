@@ -256,8 +256,10 @@ def certify_stationary(L, a, b, n, nz):
         forward[i].append(j)
         backward[j].append(i)
     rep = CheckReport(f"TASEP L={L} alpha={a} beta={b}")
-    for state, r in zip(_state_strings(L), residual):
-        rep.record(r == 0, "state " + state)
+    fmt = f"0{L}b"
+    for i, r in enumerate(residual):
+        # a label, as `_state_strings` writes it, only for a failing state
+        rep.record(not r, r and "state " + format(i, fmt)[::-1])
     rep.record(sum(n) == nz, "probabilities sum to 1")
     rep.record(_reaches_all(backward) and _reaches_all(forward),
                "generator is irreducible")

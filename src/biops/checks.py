@@ -1,4 +1,5 @@
-"""Aggregated verification suites behind the `check` CLI subcommand."""
+"""Aggregated verification suites behind the `check` CLI subcommand; the
+two-path L suite tests normal ordering against the Corteel-Williams fill."""
 
 from __future__ import annotations
 
@@ -6,14 +7,13 @@ import random
 from fractions import Fraction
 
 from .report import CheckReport
-from .ring import Poly2, AB
+from .ring import Poly2, ONE, ALPHA, BETA, AB, poly_sum
 from .tensor import TensorElem, linear_form, normal_order, shock_mul
 from .biortho import (check_orthogonality, recurrence_check, ldu_certificate,
                       moment_consistency)
-from .matrep import (Picture, eval_L_matrix, second_moment,
-                     second_moment_product, cheb_reading_report,
-                     similarity_check)
-from .asep import compare
+from .matrep import (Picture, second_moment, second_moment_product,
+                     cheb_reading_report, similarity_check)
+from .asep import compare, stationary_numerators, state_index
 
 
 def random_poly(rng):
@@ -39,11 +39,18 @@ def random_tensor(rng, max_len):
 
 
 def check_two_path_L(seed=0):
+    """L of 50 random elements by normal ordering, and as the sum of c L(w)
+    over their terms c w, each L(w) read off the Corteel-Williams fill of
+    its length: site i of w's state is occupied where letter i is e1."""
     rng = random.Random(seed)
+    fills = [[ONE]] + [stationary_numerators(k, ALPHA, BETA, AB)
+                       for k in range(1, 9)]
     rep = CheckReport("two-path L on 50 random elements")
     for k in range(50):
         x = random_tensor(rng, max_len=8)
-        rep.record(eval_L_matrix(x) == linear_form(x), f"sample {k}")
+        filled = poly_sum(c * fills[len(w)][state_index([2 - g for g in w])]
+                          for w, c in x.items())
+        rep.record(filled == linear_form(x), f"sample {k}")
     return rep
 
 
@@ -60,12 +67,21 @@ def check_shock_homomorphism(seed=1):
 
 
 def check_diffusion_relation():
+    """XY = ab(X + Y) on the exact block of the hat picture at dim 12, with
+    column 0 of X equal to alpha e_0 and row 0 of Y to beta e_0^T.  The
+    bands are constant from index 1 on, so the block covers every entry of
+    the relation.  Entry (0,0) of a word's matrix then obeys
+    L(e2 X) = beta L(X), L(X e1) = alpha L(X) and the e1 e2 rule, the three
+    equations that define L: by induction on the words it is L."""
     rep = CheckReport("diffusion algebra relation at dim 12")
     x, y = Picture(12).gens
     r = x * y - (x + y) * AB
     for i in range(r.valid_block):
         for j in range(r.valid_block):
             rep.record(not r.entry(i, j), f"({i},{j})")
+    for i in range(x.dim):
+        rep.record(x.raw(i, 0) == (ALPHA if i == 0 else 0), f"X[{i}][0]")
+        rep.record(y.raw(0, i) == (BETA if i == 0 else 0), f"Y[0][{i}]")
     return rep
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from .errors import ParseError
 from .ring import ALPHA, BETA
-from .tensor import TensorElem
 
 
 # --- AST -------------------------------------------------------------------
@@ -232,13 +231,12 @@ def parse(src):
 
 # --- evaluator -------------------------------------------------------------
 
-def eval_expr(node, algebra=TensorElem):
-    """Evaluate an AST in `algebra`: TensorElem expands it into words;
-    ShockElem evaluates it in the shock ring over the integers, keyed by
-    bidegree, where a power stays a product of normal-ordered factors
-    instead of expanding into words (normal ordering is a ring
-    homomorphism); a `matrep.Picture` evaluates it in its truncated
-    matrices."""
+def eval_expr(node, algebra):
+    """Evaluate an AST in `algebra`, which has `generator`, `scalar`, `zero`
+    and `unit`: `tensor.ShockElem` evaluates it in the shock ring over the
+    integers, where a power stays a product of normal-ordered factors
+    (normal ordering is a ring homomorphism); `tensor.TensorElem` expands
+    it into words; a `matrep.Picture` into its truncated matrices."""
     if isinstance(node, Gen):
         return algebra.generator(node.which)
     if isinstance(node, ScalarPoly):

@@ -8,11 +8,9 @@ degree of its expression (a generator counts 1, a product adds, a sum
 takes the larger): a product of k truncated bands has an exact top-left
 (dim - k) x (dim - k) block, recorded as valid_block, and a product of
 degree above dim - 2, where entry (0,0) would be inexact, raises
-TruncationTooSmall before it is formed.  Folding the single row e_0 over
-a TensorElem's word trie (`tensor.fold_words`) gives L as entry (0,0)
-(`eval_L_matrix`), a second path beside the shock ring of
-`tensor.linear_form`; the moments of `cheb_reading_report` come from the
-shock ring.
+TruncationTooSmall before it is formed.  Entry (0,0) of a matrix is L of
+its expression (`checks.check_diffusion_relation` proves it), and the
+moments of `cheb_reading_report` come from the shock ring.
 
 Three generator pictures, each built from the closed-form bands:
 
@@ -34,7 +32,7 @@ from .errors import TruncationTooSmall
 from .report import CheckReport
 from .ring import (KappaElem, ZERO, ALPHA, BETA, AB, K_ZERO, K_ONE, accumulate,
                    poly_sum)
-from .tensor import ShockElem, fold_words, linear_form
+from .tensor import ShockElem, linear_form
 from .biortho import (MomentBand, UniPoly, first_moment_matrices,
                       sqrt_lambda)
 from . import GENERATOR_REPS
@@ -177,22 +175,6 @@ def represent(node, dim, rep="hat"):
     # a lone generator takes no product; an empty sum is zero() itself
     out.degree = _bounded(dim, max(out.degree, 0))
     return out
-
-
-def eval_L_matrix(x):
-    """L(x) for a TensorElem x: entry (0,0) of its matrix, folding row e_0
-    alone over the word trie.  The result is always kappa-free; a nonzero
-    kappa part is an internal bug and raises RuntimeError."""
-    dim = x.max_word_len() + 2
-    gens = Picture(dim).gens
-    terms = dict(x.items())
-    e = K_ZERO
-    for w, row in fold_words(terms, RepMatrix(dim, ({0: K_ONE},), 0),
-                             lambda m, g: m * gens[g - 1]):
-        e = e + row.raw(0, 0) * terms[w]
-    if e.b:
-        raise RuntimeError("kappa part of L did not cancel")
-    return e.a
 
 
 def similarity_check(dim):

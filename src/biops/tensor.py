@@ -140,9 +140,6 @@ class TensorElem(_LinComb):
                  for w2, c2 in other._t.items())
         return TensorElem(accumulate({}, pairs))
 
-    def max_word_len(self):
-        return max((len(w) for w in self._t), default=0)
-
     def __repr__(self):
         if not self._t:
             return "TensorElem(0)"
@@ -238,8 +235,7 @@ def fold_words(words, unit, times_gen):
     over its letters g, starting from `unit`.  A stack holds the values of
     the current word's prefixes, so each node of the word trie costs one
     product.  Normal ordering folds (n,m)->coefficient dicts with
-    `_times_gen`; `matrep.eval_L_matrix` folds the row e_0 times the
-    generator matrices."""
+    `_times_gen`; the test oracles fold band matrices the same way."""
     stack = [unit]  # stack[i] = value of prev[:i]
     prev = ()
     for w in sorted(words):

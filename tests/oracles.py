@@ -17,8 +17,12 @@ or closed-form constructions that the library computes another way.
   Horner's rule.
 * `word_fold` sums the matrices of a TensorElem's words, one band product
   per node of the word trie; the library evaluates an expression in the
-  matrix algebra without expanding it into words.  `tensor_ast` writes a
-  TensorElem as an expression with one product per word.
+  matrix algebra without expanding it into words.  `eval_L_matrix` is its
+  row-0 case: L of a TensorElem as entry (0,0), the row e_0 alone folded
+  over the word trie; the library takes L by normal ordering and checks
+  it against the Corteel-Williams fill.  `max_word_len` is the length of
+  a TensorElem's longest word, and `tensor_ast` writes a TensorElem as an
+  expression with one product per word.
 * `krattenthaler_matrix` and `krattenthaler_det_formula` are the
   parametric determinant family behind the bi-moment determinant.
 * `fraction_free` is Bareiss elimination of a grid over Z[alpha, beta],
@@ -61,7 +65,8 @@ from biops.bimoment import build_bimoment
 from biops.biortho import UniPoly
 from biops.errors import TruncationTooSmall
 from biops.expr import Gen, ScalarPoly, BiOrtho, Sum, Product, Power, Negation
-from biops.matrep import RepMatrix, generator_matrices, second_moment
+from biops.matrep import (Picture, RepMatrix, generator_matrices,
+                          second_moment)
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, AB, ALPHA, BETA, K_ZERO,
                         K_ONE, accumulate, eval_numerators)
 from biops.tensor import (ShockElem, TensorElem, fold_words, _times_e2,
@@ -250,6 +255,29 @@ def word_fold(x, dim, rep="hat"):
             for j, e in enumerate(prow):
                 trow[j] = trow[j] + e * terms[w]
     return total
+
+
+def max_word_len(x):
+    """The length of the longest word of the TensorElem x; 0 for none."""
+    return max((len(w) for w, _ in x.items()), default=0)
+
+
+def eval_L_matrix(x):
+    """L(x) for a TensorElem x: entry (0,0) of its matrix in the hat
+    picture, the row-0 case of `word_fold`.  The row e_0 alone, a sparse
+    one-row RepMatrix, is folded over the word trie, at a fraction of the
+    dense fold's cost.  The result is always kappa-free; a nonzero kappa
+    part raises RuntimeError."""
+    dim = max_word_len(x) + 2
+    gens = Picture(dim).gens
+    terms = dict(x.items())
+    e = K_ZERO
+    for w, row in fold_words(terms, RepMatrix(dim, ({0: K_ONE},), 0),
+                             lambda m, g: m * gens[g - 1]):
+        e = e + row.raw(0, 0) * terms[w]
+    if e.b:
+        raise RuntimeError("kappa part of L did not cancel")
+    return e.a
 
 
 def tensor_ast(x):

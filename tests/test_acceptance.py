@@ -14,14 +14,14 @@ from biops.biortho import (p_explicit, q_explicit, lambda_n, sqrt_lambda,
                            first_moment_matrices, require_generic_point,
                            lambda_value)
 from biops.expr import parse, eval_expr
-from biops.matrep import (represent, eval_L_matrix,
-                          second_moment, second_moment_product, cheb_like)
+from biops.matrep import (represent, second_moment, second_moment_product,
+                          cheb_like)
 from biops.asep import stationary_mpa, all_states
 from biops.checks import random_tensor
 from biops.errors import DegenerateParameters
 from markov_oracle import build_generator, stationary_oracle
-from oracles import (pq_rep, p_cramer, q_cramer, det_fraction_free,
-                     principal_minor_polys)
+from oracles import (eval_L_matrix, max_word_len, pq_rep, p_cramer,
+                     q_cramer, det_fraction_free, principal_minor_polys)
 
 
 def report(num, title, ok):
@@ -100,8 +100,8 @@ def test_criterion_7_two_path_linear_form():
 def test_criterion_8_matrix_moments_and_extraction():
     ok = True
     for src in ("1", "e1", "e2", "e1*e2", "e2*e1"):
-        g = eval_expr(parse(src))
-        G = represent(parse(src), 5 + g.max_word_len() + 2)
+        g = eval_expr(parse(src), TensorElem)
+        G = represent(parse(src), 5 + max_word_len(g) + 2)
         for n in range(6):
             pt = p_explicit(n).into(TensorElem)
             for m in range(6):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +16,10 @@ from biops.cli import main
 from biops.expr import eval_expr, parse
 from biops.report import CheckReport
 from biops.ring import Poly2, ALPHA, BETA, AB
-from biops.tensor import linear_form
+from biops.tensor import TensorElem, linear_form
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(biops.__file__)))
+CORPUS = json.loads(Path(__file__).with_name("stdout_corpus.json").read_text())
 
 
 def run_subprocess(*argv, stdout=subprocess.PIPE):
@@ -133,7 +135,7 @@ class TestSmoke:
         "P(2)*Q(2)*P(2) + 3*e2^4 + 3*Q(1)",
     ])
     def test_L_of_the_algebra_deck_expressions(self, capsys, src):
-        want = linear_form(eval_expr(parse(src)))
+        want = linear_form(eval_expr(parse(src), TensorElem))
         code, out, _ = run_cli(capsys, "L", src)
         assert code == 0
         assert out == json.dumps({"expr": src, "L": want.to_obj(),
@@ -308,32 +310,19 @@ class TestFormats:
 
 
 class TestPinnedStdout:
-    """The sha256 of stdout for requests whose bytes a refactor must keep.
-    A change that means to alter one of these answers updates its hash
-    here, on purpose."""
+    """The sha256 of stdout and the exit code of every request in
+    tests/stdout_corpus.json: the benchmark decks' requests, `stationary`
+    and `compare` over a range of L, and the README examples.  A change
+    that means to alter one of these answers re-records it with
+    tests/record_stdout_corpus.py, on purpose."""
 
-    @pytest.mark.parametrize("argv, digest", [
-        (("stationary", "--L", "9", "--alpha", "7/9", "--beta", "9/4"),
-         "45d450deb98ba175c3256ed2cd30cab25674db323f9c73f6b8faa0e8067b7619"),
-        (("stationary", "--L", "9", "--alpha", "7/9", "--beta", "9/4",
-          "--symbolic"),
-         "bd55f0e8c6045f12e92636699b4fe6f8cf43690fd9042f6fb5857030d2d735f5"),
-        (("stationary", "--L", "12", "--alpha", "2/3", "--beta", "3/7",
-          "--format", "csv"),
-         "77d3ce05de371a29bf643d4a6e4a7c96d0f0d0d53512f97e219400fb3b339892"),
-        (("compare", "--L", "12", "--alpha", "2/3", "--beta", "3/7"),
-         "51d108937ade6fe797d12a4e70910703d9d95f63697faef2eddc533cc01adb1e"),
-        (("L", "(e1+e2)^20"),
-         "98c0b7ab87937ea244291d671d6deb761f601bc148cb1a7bef4059d6fd815dff"),
-        (("det", "--n", "12"),
-         "5bf2d19ccf77b85d60d770a11061fc8b6c79b5cc3e4b0d58e2e4e0ef0a413fe5"),
-        (("represent", "(e1+e2)^6", "--dim", "10", "--rep", "bar_col"),
-         "5be4a6b5054948fd4f4ec205f7bf424d56e410e98e79c5c3cb472847d3b8b2d0"),
+    @pytest.mark.parametrize("argv, entry", [
+        (tuple(entry["argv"]), entry) for entry in CORPUS
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
-    def test_stdout_bytes(self, capsys, argv, digest):
+    def test_stdout_bytes(self, capsys, argv, entry):
         code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert code == entry["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]
 
 
 class TestErrors:

@@ -122,7 +122,8 @@ def children(node):
 
 
 def word_bound(node):
-    """An upper bound on the number of words of eval_expr(node)."""
+    """An upper bound on the number of words of eval_expr(node,
+    TensorElem)."""
     if isinstance(node, BiOrtho):
         return node.n + 1
     if isinstance(node, Power):
@@ -137,30 +138,35 @@ class TestPretty:
         for _ in range(100):
             node = random_ast(rng)
             again = parse(pretty(node))
-            assert eval_expr(again) == eval_expr(node), pretty(node)
+            assert (eval_expr(again, TensorElem)
+                    == eval_expr(node, TensorElem)), pretty(node)
 
     def test_examples(self):
         assert pretty(parse("e1*e2")) == "e1*e2"
         assert pretty(parse("P(2)")) == "P(2)"
 
 
+def words(src):
+    return eval_expr(parse(src), TensorElem)
+
+
 class TestEval:
     def test_generators_and_scalars(self):
-        assert eval_expr(parse("e1")) == E1
-        assert eval_expr(parse("a")) == TensorElem.scalar(ALPHA)
-        assert eval_expr(parse("3")) == TensorElem.scalar(Poly2.const(3))
+        assert words("e1") == E1
+        assert words("a") == TensorElem.scalar(ALPHA)
+        assert words("3") == TensorElem.scalar(Poly2.const(3))
 
     def test_homomorphism(self):
-        assert eval_expr(parse("e1*e2 + e2*e1")) == E1 * E2 + E2 * E1
-        assert eval_expr(parse("(e1+e2)^2")) == (E1 + E2) * (E1 + E2)
-        assert eval_expr(parse("-(a*e1)")) == -(ALPHA * E1)
+        assert words("e1*e2 + e2*e1") == E1 * E2 + E2 * E1
+        assert words("(e1+e2)^2") == (E1 + E2) * (E1 + E2)
+        assert words("-(a*e1)") == -(ALPHA * E1)
 
     def test_p1(self):
-        assert eval_expr(parse("P(1)")) == E1 - TensorElem.scalar(ALPHA)
-        assert eval_expr(parse("Q(1)")) == E2 - TensorElem.scalar(BETA)
+        assert words("P(1)") == E1 - TensorElem.scalar(ALPHA)
+        assert words("Q(1)") == E2 - TensorElem.scalar(BETA)
 
     def test_power_zero(self):
-        assert eval_expr(parse("e1^0")) == TensorElem.unit()
+        assert words("e1^0") == TensorElem.unit()
 
 
 class TestGradedPath:
@@ -171,10 +177,10 @@ class TestGradedPath:
     @staticmethod
     def assert_paths_agree(node):
         value = eval_expr(node, ShockElem)
-        words = eval_expr(node)
+        expanded = eval_expr(node, TensorElem)
         assert isinstance(value, ShockElem)
-        assert value == normal_order(words)
-        assert linear_form(value) == linear_form(words)
+        assert value == normal_order(expanded)
+        assert linear_form(value) == linear_form(expanded)
 
     @pytest.mark.parametrize("integer_only", [True, False],
                              ids=["integer", "mixed"])

@@ -187,11 +187,9 @@ def unread_attributes(sources, readers):
 
 
 def test_every_definition_has_a_caller():
-    # the two session entry points are called from outside the package,
-    # and the session worker sorts states by state_index
+    # the two session entry points are called from outside the package
     sources = {p.stem: p.read_text() for p in MODULES}
-    assert uncalled_definitions(sources) == ["asep.state_index",
-                                             "biortho.band_values",
+    assert uncalled_definitions(sources) == ["biortho.band_values",
                                              "biortho.lambda_value"]
 
 

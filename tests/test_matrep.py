@@ -7,18 +7,19 @@ from biops.ring import (Poly2, ZERO, ONE, ALPHA, BETA, AB, KappaElem, K_ZERO,
                         K_ONE, KAPPA)
 from biops.tensor import TensorElem, E1, E2, linear_form
 from biops.asep import partition_Z
-from biops.biortho import (first_moment_matrices, lambda_n, p_explicit,
-                           q_explicit, sqrt_lambda)
+from biops.biortho import (MomentBand, first_moment_matrices, lambda_n,
+                           p_explicit, q_explicit, sqrt_lambda)
 from biops.expr import parse, eval_expr, Sum
-from biops import matrep
+from biops import checks, matrep, tensor
 from biops.matrep import (GENERATOR_REPS, generator_matrices, represent,
-                          eval_L_matrix, similarity_check, Picture, RepMatrix,
+                          similarity_check, Picture, RepMatrix,
                           second_moment, second_moment_product, cheb_like,
                           cheb_reading_report)
-from biops.checks import random_tensor
+from biops.checks import (check_diffusion_relation, check_two_path_L,
+                          random_tensor)
 from biops.errors import TruncationTooSmall
-from oracles import (long_div, power_sum, pq_rep, tensor_ast, word_fold,
-                     principal_minor_polys)
+from oracles import (eval_L_matrix, long_div, max_word_len, power_sum,
+                     pq_rep, tensor_ast, word_fold, principal_minor_polys)
 from test_expr import random_ast
 
 
@@ -127,7 +128,7 @@ class TestRepresent:
         rng = random.Random(11)
         for _ in range(40):
             x = random_tensor(rng, max_len=6)
-            dim = x.max_word_len() + 2 + rng.randint(0, 3)
+            dim = max_word_len(x) + 2 + rng.randint(0, 3)
             r = represent(tensor_ast(x), dim, rep)
             assert r.entry(0, 0) == KappaElem(linear_form(x))
 
@@ -209,8 +210,8 @@ class TestMatrixMoment:
     # is L(P_n g Q_m) / sqrt(Lambda_n Lambda_m), in its valid block
     def test_two_path(self):
         for src in ("1", "e1", "e2", "e1*e2", "e2*e1"):
-            g = eval_expr(parse(src))
-            G = represent(parse(src), 3 + g.max_word_len() + 2)
+            g = eval_expr(parse(src), TensorElem)
+            G = represent(parse(src), 3 + max_word_len(g) + 2)
             for n in range(4):
                 for m in range(4):
                     lhs = linear_form(p_explicit(n).into(TensorElem) * g
@@ -331,7 +332,7 @@ class TestPicture:
             degree = represent(node, 10).degree
         except TruncationTooSmall:
             return  # formal degree above 8: 2^9 words or more
-        x = eval_expr(node)
+        x = eval_expr(node, TensorElem)
         dim = degree + 2 + extra
         try:
             represent(node, dim)
@@ -341,7 +342,7 @@ class TestPicture:
             dim = 10
         for rep in GENERATOR_REPS:
             r = represent(node, dim, rep)
-            assert r.valid_block == dim - degree <= dim - x.max_word_len()
+            assert r.valid_block == dim - degree <= dim - max_word_len(x)
             assert ([[r.raw(i, j) for j in range(dim)] for i in range(dim)]
                     == word_fold(x, dim, rep))
 
@@ -389,3 +390,61 @@ class TestPicture:
         for i in (0, 3):
             with pytest.raises(ValueError):
                 pic.generator(i)
+
+
+class TestCheckSuites:
+    """The `check` suites that tie L to its definition: normal ordering
+    against the Corteel-Williams fill, and the hat picture's boundary rows
+    and relation.  Each must fail on wrong data."""
+
+    def test_two_path_L_passes(self):
+        for seed in range(20):
+            rep = check_two_path_L(seed)
+            assert (rep.ok, rep.checked) == (True, 50), seed
+
+    def test_two_path_L_fails_on_a_wrong_fill(self, monkeypatch):
+        exact = checks.stationary_numerators
+
+        def wrong(L, *factors):
+            nums = exact(L, *factors)
+            return [w + 1 for w in nums] if L == 5 else nums
+
+        monkeypatch.setattr(checks, "stationary_numerators", wrong)
+        assert not check_two_path_L().ok
+
+    def test_two_path_L_fails_on_a_wrong_suffix_sum(self, monkeypatch):
+        # x*e2 with the coefficient S_1 of e1 off by one
+        exact = tensor._times_e2
+
+        def wrong(t):
+            out = exact(t)
+            if (0, 1) in out:
+                out[(0, 1)] += 1
+            return out
+
+        monkeypatch.setattr(tensor, "_times_e2", wrong)
+        assert not check_two_path_L().ok
+
+    def test_diffusion_report(self):
+        rep = check_diffusion_relation()
+        assert (rep.ok, rep.checked) == (True, 124)
+
+    @pytest.mark.parametrize("which, label", [("X", "X[1][0]"),
+                                              ("Y", "Y[0][1]")])
+    def test_diffusion_fails_off_the_boundary_rows(self, monkeypatch, which,
+                                                   label):
+        # a nonzero (1, 0) entry of the hat X, or (0, 1) entry of the hat Y
+        exact = matrep.generator_matrices
+
+        def wrong(dim, rep="hat"):
+            x, y = exact(dim, rep)
+            if which == "X":
+                x = MomentBand(x.kind, dim, x.diag, x.sup,
+                               (x.sub[0] + 1,) + x.sub[1:])
+            else:
+                y = MomentBand(y.kind, dim, y.diag,
+                               (y.sup[0] + 1,) + y.sup[1:], y.sub)
+            return x, y
+
+        monkeypatch.setattr(matrep, "generator_matrices", wrong)
+        assert label in check_diffusion_relation().failures
