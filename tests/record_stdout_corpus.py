@@ -4,9 +4,10 @@ tests/stdout_corpus.json, each run in-process through `biops.cli.main`.
     PYTHONPATH=src python3 tests/record_stdout_corpus.py [COMMAND ...]
 
 With command names (`check`, `stationary`, ...) only the entries of those
-subcommands are re-recorded; without, every entry is.  The requests are
-the corpus's own argv lists, so a change to the benchmark decks does not
-move it.  A change that alters an answer on purpose re-records it and
+subcommands are re-recorded; without, every entry is.  A README, pinned
+or algebra request that the corpus lacks is added and recorded.  The
+requests are the corpus's own argv lists, so a change to the benchmark
+decks does not move it.  A change that alters an answer on purpose re-records it and
 lists each changed entry in CHANGES.md.  When the corpus file is absent,
 the requests are built afresh by `initial_argv`.
 """
@@ -61,14 +62,30 @@ PINNED = [
     ("L", "(e1+e2)^20"),
     ("det", "--n", "12"),
     ("represent", "(e1+e2)^6", "--dim", "10", "--rep", "bar_col"),
+    ("bimoment", "--n", "6", "--format", "csv"),
+    ("represent", "P(3)*e1*Q(2)", "--dim", "8", "--rep", "bar_row"),
+]
+
+# the bi-moment matrix at its smallest and a middle size, the zero
+# polynomial, a constant and Horner's rule in every picture, P inside L,
+# the printed Chebyshev reading, and a parse error
+ALGEBRA = [
+    *(("bimoment", "--n", n, *fmt) for n in ("0", "6")
+      for fmt in ((), ("--format", "csv"))),
+    *(("represent", src, "--dim", dim, "--rep", rep)
+      for src, dim in (("P(0)", "2"), ("0", "2"), ("Q(4)", "6"))
+      for rep in ("hat", "bar_col", "bar_row")),
+    ("L", "P(5)*e1*Q(5)"),
+    ("cheb", "--max-n", "8", "--reading", "printed"),
+    ("L", "e1*"),
 ]
 
 
 def initial_argv():
     """Every `tasep` and `algebra` deck request at seeds 0-2, `stationary`
     at L = 1..14 in JSON and CSV and with `--symbolic` at L <= 12,
-    `compare` at L = 3..14, the README examples and the pinned requests,
-    each once, in that order."""
+    `compare` at L = 3..14, the README examples, the pinned requests and
+    the algebra requests, each once, in that order."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import decks
     out = [req.payload for seed in range(3)
@@ -80,7 +97,7 @@ def initial_argv():
         if L <= 12:
             out.append(size + ("--symbolic",))
     out += [("compare", "--L", str(L), *POINT) for L in range(3, 15)]
-    return list(dict.fromkeys(out + README + PINNED))
+    return list(dict.fromkeys(out + README + PINNED + ALGEBRA))
 
 
 def record(argv):
@@ -95,11 +112,15 @@ def record(argv):
 def main_record(commands):
     if CORPUS.exists():
         entries = json.loads(CORPUS.read_text())
+        known = {tuple(entry["argv"]) for entry in entries}
+        entries += [{"argv": list(argv)} for argv in
+                    dict.fromkeys(README + PINNED + ALGEBRA)
+                    if argv not in known]
     else:
         entries = [{"argv": list(argv)} for argv in initial_argv()]
     changed = []
     for i, entry in enumerate(entries):
-        if commands and entry["argv"][0] not in commands:
+        if commands and entry["argv"][0] not in commands and "exit" in entry:
             continue
         new = record(entry["argv"])
         if new != entry:
