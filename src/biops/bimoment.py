@@ -7,31 +7,11 @@ from __future__ import annotations
 from .ring import ALPHA, BETA, AB
 
 
-class BiMomentMatrix:
-    """Truncated (n+1)x(n+1) bi-moment matrix B[i][j] = L(e1^i e2^j)."""
-
-    __slots__ = ("n", "entries")
-    __hash__ = None
-
-    def __init__(self, n, entries):
-        self.n = n
-        self.entries = entries  # a tuple of row tuples of Poly2
-
-    def entry(self, i, j):
-        if not (0 <= i <= self.n and 0 <= j <= self.n):
-            raise IndexError("bi-moment index out of range")
-        return self.entries[i][j]
-
-    def to_obj(self):
-        return {
-            "n": self.n,
-            "entries": [[p.to_obj() for p in row] for row in self.entries],
-        }
-
-
 def build_bimoment(n):
-    """Fill B by the recurrence B[i][j] = ab*(B[i][j-1] + B[i-1][j]),
-    boundary B[i][0] = alpha^i, B[0][j] = beta^j."""
+    """The truncated (n+1)x(n+1) bi-moment matrix B[i][j] = L(e1^i e2^j),
+    as a tuple of row tuples of Poly2, filled by the recurrence
+    B[i][j] = ab*(B[i][j-1] + B[i-1][j]) from the boundary
+    B[i][0] = alpha^i, B[0][j] = beta^j."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     rows = []
@@ -45,7 +25,7 @@ def build_bimoment(n):
             else:
                 row.append(AB * (row[j - 1] + rows[i - 1][j]))
         rows.append(row)
-    return BiMomentMatrix(n, tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)
 
 
 def det_closed_form(n):

@@ -90,26 +90,28 @@ class UniPoly:
         q = other.coeffs
         if not p or not q:
             return UniPoly(self.variable, ())
-        out = [0] * (len(p) + len(q) - 1)
+        # the coefficient ring's zero, which a power no pair reaches keeps
+        out = [p[-1] * 0] * (len(p) + len(q) - 1)
         for i, a in enumerate(p):
             if a:
                 for j, b in enumerate(q):
                     if b:
                         out[i + j] = a * b + out[i + j]
-        # a power that no pair of nonzero coefficients reaches is still int 0
-        return UniPoly(self.variable, tuple(
-            out[-1] * 0 if isinstance(c, int) else c for c in out))
+        return UniPoly(self.variable, out)
 
     __rmul__ = __mul__
 
     def into(self, algebra):
-        """This polynomial in e1 or e2 as an element of `algebra` (any class
-        with generator, scalar, zero and unit), by Horner's rule."""
+        """This polynomial in e1 or e2 as an element of `algebra` (anything
+        with `generator` and `scalar`), by Horner's rule from the leading
+        coefficient: one product by the generator per degree."""
         if self.variable == "x":
             raise ValueError("a polynomial in x has no generator to map to")
         gen = algebra.generator(int(self.variable[1]))
-        out = algebra.zero()
-        for c in reversed(self.coeffs):
+        if not self.coeffs:
+            return algebra.scalar(0)
+        out = algebra.scalar(self.coeffs[-1])
+        for c in reversed(self.coeffs[:-1]):
             out = out * gen + algebra.scalar(c)
         return out
 
@@ -187,7 +189,7 @@ def ldu_certificate(N):
     det_closed_form(n).  A passing report proves
     det B_n = Lambda_0 ... Lambda_n = det_closed_form(n) for every
     n <= N."""
-    return _ldu_report(build_bimoment(N).entries,
+    return _ldu_report(build_bimoment(N),
                        [p_explicit(n) for n in range(N + 1)],
                        [q_explicit(n) for n in range(N + 1)])
 

@@ -32,7 +32,7 @@ def random_word(rng, max_len):
 
 def random_tensor(rng, max_len):
     """A sum of 1 to 3 random words of length <= max_len."""
-    t = TensorElem.zero()
+    t = TensorElem()
     for _ in range(rng.randint(1, 3)):
         t = t + TensorElem({random_word(rng, max_len): random_poly(rng)})
     return t

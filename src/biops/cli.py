@@ -153,7 +153,9 @@ def build_parser():
     s.add_argument("--dim", type=_int_at_least(3), default=6)
 
     s = sub.add_parser("cheb", help="Chebyshev-like polynomials of W")
-    s.add_argument("--max-n", type=_index, default=6)
+    s.add_argument("--max-n", type=_index, default=6,
+                   help="print T_0..T_max-n; the oracle report checks the "
+                        "reading only for n <= min(max-n, 6)")
     s.add_argument("--reading", choices=("corrected", "printed"),
                    default="corrected")
 
@@ -194,9 +196,9 @@ def run(argv=None):
         if not ok:
             raise BiopsError(
                 f"the LDU certificate does not prove det B_{args.n}")
-        obj = build_bimoment(args.n).to_obj()
-        obj["det"] = det.to_obj()
-        _emit(obj, fmt)
+        _emit({"n": args.n, "det": det.to_obj(),
+               "entries": [[p.to_obj() for p in row]
+                           for row in build_bimoment(args.n)]}, fmt)
         return 0
 
     if args.command == "det":

@@ -232,9 +232,10 @@ def parse(src):
 # --- evaluator -------------------------------------------------------------
 
 def eval_expr(node, algebra):
-    """Evaluate an AST in `algebra`, which has `generator`, `scalar`, `zero`
-    and `unit`: `tensor.ShockElem` evaluates it in the shock ring over the
-    integers, where a power stays a product of normal-ordered factors
+    """Evaluate an AST in `algebra`, which makes its generators with
+    `generator(1 | 2)` and every constant, 0 and 1 included, with
+    `scalar(c)`: `tensor.ShockElem` evaluates it in the shock ring over
+    the integers, where a power stays a product of normal-ordered factors
     (normal ordering is a ring homomorphism); `tensor.TensorElem` expands
     it into words; a `matrep.Picture` into its truncated matrices."""
     if isinstance(node, Gen):
@@ -251,12 +252,12 @@ def eval_expr(node, algebra):
         poly = p_explicit(node.n) if node.which == "P" else q_explicit(node.n)
         return poly.into(algebra)
     if isinstance(node, Sum):
-        out = algebra.zero()
+        out = algebra.scalar(0)
         for p in node.parts:
             out = out + eval_expr(p, algebra)
         return out
     if isinstance(node, Product):
-        out = algebra.unit()
+        out = algebra.scalar(1)
         for p in node.parts:
             out = out * eval_expr(p, algebra)
         return out

@@ -116,9 +116,9 @@ class RepMatrix:
                             for i in range(len(self.rows))]}
 
 
-def _diagonal(values, degree=0):
+def _diagonal(values):
     return RepMatrix(len(values), tuple(
-        {i: v} if v else {} for i, v in enumerate(values)), degree)
+        {i: v} if v else {} for i, v in enumerate(values)), 0)
 
 
 def generator_matrices(dim, rep="hat"):
@@ -141,8 +141,8 @@ def generator_matrices(dim, rep="hat"):
 
 class Picture:
     """The dim x dim truncated matrices of one generator picture, as an
-    algebra for `expr.eval_expr` and `UniPoly.into`.  zero() has degree
-    -1, so Horner's first step, zero times a generator, has degree 0."""
+    algebra for `expr.eval_expr` and `UniPoly.into`: a generator has
+    degree 1 and a constant, a multiple of the identity, degree 0."""
 
     __slots__ = ("dim", "gens")
 
@@ -159,21 +159,16 @@ class Picture:
     def scalar(self, c):
         return _diagonal([KappaElem(c)] * self.dim)
 
-    def zero(self):
-        return _diagonal([K_ZERO] * self.dim, -1)
-
-    def unit(self):
-        return self.scalar(1)
-
 
 def represent(node, dim, rep="hat"):
     """The matrix of the expression AST `node` in the chosen picture;
-    requires dim >= (formal degree) + 2 so the (0,0) entry is exact."""
+    requires dim >= (formal degree) + 2 so the (0,0) entry is exact.
+    Every product checks that bound before it is formed; a lone generator
+    takes no product, so the result is checked once more here."""
     # expr loads here, so the suites, which parse nothing, never need it
     from .expr import eval_expr
     out = eval_expr(node, Picture(dim, rep))
-    # a lone generator takes no product; an empty sum is zero() itself
-    out.degree = _bounded(dim, max(out.degree, 0))
+    _bounded(dim, out.degree)
     return out
 
 
@@ -257,7 +252,7 @@ def cheb_reading_report(N):
     N = min(N, 6)
     rep = CheckReport(f"Chebyshev-like recurrence reading, n <= {N}")
     e1e2 = ShockElem.generator(1) * ShockElem.generator(2)
-    mu, power = [], ShockElem.unit()
+    mu, power = [], ShockElem.scalar(1)
     for _ in range(2 * N + 1):
         mu.append(linear_form(power))
         power = power * e1e2

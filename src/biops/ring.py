@@ -158,6 +158,9 @@ class Poly2:
         return self._t == other._t
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        if self._t.keys() <= {(0, 0)}:
+            return hash(self._t.get((0, 0), 0))
         return hash(tuple(sorted(self._t.items())))
 
     def eval(self, a, b):
@@ -325,7 +328,8 @@ class KappaElem:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # a kappa-free element equals its Poly2 part, so hashes as it
+        return hash((self.a, self.b) if self.b else self.a)
 
     def to_obj(self):
         return {"k0": self.a.to_obj(), "k1": self.b.to_obj()}

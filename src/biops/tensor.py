@@ -37,8 +37,8 @@ class _LinComb:
     Poly2 scalar of integer coefficients multiplies as `scalar(p)`.
 
     A subclass supplies `_mul`, its product with an element of its own
-    type, and the keys of its unit and generators; products by a scalar
-    and powers live here."""
+    type, and the keys of its unit and generators; constants (`scalar`),
+    products by a scalar and powers live here."""
 
     __slots__ = ("_t",)
     _UNIT = None        # key of the ring unit
@@ -47,14 +47,6 @@ class _LinComb:
 
     def __init__(self, terms=None):
         self._t = _clean(dict(terms or {}))
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def unit(cls):
-        return cls({cls._UNIT: cls._ONE})
 
     @classmethod
     def scalar(cls, p):
@@ -123,7 +115,7 @@ class _LinComb:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = self.unit()
+        out = self.scalar(1)
         for _ in range(n):
             out = out * self
         return out

@@ -376,7 +376,7 @@ def biorthogonal_pair(N):
     and B needs no row swap.  Row n of the reduced identity block holds the
     cofactors of B's first n + 1 rows bordered by (1, e1, ..., e1^n):
     Cramer's rule for P_n before the division by det B_(n-1) (1 if n = 0)."""
-    grid = build_bimoment(N).entries
+    grid = build_bimoment(N)
     unit = [(ZERO,) * r + (ONE,) + (ZERO,) * (N - r) for r in range(N + 1)]
     pair = []
     for g, variable in ((grid, "e1"), (tuple(zip(*grid)), "e2")):
@@ -409,7 +409,7 @@ def p_cramer(n):
     column (1, e1, ..., e1^n)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return _cramer(build_bimoment(n).entries, "e1")
+    return _cramer(build_bimoment(n), "e1")
 
 
 def q_cramer(n):
@@ -417,7 +417,7 @@ def q_cramer(n):
     swapped), bordered by the column (1, e2, ..., e2^n)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return _cramer(tuple(zip(*build_bimoment(n).entries)), "e2")
+    return _cramer(tuple(zip(*build_bimoment(n))), "e2")
 
 
 # --- small helpers ---------------------------------------------------------

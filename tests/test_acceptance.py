@@ -30,7 +30,7 @@ def report(num, title, ok):
 
 
 def test_criterion_1_determinant_identity():
-    ok = all(det_fraction_free(build_bimoment(n).entries) == det_closed_form(n)
+    ok = all(det_fraction_free(build_bimoment(n)) == det_closed_form(n)
              for n in range(9))
     report(1, "bi-moment determinant identity n <= 8", ok)
 

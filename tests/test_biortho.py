@@ -175,7 +175,7 @@ class TestElimination:
         assert qs == [q_cramer(n) for n in range(9)]
 
     def test_pivots_of_B16_and_their_ratios(self):
-        sign, rows = fraction_free(build_bimoment(16).entries)
+        sign, rows = fraction_free(build_bimoment(16))
         assert sign == 1
         pivots = [rows[k][k] for k in range(17)]
         assert ldu_certificate(16).ok
@@ -191,7 +191,7 @@ class TestLDUCertificate:
     N = 6
 
     def inputs(self):
-        return ([list(row) for row in build_bimoment(self.N).entries],
+        return ([list(row) for row in build_bimoment(self.N)],
                 [p_explicit(n) for n in range(self.N + 1)],
                 [q_explicit(n) for n in range(self.N + 1)])
 
@@ -250,8 +250,8 @@ class TestLambda:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_determinant_ratio(self, n):
-        dn = det_fraction_free(build_bimoment(n).entries)
-        dn1 = det_fraction_free(build_bimoment(n - 1).entries)
+        dn = det_fraction_free(build_bimoment(n))
+        dn1 = det_fraction_free(build_bimoment(n - 1))
         assert dn == lambda_n(n) * dn1
 
     def test_sqrt_lambda_squares(self):

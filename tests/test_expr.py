@@ -1,5 +1,6 @@
 import random
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -10,6 +11,7 @@ from biops.tensor import (TensorElem, ShockElem, E1, E2, linear_form,
                           normal_order)
 from biops.expr import (parse, eval_expr, Gen, ScalarPoly, Sum,
                         Product, Power, Negation, BiOrtho)
+from biops.biortho import p_explicit, q_explicit
 from biops.errors import ParseError
 from oracles import dehp_Z, power_sum_form, pretty
 
@@ -166,7 +168,39 @@ class TestEval:
         assert words("Q(1)") == E2 - TensorElem.scalar(BETA)
 
     def test_power_zero(self):
-        assert words("e1^0") == TensorElem.unit()
+        assert words("e1^0") == TensorElem.scalar(1)
+
+
+class TestAlgebraProtocol:
+    """eval_expr and UniPoly.into ask an algebra for `generator` and
+    `scalar` only: an algebra of those two methods alone evaluates every
+    AST, and an empty sum or product, to what ShockElem itself gives."""
+
+    ALGEBRA = SimpleNamespace(generator=ShockElem.generator,
+                              scalar=ShockElem.scalar)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_asts(self, rng):
+        node = random_ast(rng)
+        assert eval_expr(node, self.ALGEBRA) == eval_expr(node, ShockElem)
+
+    def test_empty_sum_and_product(self):
+        assert eval_expr(Sum(()), self.ALGEBRA) == ShockElem()
+        assert eval_expr(Product(()), self.ALGEBRA) == ShockElem.scalar(1)
+        assert eval_expr(Sum(()), ShockElem) == ShockElem()
+        assert eval_expr(Product(()), ShockElem) == ShockElem.scalar(1)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_p_and_q_are_their_coefficient_sums(self, n):
+        # Horner's rule against sum_k c_k e^k in the shock ring
+        for which, poly, g in (("P", p_explicit(n), 1),
+                               ("Q", q_explicit(n), 2)):
+            want = ShockElem()
+            for k, c in enumerate(poly.coeffs):
+                want = want + ShockElem.scalar(c) * ShockElem.generator(g) ** k
+            assert eval_expr(BiOrtho(which, n), self.ALGEBRA) == want
+            assert eval_expr(BiOrtho(which, n), ShockElem) == want
 
 
 class TestGradedPath:

@@ -355,7 +355,7 @@ class TestPicture:
             with pytest.raises(TruncationTooSmall):
                 represent(parse(src), dim)
         assert represent(parse("P(0)"), 2).valid_block == 2
-        assert represent(Sum(()), 4).valid_block == 4  # zero() has degree -1
+        assert represent(Sum(()), 4).valid_block == 4  # scalar(0), degree 0
         assert represent(parse("(e1*e2)^0"), 4).valid_block == 4
         with pytest.raises(TruncationTooSmall):
             represent(parse("(e1*e2)^0"), 3)
@@ -375,12 +375,31 @@ class TestPicture:
         with pytest.raises(TruncationTooSmall):
             represent(parse("P(20)"), 16)
 
+    @pytest.mark.parametrize("rep", GENERATOR_REPS)
+    def test_horner_takes_one_product_per_degree(self, monkeypatch, rep):
+        # P(n) and Q(n) take n products, each of matrices of degree >= 0
+        products = []
+        mul = RepMatrix.__mul__
+
+        def counted(self, other):
+            products.append((self.degree, other.degree))
+            return mul(self, other)
+
+        monkeypatch.setattr(RepMatrix, "__mul__", counted)
+        for n in range(7):
+            for src in (f"P({n})", f"Q({n})"):
+                products.clear()
+                r = represent(parse(src), n + 2, rep)
+                assert r.degree == n and len(products) == n, src
+                assert all(d >= 0 for pair in products for d in pair), src
+
     def test_algebra_products(self):
-        # Picture is the algebra eval_expr maps into: generators, scalars
-        # and zero, combined by the RepMatrix operators
+        # Picture is the algebra eval_expr maps into: generators and
+        # scalars, combined by the RepMatrix operators
         pic = Picture(7, "bar_col")
         x, y = pic.generator(1), pic.generator(2)
-        got = x * y * 3 - (pic.scalar(ALPHA) * x) ** 2 + pic.zero() - pic.unit()
+        got = (x * y * 3 - (pic.scalar(ALPHA) * x) ** 2 + pic.scalar(0)
+               - pic.scalar(1))
         want = represent(parse("3*e1*e2 - (a*e1)^2 - 1"), 7, "bar_col")
         assert got.degree == want.degree == 2
         assert got.to_obj() == want.to_obj()

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
                         KAPPA, KAPPA_SQ, K_ONE, accumulate,
@@ -359,3 +359,29 @@ class TestKappa:
         obj = json.loads(json.dumps(x.to_obj()))
         assert KappaElem(Poly2.from_obj(obj["k0"]),
                          Poly2.from_obj(obj["k1"])) == x
+
+
+small_polys = st.dictionaries(st.sampled_from([(0, 0), (1, 0)]),
+                              st.integers(-2, 2), max_size=2).map(Poly2)
+small_values = st.one_of(
+    st.integers(-2, 2), small_polys,
+    st.builds(KappaElem, small_polys, st.just(ZERO) | small_polys))
+
+
+class TestHash:
+    """An int, a constant Poly2 and a kappa-free KappaElem that are equal
+    hash equal, so they are one key of a dict or a set."""
+
+    @example(ONE, 1)
+    @example(ZERO, 0)
+    @example(KappaElem(ALPHA), ALPHA)
+    @example(K_ONE, 1)
+    @given(small_values, small_values)
+    def test_equal_values_hash_equal(self, x, y):
+        if x == y:
+            assert hash(x) == hash(y)
+
+    def test_one_key(self):
+        assert len({ONE, 1, K_ONE}) == 1
+        assert len({KappaElem(ALPHA), ALPHA}) == 1
+        assert len({KAPPA, ALPHA, KappaElem(ALPHA, ONE)}) == 3

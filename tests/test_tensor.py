@@ -144,10 +144,10 @@ class TestShockRing:
         # a power carries its parts from factor to factor; shock_mul
         # regroups its left factor each time
         x = normal_order(E1 * E2 + ALPHA * E2)
-        assert x ** 0 == ShockElem.unit()
+        assert x ** 0 == ShockElem.scalar(1)
         assert x ** 3 == normal_order((E1 * E2 + ALPHA * E2) ** 3)
         y = normal_order(3 * E1 - BETA * E2 * E2 + TensorElem.scalar(AB))
-        acc = ShockElem.unit()
+        acc = ShockElem.scalar(1)
         for k in range(8):
             assert y ** k == acc, k
             acc = shock_mul(acc, y)
@@ -168,7 +168,7 @@ class TestLinearForm:
         assert linear_form(E2) == BETA
 
     def test_unit(self):
-        assert linear_form(TensorElem.unit()) == ONE
+        assert linear_form(TensorElem.scalar(1)) == ONE
 
     def test_e1e2(self):
         assert linear_form(E1 * E2) == AB * (ALPHA + BETA)
@@ -243,7 +243,7 @@ class TestGradedFold:
         assert all(graded(rewritten_nf[w], len(w)) for w in ALL_WORDS)
         assert all(on_diagonal(normal_order(TensorElem({w: ONE})), len(w))
                    for w in ALL_WORDS)
-        x = ShockElem.unit()
+        x = ShockElem.scalar(1)
         for N in range(13):
             assert on_diagonal(x, N), N
             x = x * normal_order(E1 + E2)
@@ -256,7 +256,7 @@ def rand_words(rng):
 
 
 def shock_word(w):
-    out = ShockElem.unit()
+    out = ShockElem.scalar(1)
     for g in w:
         out = out * ShockElem.generator(g)
     return out
@@ -269,10 +269,10 @@ class TestBidegree:
     homomorphism onto it."""
 
     def test_unit_and_generators(self):
-        assert ShockElem.unit() == ShockElem({(0, 0, 0, 0): 1})
+        assert ShockElem.scalar(1) == ShockElem({(0, 0, 0, 0): 1})
         assert [ShockElem.generator(i) for i in (1, 2)] == [
             ShockElem({(1, 1, 0, 1): 1}), ShockElem({(1, 1, 1, 0): 1})]
-        assert ShockElem.scalar(-3) == -3 * ShockElem.unit()
+        assert ShockElem.scalar(-3) == -3 * ShockElem.scalar(1)
         assert ShockElem.scalar(ALPHA**2 - 4 * BETA) \
             == ShockElem({(2, 0, 0, 0): 1, (0, 1, 0, 0): -4})
         assert all(type(c) is int for _, c in
@@ -325,7 +325,7 @@ class TestBidegree:
 
 class TestPowerSum:
     def test_small(self):
-        assert power_sum(0) == TensorElem.unit()
+        assert power_sum(0) == TensorElem.scalar(1)
         assert power_sum(1) == E1 + E2
         assert power_sum(2) == (E1 + E2) * (E1 + E2)
         assert len(power_sum(5).items()) == 32
