@@ -7,9 +7,9 @@ With command names (`check`, `stationary`, ...) only the entries of those
 subcommands are re-recorded; without, every entry is.  A README, pinned
 or algebra request that the corpus lacks is added and recorded.  The
 requests are the corpus's own argv lists, so a change to the benchmark
-decks does not move it.  A change that alters an answer on purpose re-records it and
-lists each changed entry in CHANGES.md.  When the corpus file is absent,
-the requests are built afresh by `initial_argv`.
+decks does not move it.  A change that alters an answer on purpose
+re-records it and lists each changed entry in CHANGES.md.  When the
+corpus file is absent, the requests are built afresh by `initial_argv`.
 """
 
 import contextlib
