@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import DegenerateParameters
 from .report import CheckReport
-from .ring import ALPHA, BETA, AB, eval_numerators, poly_sum
+from .ring import ALPHA, BETA, AB, eval_numerators, poly_sum, ratios
 from .tensor import ShockElem, linear_form
 
 
@@ -96,11 +96,15 @@ class StationaryTable:
         return self._weights
 
     def to_obj(self, symbolic=False):
+        """The table as JSON-ready data.  The weights and Z are the
+        symbolic Poly2s with `symbolic`, else their values at the point:
+        the numerators over `denominator`, reduced by `ring.ratios`."""
         if symbolic:
             weights = [w.to_obj() for w in self.weights.values()]
+            Z = self.Z.to_obj()
         else:
-            den = self.denominator
-            weights = [str(Fraction(n, den)) for n in self.numerators]
+            *weights, Z = map(str, ratios(
+                [*self.numerators, self.Z_numerator], self.denominator))
         rows = [{"state": state, "probability": str(p), "weight": w}
                 for state, p, w in zip(_state_strings(self.L),
                                        self.probabilities.values(), weights)]
@@ -108,8 +112,7 @@ class StationaryTable:
             "L": self.L,
             "alpha": str(self.alpha),
             "beta": str(self.beta),
-            "Z": (self.Z.to_obj() if symbolic
-                  else str(Fraction(self.Z_numerator, den))),
+            "Z": Z,
             "states": rows,
         }
 
@@ -197,18 +200,17 @@ def stationary_mpa(L, a, b):
     """Exact matrix-product stationary distribution at rational (a, b).
 
     `stationary_numerators` gives the 2^L weights as integer numerators
-    over one common denominator, which cancels: each probability is one
-    normalization of two integers.  Z_L is evaluated from the shock-ring
+    over one common denominator, which cancels: the probabilities are the
+    weights' numerators over Z's, all 2^L built eagerly here by
+    `ring.ratios`, one gcd each.  Z_L is evaluated from the shock-ring
     power, a second path, and the numerators must sum to it at every
     call.  The table's symbolic weights are filled only when read, with
     their sum checked against Z_L term by term."""
     a, b = require_positive_rates(a, b)
     # Z(a, b) > 0: positive coefficients at positive rates
     states, Z, nums, nz, den = _point(L, a, b)
-    return StationaryTable(
-        L, Z, a, b,
-        dict(zip(states, map(Fraction, nums, itertools.repeat(nz)))),
-        nums, nz, den)
+    return StationaryTable(L, Z, a, b, dict(zip(states, ratios(nums, nz))),
+                           nums, nz, den)
 
 
 def transitions(L):
@@ -264,7 +266,8 @@ def certify_stationary(L, a, b, n, nz):
     rep.record(_reaches_all(backward) and _reaches_all(forward),
                "generator is irreducible")
     # residual_j / (nz q s) is (pi G)_j
-    rep.note(f"max residual {Fraction(max(map(abs, residual)), nz * q * s)}")
+    top = ratios((max(map(abs, residual)),), nz * q * s)[0]
+    rep.note(f"max residual {top}")
     return rep
 
 

@@ -31,7 +31,7 @@ from operator import add, sub
 from .errors import DegenerateParameters
 from .report import CheckReport
 from .ring import (KappaElem, ZERO, ONE, ALPHA, BETA, AB, K_ZERO, K_ONE,
-                   KAPPA, eval_numerators, poly_sum)
+                   KAPPA, eval_numerators, poly_sum, ratios)
 from .tensor import ShockElem, linear_form
 from .bimoment import build_bimoment, det_closed_form
 
@@ -369,11 +369,12 @@ def lambda_value(n, a, b):
 
 def band_values(band, a, b):
     """Numeric MomentBand entries as (rational, rational) kappa pairs,
-    every part evaluated on one table of powers (eval_numerators)."""
+    every part evaluated on one table of powers (eval_numerators) and
+    reduced over that one denominator by `ring.ratios`."""
     a, b = require_generic_point(a, b)
     rows = {"diag": band.diag, "super": band.sup, "sub": band.sub}
     nums, den = eval_numerators(
         [x for row in rows.values() for e in row for x in (e.a, e.b)], a, b)
-    parts = iter([Fraction(n, den) for n in nums])
+    parts = iter(ratios(nums, den))
     return {k: [(next(parts), next(parts)) for _ in row]
             for k, row in rows.items()}

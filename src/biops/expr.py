@@ -257,8 +257,13 @@ def eval_expr(node, algebra):
             out = out + eval_expr(p, algebra)
         return out
     if isinstance(node, Product):
-        out = algebra.scalar(1)
-        for p in node.parts:
+        # from the first factor, so a Picture forms no identity product;
+        # the empty product is 1
+        if not node.parts:
+            return algebra.scalar(1)
+        first, *rest = node.parts
+        out = eval_expr(first, algebra)
+        for p in rest:
             out = out * eval_expr(p, algebra)
         return out
     if isinstance(node, Power):

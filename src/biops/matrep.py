@@ -105,8 +105,10 @@ class RepMatrix:
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         _bounded(self.dim, self.degree * n)
-        out = _diagonal([K_ONE] * self.dim)
-        for _ in range(n):
+        if n == 0:
+            return _diagonal([K_ONE] * self.dim)
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 

@@ -16,12 +16,17 @@ p^i q^(I-i) per variable, I the largest alpha exponent over all of
 `polys` (and r^j s^(J-j) for beta), and then each polynomial's integer
 numerator over the one shared denominator q^I s^J with one product per
 term.  Poly2.eval is that call for one polynomial.
+
+ratios(nums, den) turns integer numerators over one positive denominator
+into Fractions in lowest terms, one gcd each: the one way the library
+makes rationals from such a shared denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from operator import index
 
 
@@ -169,7 +174,7 @@ class Poly2:
         denominator q^I s^J (a = p/q, b = r/s; I, J the largest
         exponents)."""
         (num,), den = eval_numerators((self,), a, b)
-        return Fraction(num, den)
+        return ratios((num,), den)[0]
 
     def sorted_terms(self):
         return sorted(self._t.items(), key=lambda kv: _grlex_key(kv[0]))
@@ -220,6 +225,29 @@ def eval_numerators(polys, a, b):
     pb = _scaled_powers(b.numerator, b.denominator, J)
     nums = [sum(c * pa[i] * pb[j] for (i, j), c in t.items()) for t in ts]
     return nums, a.denominator**I * b.denominator**J
+
+
+def ratios(nums, den):
+    """The integers `nums` over the one denominator `den`, as a list of
+    Fractions in lowest terms, each equal to Fraction(n, den) in value,
+    type, hash and text.  `den` must be positive (ValueError otherwise),
+    so each value takes one gcd and no sign fix."""
+    if den <= 0:
+        raise ValueError("denominator must be positive")
+    # fill the two slots of an already-reduced pair, as CPython's own
+    # fractions does (Fraction._from_coprime_ints on 3.12+,
+    # _normalize=False on 3.10 and 3.11): Fraction(n, den) spends most of
+    # its time deciding the types of its arguments.  Pinned against
+    # Fraction(n, den) by tests/test_ring.py::TestRatios.
+    out = []
+    new = object.__new__
+    for n in nums:
+        g = gcd(n, den)
+        f = new(Fraction)
+        f._numerator = n // g
+        f._denominator = den // g
+        out.append(f)
+    return out
 
 
 def poly_sum(polys):

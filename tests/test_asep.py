@@ -212,6 +212,24 @@ class TestStationary:
             for tau, w in table.weights.items():
                 assert w == linear_form(TensorElem({state_word(tau): ONE}))
 
+    @pytest.mark.parametrize("a, b", [
+        (Fraction(5, 7), Fraction(5, 7)),         # a = b
+        (Fraction(7, 2), Fraction(4, 3)),         # both rates above 1
+        (Fraction(99991, 7), Fraction(65537, 99989)),
+    ])
+    def test_probabilities_are_the_constructors_fractions(self, a, b):
+        # each probability is Fraction(weight numerator, Z numerator): the
+        # same type, lowest-terms fields, hash and text
+        for L in range(1, 11):
+            table = stationary_mpa(L, a, b)
+            assert type(table.probabilities) is dict
+            for p, n in zip(table.probabilities.values(), table.numerators):
+                want = Fraction(n, table.Z_numerator)
+                assert type(p) is Fraction
+                assert (p.numerator, p.denominator) == (want.numerator,
+                                                        want.denominator)
+                assert hash(p) == hash(want) and str(p) == str(want)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6),
            st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),

@@ -393,6 +393,35 @@ class TestPicture:
                 assert r.degree == n and len(products) == n, src
                 assert all(d >= 0 for pair in products for d in pair), src
 
+    @pytest.mark.parametrize("src, dim, count", [
+        ("P(2)*Q(2)*P(2) + a*b*e2^4 + 3*Q(1)", 14, 15),
+        ("P(3)*e1*Q(2)", 8, 7),
+        ("e1^3", 8, 2),
+    ])
+    def test_no_product_by_the_identity(self, monkeypatch, src, dim, count):
+        # a product folds from its first factor and a power from its base,
+        # so no matrix product has an identity start (19, 8 and 3 products
+        # when both started from the identity); Horner's monic start stays
+        want = represent(parse(src), dim)
+        products = []
+        mul = RepMatrix.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(RepMatrix, "__mul__", counted)
+        got = represent(parse(src), dim)
+        assert len(products) == count
+        assert got.to_obj() == want.to_obj()
+
+    def test_power_zero_and_one(self):
+        x = Picture(6).generator(1)
+        assert (x ** 1) is x
+        one = x ** 0
+        assert one.degree == 0
+        assert one.to_obj() == Picture(6).scalar(1).to_obj()
+
     def test_algebra_products(self):
         # Picture is the algebra eval_expr maps into: generators and
         # scalars, combined by the RepMatrix operators

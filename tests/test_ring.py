@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
                         KAPPA, KAPPA_SQ, K_ONE, accumulate,
-                        eval_numerators, poly_sum)
+                        eval_numerators, poly_sum, ratios)
 from oracles import InexactDivision, long_div, schoolbook_mul
 
 
@@ -243,6 +243,42 @@ class TestSharedDenominator:
         assert poly_sum(ps) == sum(ps, ZERO)
         assert poly_sum(ps + [-p for p in ps]) == ZERO
         assert not poly_sum(ps + [-p for p in ps])
+
+
+class TestRatios:
+    """ratios(nums, den) is [Fraction(n, den) for n in nums], built without
+    Fraction's constructor: the same value, type, fields, hash, text and
+    arithmetic for any integer n and positive den."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(), max_size=8), st.integers(min_value=1))
+    @example([0, 1, -1, 6, -6, 4, -9], 6)
+    @example([10**40, -(10**40) - 1, 0], 10**40)
+    @example([0, 5, -5], 1)
+    def test_equals_the_constructor(self, nums, den):
+        got = ratios(nums, den)
+        assert len(got) == len(nums)
+        third = Fraction(1, 3)
+        for n, f in zip(nums, got):
+            want = Fraction(n, den)
+            assert type(f) is Fraction
+            assert f == want
+            assert (f.numerator, f.denominator) == (want.numerator,
+                                                    want.denominator)
+            assert hash(f) == hash(want)
+            assert str(f) == str(want)
+            assert repr(f) == repr(want)
+            got_sum, want_sum = f * 7 - third, want * 7 - third
+            assert type(got_sum) is Fraction
+            assert (got_sum.numerator, got_sum.denominator) == (
+                want_sum.numerator, want_sum.denominator)
+
+    @pytest.mark.parametrize("den", [0, -1, -6, -(10**30)])
+    def test_denominator_must_be_positive(self, den):
+        # checked once, before any value: also with no numerators
+        for nums in ([], [3], [0, -4]):
+            with pytest.raises(ValueError):
+                ratios(nums, den)
 
 
 def terms(p):
