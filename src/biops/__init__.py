@@ -3,9 +3,6 @@ open-boundary TASEP matrix product ansatz."""
 
 from .errors import (BiopsError, DegenerateParameters, TruncationTooSmall,
                      ParseError)
-from .ring import Poly2, KappaElem
-from .tensor import (TensorElem, ShockElem, normal_order, shock_mul,
-                     linear_form)
 
 __version__ = "0.1.0"
 
@@ -17,7 +14,4 @@ __all__ = [
     "__version__", "GENERATOR_REPS",
     "BiopsError", "DegenerateParameters", "TruncationTooSmall",
     "ParseError",
-    "Poly2", "KappaElem",
-    "TensorElem", "ShockElem", "normal_order", "shock_mul",
-    "linear_form",
 ]

@@ -22,8 +22,6 @@ integer encoding (site 1 = least significant bit), the order of the
 indices that `transitions` uses.
 """
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 

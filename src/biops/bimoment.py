@@ -2,9 +2,9 @@
 its determinant.  biortho.ldu_certificate proves the closed form: the
 product forms of P_n and Q_n reduce B to diag(Lambda_0, ..., Lambda_n)."""
 
-from __future__ import annotations
+from math import comb
 
-from .ring import ALPHA, BETA, AB
+from .ring import Poly2, ALPHA, BETA, AB
 
 
 def build_bimoment(n):
@@ -29,8 +29,13 @@ def build_bimoment(n):
 
 
 def det_closed_form(n):
-    """(alpha*beta)^(n^2) * (alpha+beta-1)^n."""
+    """(alpha*beta)^(n^2) * (alpha+beta-1)^n, read off the trinomial
+    theorem with no power taken: the coefficient of
+    alpha^(n^2+i) beta^(n^2+j) is C(n, i) C(n-i, j) (-1)^(n-i-j)."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    return AB ** (n * n) * (ALPHA + BETA - 1) ** n
+    s = n * n
+    return Poly2({(s + i, s + j): comb(n, i) * comb(n - i, j)
+                  * (-1) ** (n - i - j)
+                  for i in range(n + 1) for j in range(n + 1 - i)})
 

@@ -21,8 +21,6 @@ Each e2 band is its e1 band transposed with alpha and beta swapped.
 sqrt(Lambda_n) is exact in the kappa ring: (alpha*beta)^(n-1) * kappa.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb
@@ -31,8 +29,7 @@ from operator import add, sub
 from .errors import DegenerateParameters
 from .report import CheckReport
 from .ring import (KappaElem, ZERO, ONE, ALPHA, BETA, AB, K_ZERO, K_ONE,
-                   KAPPA, eval_numerators, poly_sum, ratios)
-from .tensor import ShockElem, linear_form
+                   KAPPA, eval_numerators, poly_dot, ratios)
 from .bimoment import build_bimoment, det_closed_form
 
 
@@ -170,6 +167,7 @@ def sqrt_lambda(n):
 def check_orthogonality(N):
     """Verify L(P_n (x) Q_m) = Lambda_n * delta_{n,m} for all n,m <= N,
     with P_n and Q_m in the shock ring."""
+    from .tensor import ShockElem, linear_form
     rep = CheckReport(f"bi-orthogonality n,m <= {N}")
     qs = [q_explicit(m).into(ShockElem) for m in range(N + 1)]
     for n in range(N + 1):
@@ -205,12 +203,11 @@ def _ldu_report(B, ps, qs):
     columns = list(zip(*B))
     det = ONE
     for n, p in enumerate(ps):
-        row = [poly_sum([c * b for c, b in zip(p.coeffs, col)])
-               for col in columns]
+        row = [poly_dot(p.coeffs, col) for col in columns]
         lam = lambda_n(n)
         for m, q in enumerate(qs):
-            rep.record(poly_sum([c * x for c, x in zip(q.coeffs, row)])
-                       == (lam if n == m else ZERO), f"(P B Q^T)[{n}][{m}]")
+            rep.record(poly_dot(q.coeffs, row) == (lam if n == m else ZERO),
+                       f"(P B Q^T)[{n}][{m}]")
         det = det * lam
         rep.record(det == det_closed_form(n),
                    f"Lambda_0...Lambda_{n} = det_closed_form({n})")
@@ -315,6 +312,7 @@ def moment_consistency(dim):
     L(P_n e1 Q_m) and L(P_n e2 Q_m) in the shock ring, and the expansion
     identities P_n * e1 = sum_k Xbar[n][k] P_k and its transpose
     Q_m * e2 = sum_k Ybar[k][m] Q_k."""
+    from .tensor import ShockElem, linear_form
     rep = CheckReport(f"first-moment consistency dim {dim}")
     X, Y, Xbar, Ybar, Xhat, Yhat = first_moment_matrices(dim)
     ps = [p_explicit(n) for n in range(dim)]

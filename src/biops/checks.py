@@ -1,13 +1,11 @@
 """Aggregated verification suites behind the `check` CLI subcommand; the
 two-path L suite tests normal ordering against the Corteel-Williams fill."""
 
-from __future__ import annotations
-
 import random
 from fractions import Fraction
 
 from .report import CheckReport
-from .ring import Poly2, ONE, ALPHA, BETA, AB, poly_sum
+from .ring import Poly2, ONE, ALPHA, BETA, AB, poly_dot
 from .tensor import TensorElem, linear_form, normal_order, shock_mul
 from .biortho import (check_orthogonality, recurrence_check, ldu_certificate,
                       moment_consistency)
@@ -48,8 +46,9 @@ def check_two_path_L(seed=0):
     rep = CheckReport("two-path L on 50 random elements")
     for k in range(50):
         x = random_tensor(rng, max_len=8)
-        filled = poly_sum(c * fills[len(w)][state_index([2 - g for g in w])]
-                          for w, c in x.items())
+        terms = x.items()
+        filled = poly_dot([c for _, c in terms], [
+            fills[len(w)][state_index([2 - g for g in w])] for w, _ in terms])
         rep.record(filled == linear_form(x), f"sample {k}")
     return rep
 

@@ -8,8 +8,6 @@ Each subcommand imports the modules it runs inside its branch of `run`,
 so a cold process loads only those.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -19,7 +17,6 @@ from itertools import islice
 
 from . import GENERATOR_REPS
 from .errors import BiopsError, ParseError
-from .tensor import ShockElem, linear_form
 
 
 def _cap_dim(dim, parser):
@@ -186,6 +183,7 @@ def run(argv=None):
 
     if args.command == "L":
         from .expr import eval_expr, parse
+        from .tensor import ShockElem, linear_form
         value = linear_form(eval_expr(parse(args.expr), ShockElem))
         _emit({"expr": args.expr, "L": value.to_obj(), "text": str(value)}, fmt)
         return 0

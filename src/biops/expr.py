@@ -15,8 +15,6 @@ commute past everything.  '^' takes a nonnegative integer literal.
 Precedence: '^' > '*' > unary '-' > binary '+'/'-'.
 """
 
-from __future__ import annotations
-
 from .errors import ParseError
 from .ring import ALPHA, BETA
 

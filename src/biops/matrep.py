@@ -10,7 +10,8 @@ takes the larger): a product of k truncated bands has an exact top-left
 degree above dim - 2, where entry (0,0) would be inexact, raises
 TruncationTooSmall before it is formed.  Entry (0,0) of a matrix is L of
 its expression (`checks.check_diffusion_relation` proves it), and the
-moments of `cheb_reading_report` come from the shock ring.
+moments of `cheb_reading_report` come from the shock ring, which loads
+only there.
 
 Three generator pictures, each built from the closed-form bands:
 
@@ -26,13 +27,10 @@ sqrt(Lambda_{k+1})/sqrt(Lambda_k): kappa^2 at k = 0 and (alpha*beta)^2
 after, so no polynomial is divided.
 """
 
-from __future__ import annotations
-
 from .errors import TruncationTooSmall
 from .report import CheckReport
-from .ring import (KappaElem, ZERO, ALPHA, BETA, AB, K_ZERO, K_ONE, accumulate,
-                   poly_sum)
-from .tensor import ShockElem, linear_form
+from .ring import (KappaElem, ZERO, ONE, ALPHA, BETA, AB, K_ZERO, K_ONE,
+                   accumulate, poly_dot)
 from .biortho import (MomentBand, UniPoly, first_moment_matrices,
                       sqrt_lambda)
 from . import GENERATOR_REPS
@@ -220,27 +218,36 @@ def cheb_like(N, reading="corrected"):
     three-term recurrence of W solved for the highest-index term.
 
     reading: "corrected" uses diagonal coefficient (W_nn - x), "printed"
-    uses (2 W_nn - x) as literally displayed.  T_n is monic, and W's
-    off-diagonal enters only as the kappa-free W_{n,n-1} W_{n-1,n}; with
-    the corrected reading T_n is the n-th leading principal minor of
+    uses (2 W_nn - x) as literally displayed.  T_n is monic, and W enters
+    only as the kappa-free W_nn and W_{n,n-1} W_{n-1,n}, so the recurrence
+    runs over Poly2 and each coefficient becomes a KappaElem at the end;
+    with the corrected reading T_n is the n-th leading principal minor of
     (xI - W), orthogonal under the moments of L (cheb_reading_report)."""
     if reading not in ("corrected", "printed"):
         raise ValueError("reading must be 'corrected' or 'printed'")
     if N < 0:
         raise ValueError("N must be nonnegative")
     W = second_moment(max(N + 2, 3))
-    polys = [UniPoly("x", (K_ONE,))]
+    polys = [UniPoly("x", (ONE,))]
     prev = UniPoly("x", ())  # T_{-1} = 0
     for n in range(N):
-        wd = W.raw(n, n)
+        wd = _kappa_free(W.raw(n, n))
         if reading == "printed":
             wd = wd + wd
         nxt = polys[n].shift_mul(wd)
         if n >= 1:
-            nxt = nxt - prev * (W.raw(n, n - 1) * W.raw(n - 1, n))
+            nxt = nxt - prev * _kappa_free(W.raw(n, n - 1) * W.raw(n - 1, n))
         prev = polys[n]
         polys.append(nxt)
-    return tuple(p.coeffs for p in polys)
+    return tuple(tuple(KappaElem(c) for c in p.coeffs) for p in polys)
+
+
+def _kappa_free(x):
+    # the Poly2 part of a KappaElem of W that the closed form keeps
+    # kappa-free; a kappa part there is a broken identity, not an input
+    if x.b:
+        raise RuntimeError(f"{x!r} of W has a kappa part")
+    return x.a
 
 
 def cheb_reading_report(N):
@@ -249,6 +256,7 @@ def cheb_reading_report(N):
     Jacobi matrix W are orthogonal under the moments ((W^k))_00 = mu_k (W
     represents e1 e2), with <T_n, x^n> = prod_{k<n} W_{k,k+1} W_{k+1,k}.
     As mu comes from L, a W that is not L's second moment fails."""
+    from .tensor import ShockElem, linear_form
     # the readings part at N = 1 and the check grows fast (6 ms at N = 6,
     # 0.3 s at 16), so the cheb command and the check suite stop at 6
     N = min(N, 6)
@@ -259,9 +267,10 @@ def cheb_reading_report(N):
         mu.append(linear_form(power))
         power = power * e1e2
     W = second_moment(max(N + 1, 3))
-    norms = [K_ONE]
+    norms = [ONE]
     for k in range(N):
-        norms.append(norms[-1] * W.raw(k, k + 1) * W.raw(k + 1, k))
+        norms.append(
+            norms[-1] * _kappa_free(W.raw(k, k + 1) * W.raw(k + 1, k)))
     for reading in ("corrected", "printed"):
         ok = _orthogonal(cheb_like(N, reading), mu, norms)
         rep.note(f"reading '{reading}' is {'' if ok else 'not '}orthogonal "
@@ -277,12 +286,11 @@ def cheb_reading_report(N):
 
 
 def _orthogonal(polys, mu, norms):
-    # <T_n, x^k> is 0 for k < n and norms[n] for k = n; all kappa-free
+    # <T_n, x^k> is 0 for k < n and norms[n] for k = n; cheb_like's
+    # coefficients are kappa-free
     for n, t in enumerate(polys):
-        if any(c.b for c in t):
-            return False
+        coeffs = [c.a for c in t]
         for k in range(n + 1):
-            pairing = poly_sum(c.a * mu[j + k] for j, c in enumerate(t))
-            if pairing != (norms[n] if k == n else K_ZERO):
+            if poly_dot(coeffs, mu[k:]) != (norms[n] if k == n else ZERO):
                 return False
     return True

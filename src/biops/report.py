@@ -1,7 +1,5 @@
 """Small pass/fail report object shared by the check operations."""
 
-from __future__ import annotations
-
 
 class CheckReport:
     __slots__ = ("name", "checked", "failures", "notes")

@@ -3,12 +3,14 @@
 Poly2 is a polynomial in the commuting variables alpha, beta with integer
 coefficients, stored as the dict {(i, j): c} of its nonzero terms
 c*alpha^i*beta^j; that dict is its one representation.  Sums and
-products are loops over it: a product visits every pair of terms.  No
-polynomial is divided: every quotient the paper needs, such as
+products are loops over it: a product visits every pair of terms, and
+poly_sum and poly_dot accumulate a sum, or a sum of products, into one
+dict.  No polynomial is divided: every quotient the paper needs, such as
 Lambda_{n+1}/Lambda_n, is read off a closed form.
 
 KappaElem is an element a + b*kappa of the extension ring with the
-reduction rule kappa**2 = alpha*beta*(alpha+beta-1).
+reduction rule kappa**2 = alpha*beta*(alpha+beta-1); a product of two
+kappa-free elements is one Poly2 product.
 
 Evaluation at a rational point a = p/q, b = r/s is exact and runs over the
 integers.  eval_numerators(polys, a, b) builds one table of scaled powers
@@ -21,8 +23,6 @@ ratios(nums, den) turns integer numerators over one positive denominator
 into Fractions in lowest terms, one gcd each: the one way the library
 makes rationals from such a shared denominator.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
@@ -261,6 +261,19 @@ def poly_sum(polys):
     return Poly2._raw({k: c for k, c in total.items() if c})
 
 
+def poly_dot(xs, ys):
+    """The sum of x*y over zip(xs, ys) for Poly2s, every product of two
+    terms accumulated into one dict: no product Poly2 is built."""
+    total = {}
+    for x, y in zip(xs, ys):
+        u = y._t
+        for (i1, j1), c1 in x._t.items():
+            for (i2, j2), c2 in u.items():
+                k = (i1 + i2, j1 + j2)
+                total[k] = total.get(k, 0) + c1 * c2
+    return Poly2._raw({k: c for k, c in total.items() if c})
+
+
 ZERO = Poly2.const(0)
 ONE = Poly2.const(1)
 ALPHA = Poly2.monomial(1, 0)
@@ -337,6 +350,8 @@ class KappaElem:
         if other is NotImplemented:
             return other
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        if not (b1 or b2):
+            return KappaElem(a1 * a2)
         return KappaElem(a1 * a2 + b1 * b2 * KAPPA_SQ, a1 * b2 + a2 * b1)
 
     __rmul__ = __mul__

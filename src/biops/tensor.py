@@ -18,8 +18,6 @@ bidegree (I, J) to one of (I+1, J+1) with integer additions alone
 L of a TensorElem is L of its normal order: one path to L.
 """
 
-from __future__ import annotations
-
 from .ring import Poly2, ONE, accumulate
 
 

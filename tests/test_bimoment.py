@@ -53,6 +53,15 @@ class TestDeterminant:
         assert det_closed_form(1) == AB * (ALPHA + BETA - 1)
         assert det_closed_form(3) == AB**9 * (ALPHA + BETA - 1) ** 3
 
+    def test_trinomial_coefficients_equal_the_power(self):
+        # the product of Poly2 powers that defines the closed form is the
+        # oracle
+        for n in range(25):
+            power = AB ** (n * n) * (ALPHA + BETA - 1) ** n
+            assert det_closed_form(n) == power
+        with pytest.raises(ValueError):
+            det_closed_form(-1)
+
     @pytest.mark.parametrize("n", range(13))
     def test_fraction_free_matches_closed_form(self, n):
         # the Bareiss oracle against the product that the LDU certificate

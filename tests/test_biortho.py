@@ -215,6 +215,17 @@ class TestLDUCertificate:
             f"Lambda_0...Lambda_{wrong} = det_closed_form({wrong})"]
         assert rep.checked == 3 * 7 + 7 ** 2
 
+    def test_one_closed_form_per_order(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return det_closed_form(n)
+
+        monkeypatch.setattr(biortho, "det_closed_form", counted)
+        assert ldu_certificate(self.N).ok
+        assert calls == list(range(self.N + 1))
+
     def test_every_changed_entry_of_B_fails(self):
         for i in range(self.N + 1):
             for j in range(self.N + 1):

@@ -43,11 +43,13 @@ sys.exit(code)
 """
 
 # what `import biops.cli` loads, and what each subcommand adds to it
-BASE = {"biops", "biops.cli", "biops.errors", "biops.ring", "biops.tensor"}
-EXPR = BASE | {"biops.expr"}
-BIORTHO = BASE | {"biops.bimoment", "biops.biortho", "biops.report"}
+BASE = {"biops", "biops.cli", "biops.errors"}
+SHOCK = BASE | {"biops.ring", "biops.tensor"}
+EXPR = SHOCK | {"biops.expr"}
+BIORTHO = BASE | {"biops.ring", "biops.bimoment", "biops.biortho",
+                  "biops.report"}
 MATREP = BIORTHO | {"biops.matrep"}
-ASEP = BASE | {"biops.asep", "biops.report"}
+ASEP = SHOCK | {"biops.asep", "biops.report"}
 EVERY = {"biops"} | {f"biops.{name[:-3]}" for name in
                      os.listdir(os.path.dirname(biops.__file__))
                      if name.endswith(".py") and name != "__init__.py"}
@@ -61,9 +63,12 @@ COLD_START = [  # the README examples, and L of a power
     (("poly", "--which", "P", "--n", "3"), BIORTHO),
     (("lambda", "--n", "2"), BIORTHO),
     (("moments", "--dim", "6"), BIORTHO),
-    (("represent", "P(1)*Q(1)", "--dim", "6", "--rep", "hat"), MATREP | EXPR),
+    # the shock ring loads only where it runs: for cheb, the moments of L
+    (("represent", "P(1)*Q(1)", "--dim", "6", "--rep", "hat"),
+     MATREP | {"biops.expr"}),
     (("second-moment", "--dim", "6"), MATREP),
-    (("cheb", "--max-n", "6", "--reading", "corrected"), MATREP),
+    (("cheb", "--max-n", "6", "--reading", "corrected"),
+     MATREP | {"biops.tensor"}),
     (("stationary", "--L", "4", "--alpha", "1/2", "--beta", "1/3"), ASEP),
     (("stationary", "--L", "4", "--alpha", "1/2", "--beta", "1/3",
       "--symbolic"), ASEP),

@@ -19,11 +19,19 @@ ORACLES = ("oracles", "markov_oracle")
 
 
 def unused_imports(source):
-    """Names bound by import statements in `source` that nothing reads."""
+    """Names bound by import statements in `source` that nothing reads.
+    `from __future__ import annotations` counts as read only in a module
+    with an annotation; the compiler reads the other future features."""
     tree = ast.parse(source)
+    annotated = any(getattr(node, "annotation", None)
+                    or getattr(node, "returns", None)
+                    for node in ast.walk(tree))
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            if not annotated:
+                imported.update((a.name, node.lineno) for a in node.names
+                                if a.name == "annotations")
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
@@ -285,7 +293,17 @@ def test_scan_finds_an_unused_import():
     src = ("from __future__ import annotations\n"
            "import io\nimport os.path\nfrom .ring import ZERO, ONE as one\n"
            "print(os.path.sep, one)\n")
-    assert unused_imports(src) == [(2, "io"), (4, "ZERO")]
+    assert unused_imports(src) == [(1, "annotations"), (2, "io"),
+                                   (4, "ZERO")]
+
+
+@pytest.mark.parametrize("annotated", [
+    "def f(x: int): pass\n", "def f(x) -> int: pass\n", "x: int = 1\n"])
+def test_future_annotations_is_read_by_an_annotation(annotated):
+    src = "from __future__ import annotations, division\n" + annotated
+    assert unused_imports(src) == []
+    assert unused_imports(src.replace(annotated, "x = 1\n")) == [
+        (1, "annotations")]
 
 
 def test_no_module_imports_dataclasses():

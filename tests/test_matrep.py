@@ -261,6 +261,29 @@ class TestChebLike:
             assert len(p) == n + 1
             assert p[-1] == K_ONE
 
+    @pytest.mark.parametrize("reading", ["corrected", "printed"])
+    def test_coefficients_are_kappa_free(self, reading):
+        # the recurrence runs over Poly2 and wraps each coefficient once
+        for p in cheb_like(24, reading):
+            assert all(type(c) is KappaElem and not c.b for c in p)
+
+    @pytest.mark.parametrize("row, col", [(2, 2), (2, 1)])
+    def test_kappa_part_in_W_is_refused(self, monkeypatch, row, col):
+        # W_nn and W_{n,n-1} W_{n-1,n} are kappa-free in the closed form;
+        # a kappa part there is not dropped from T_n
+        exact = matrep.second_moment
+
+        def wrong(dim):
+            w = exact(dim)
+            w.rows[row][col] = w.rows[row][col] + KAPPA
+            return w
+
+        monkeypatch.setattr(matrep, "second_moment", wrong)
+        with pytest.raises(RuntimeError, match="kappa part"):
+            cheb_like(4)
+        with pytest.raises(RuntimeError, match="kappa part"):
+            cheb_reading_report(4)
+
     def test_corrected_matches_minor_oracle(self):
         oracle = principal_minor_polys(6)
         polys = cheb_like(6, "corrected")

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
                         KAPPA, KAPPA_SQ, K_ONE, accumulate,
-                        eval_numerators, poly_sum, ratios)
+                        eval_numerators, poly_dot, poly_sum, ratios)
 from oracles import InexactDivision, long_div, schoolbook_mul
 
 
@@ -244,6 +244,21 @@ class TestSharedDenominator:
         assert poly_sum(ps + [-p for p in ps]) == ZERO
         assert not poly_sum(ps + [-p for p in ps])
 
+    @settings(max_examples=100, deadline=None)
+    @example([], [])
+    @example([ALPHA, BETA], [BETA])
+    @example([ALPHA, BETA], [BETA, -ALPHA])  # cancels to 0
+    @given(st.lists(polys, max_size=6), st.lists(polys, max_size=8))
+    def test_poly_dot_is_the_sum_of_products(self, xs, ys):
+        # the LDU certificate pairs P_n's n + 1 coefficients with a column
+        # of N + 1 entries: zip stops at the shorter list
+        dot = poly_dot(xs, ys)
+        assert dot == poly_sum([x * y for x, y in zip(xs, ys)])
+        assert poly_dot(xs, [-y for y in ys]) == -dot
+        n = min(len(xs), len(ys))
+        assert not poly_dot(xs[:n] * 2, ys[:n] + [-y for y in ys[:n]])
+        assert all(dot._t.values())
+
 
 class TestRatios:
     """ratios(nums, den) is [Fraction(n, den) for n in nums], built without
@@ -384,6 +399,18 @@ class TestKappa:
             p, q = rand_poly(rng), rand_poly(rng)
             assert KappaElem(p) * KappaElem(q) == KappaElem(p * q)
             assert KappaElem(p) + KappaElem(q) == KappaElem(p + q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys, polys, polys, polys, st.booleans(), st.booleans())
+    def test_products_equal_the_full_formula(self, a1, b1, a2, b2, k1, k2):
+        # kappa-free factors take one Poly2 product; either kind of
+        # factor gives a1 a2 + b1 b2 kappa^2 + (a1 b2 + a2 b1) kappa
+        b1, b2 = (b1 if k1 else ZERO), (b2 if k2 else ZERO)
+        x = KappaElem(a1, b1) * KappaElem(a2, b2)
+        assert (x.a, x.b) == (a1 * a2 + b1 * b2 * KAPPA_SQ,
+                              a1 * b2 + a2 * b1)
+        if not (k1 or k2):
+            assert x.to_obj() == {"k0": (a1 * a2).to_obj(), "k1": []}
 
     def test_no_kappa_power_stored(self):
         x = (KAPPA + KappaElem(ALPHA)) ** 3
