@@ -1,8 +1,10 @@
 """Command-line surface.
 
-JSON (default) or CSV on stdout, diagnostics on stderr.  Exit codes:
-0 success, 1 verification failure, 2 usage error.  The environment
-variable BIOPS_MAX_DIM (default 16) caps truncation sizes.
+JSON (default) or CSV on stdout, diagnostics on stderr.  JSON is
+written exactly as json.dumps(answer, indent=2, sort_keys=True) writes
+it, in writes of about 64 KiB.  Exit codes: 0 success, 1 verification
+failure, 2 usage error.  The environment variable BIOPS_MAX_DIM
+(default 16) caps truncation sizes.
 
 Each subcommand imports the modules it runs inside its branch of `run`,
 so a cold process loads only those.
@@ -13,7 +15,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import GENERATOR_REPS
 from .errors import BiopsError, ParseError
@@ -40,20 +43,83 @@ def _certified_det(n):
     return det_closed_form(n), ldu_certificate(n).ok
 
 
-# Encoder chunks joined per write: json.dump writes each chunk on its own,
-# which costs more than encoding, and one string of the whole output
-# holds all of it in memory at once.
-_JSON_BATCH = 2048
+# json.dumps(obj, indent=2, sort_keys=True) runs Python's pure-Python
+# encoder, one generator step per token.  This writer makes the same
+# text with fewer Python steps: a Poly2 term record in a list is one
+# f-string, and each subtree below depth 1 is one join of joins.  Only
+# items at depth 0 and 1 (one stationary or bi-moment row) are separate
+# pieces, and pieces are written once more than _FLUSH characters are
+# pending, so the whole answer is never one string.
+_FLUSH = 1 << 16
 
 
 def _emit(obj, fmt):
     if fmt == "json":
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
-        for batch in iter(lambda: list(islice(chunks, _JSON_BATCH)), []):
-            sys.stdout.write("".join(batch))
-        sys.stdout.write("\n")
+        pending, size = [], 0
+        for piece in _pieces(obj, "\n", 2):
+            pending.append(piece)
+            size += len(piece)
+            if size > _FLUSH:
+                sys.stdout.write("".join(pending))
+                pending, size = [], 0
+        pending.append("\n")
+        sys.stdout.write("".join(pending))
     else:
         _emit_csv(obj)
+
+
+def _pieces(o, nl, levels):
+    """The text of `o`, whose lines are indented by `nl`, in pieces: one
+    per item of a non-empty container `levels` or fewer deep."""
+    if not (levels and o and isinstance(o, (dict, list, tuple))):
+        yield _dumps(o, nl)
+        return
+    inner = nl + "  "
+    if isinstance(o, dict):
+        sep, close = "{" + inner, "}"
+        items = ((_quote(k) + ": ", v) for k, v in sorted(o.items()))
+    else:
+        sep, close = "[" + inner, "]"
+        items = zip(repeat(""), o)
+    for head, v in items:
+        if levels == 1:
+            yield sep + head + _dumps(v, inner)
+        else:
+            yield sep + head
+            yield from _pieces(v, inner, levels - 1)
+        sep = "," + inner
+    yield nl + close
+
+
+def _dumps(o, nl):
+    """json.dumps(o, indent=2, sort_keys=True), for a tree with str keys,
+    with every line after the first indented by `nl`."""
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _dumps(v, inner)
+             for k, v in sorted(o.items())]) + nl + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        # an item that is a term record {"a": int, "b": int, "c": str}
+        # is one f-string; `type(a) is int` keeps a bool out
+        key = inner + '  "'
+        a_, b_, c_ = "{" + key + 'a": ', "," + key + 'b": ', "," + key + 'c": '
+        end = inner + "}"
+        return "[" + inner + ("," + inner).join([
+            f"{a_}{a}{b_}{b}{c_}{_quote(c)}{end}"
+            if type(v) is dict and len(v) == 3
+            and type(a := v.get("a")) is int
+            and type(b := v.get("b")) is int
+            and type(c := v.get("c")) is str
+            else _dumps(v, inner) for v in o]) + nl + "]"
+    return json.dumps(o)
 
 
 def _emit_csv(obj):

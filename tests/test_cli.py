@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biops
 from biops import biortho, cli
@@ -286,32 +288,121 @@ class TestFormats:
                        '{""a"": 1, ""b"": 2, ""c"": ""1""}]"\r\n'
                        "expr,e1*e2\r\ntext,a^2*b + a*b^2\r\n")
 
-    @pytest.mark.parametrize("argv, make", [
+    @pytest.mark.parametrize("argv, make, several", [
         (("stationary", "--L", "9", "--alpha", "7/9", "--beta", "9/4",
           "--symbolic"),
          lambda: stationary_mpa(9, Fraction(7, 9),
-                                Fraction(9, 4)).to_obj(symbolic=True)),
-        (("L", "0*e1"), lambda: {"expr": "0*e1", "L": [], "text": "0"}),
+                                Fraction(9, 4)).to_obj(symbolic=True), True),
+        (("L", "0*e1"), lambda: {"expr": "0*e1", "L": [], "text": "0"},
+         False),
     ], ids=["stationary", "zero"])
     def test_json_is_one_dumps_written_in_batches(self, monkeypatch, argv,
-                                                  make):
-        class CountingStdout(io.StringIO):
-            writes = 0
+                                                  make, several):
+        class SizingStdout(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.sizes = []
 
             def write(self, text):
-                self.writes += 1
+                self.sizes.append(len(text))
                 return super().write(text)
 
         obj = make()
-        out = CountingStdout()
+        out = SizingStdout()
         monkeypatch.setattr(sys, "stdout", out)
         assert main(list(argv)) == 0
         assert out.getvalue() == json.dumps(obj, indent=2,
                                             sort_keys=True) + "\n"
-        chunks = sum(1 for _ in json.JSONEncoder(
-            indent=2, sort_keys=True).iterencode(obj))
-        # one write per batch of encoder chunks, then the newline
-        assert out.writes == -(-chunks // cli._JSON_BATCH) + 1
+        # a write goes out once more than _FLUSH characters are pending,
+        # so it holds at most one piece beyond them
+        largest = max(map(len, cli._pieces(obj, "\n", 2)))
+        assert (len(out.sizes) > 1) is several
+        assert max(out.sizes) <= cli._FLUSH + largest
+
+    @pytest.mark.parametrize("argv", [
+        ("stationary", "--L", "12", "--alpha", "2/3", "--beta", "3/7",
+         "--symbolic"),
+        ("bimoment", "--n", "16"),
+        ("cheb", "--max-n", "24"),
+        ("moments", "--dim", "16"),
+        ("check", "--max-n", "6"),
+    ], ids=" ".join)
+    def test_large_answers_are_written_as_json_dumps_writes_them(
+            self, monkeypatch, capsys, argv):
+        answers = []
+        emit = cli._emit
+
+        def recording_emit(obj, fmt):
+            answers.append(obj)
+            emit(obj, fmt)
+
+        monkeypatch.setattr(cli, "_emit", recording_emit)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        [obj] = answers
+        expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        # a bare `out == expected` would have pytest diff megabytes
+        same = out == expected
+        assert same, f"differs from json.dumps at {mismatch(out, expected)}"
+
+
+def mismatch(text, expected):
+    """The index of the first character where `text` and `expected`
+    differ, or the length of the shorter."""
+    return next((i for i, pair in enumerate(zip(text, expected))
+                 if pair[0] != pair[1]), min(len(text), len(expected)))
+
+
+def written(obj):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(obj, "json")
+    return out.getvalue()
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\n\t\x7f'),
+                max_size=6)
+_KEYS = _TEXT | st.sampled_from("abcd")
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | _TEXT)
+# dicts shaped like a Poly2 term record {"a": int, "b": int, "c": str},
+# and ones that only look like it
+_TERMS = st.fixed_dictionaries(
+    {"a": st.integers() | st.booleans(), "b": st.integers(),
+     "c": _TEXT | st.integers()}, optional={"d": _SCALARS})
+
+
+def json_trees(depth):
+    if not depth:
+        return _SCALARS
+    below = json_trees(depth - 1)
+    return (_SCALARS | _TERMS | st.lists(below, max_size=3)
+            | st.dictionaries(_KEYS, below, max_size=3))
+
+
+class TestJsonWriter:
+    """The CLI writes JSON as json.dumps(obj, indent=2, sort_keys=True)
+    would, on any JSON tree with str keys."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_trees(5))
+    def test_equals_json_dumps(self, obj):
+        assert written(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("record", [
+        {"a": True, "b": 1, "c": "1"},
+        {"a": 1, "b": 2, "c": 3},
+        {"a": 1, "b": 2, "c": "3", "d": 4},
+        {"a": 1, "b": 2},
+        {"a": -1, "b": 0, "c": "\"\\\n\u00e9\x00"},
+    ], ids=["bool a", "int c", "extra key", "no c", "escaped c"])
+    def test_term_record_look_alikes(self, record):
+        # an item of a list two or more deep is the one tested for a term
+        real = {"a": 0, "b": 0, "c": "0"}
+        for obj in (record, [record], [[[record]]],
+                    {"w": [[real, record, real]]}):
+            assert written(obj) == json.dumps(obj, indent=2,
+                                              sort_keys=True) + "\n"
 
 
 class TestPinnedStdout:
