@@ -15,28 +15,22 @@ keyed (I, J, n, m), and L of such a term is the integer times
 alpha^(I-n) beta^(J-m).  A right product by e1 or e2 maps a part of
 bidegree (I, J) to one of (I+1, J+1) with integer additions alone
 (`_times_gen`), so a product costs time polynomial in the degree.
-L of a TensorElem is L of its normal order: one path to L.
+Normal ordering folds each word of a TensorElem on its own, letter by
+letter.  L of a TensorElem is L of its normal order: one path to L.
 """
 
 from .ring import Poly2, ONE, accumulate
 
 
-def word_to_str(w):
-    return "".join(str(x) for x in w)
-
-
-def _clean(terms):
-    return {k: c for k, c in terms.items() if c}
-
-
 class _LinComb:
     """Shared machinery for finite linear combinations with coefficients
-    in the ring of `_ONE`, which an int scalar is multiplied into; a
-    Poly2 scalar of integer coefficients multiplies as `scalar(p)`.
+    in the ring of `_ONE`.  A constant, an int or a Poly2 of integer
+    coefficients, multiplies as `scalar(c)`, by the ring product, and on
+    either side, since constants commute with everything.
 
     A subclass supplies `_mul`, its product with an element of its own
     type, and the keys of its unit and generators; constants (`scalar`),
-    products by a scalar and powers live here."""
+    products by a constant and powers live here."""
 
     __slots__ = ("_t",)
     _UNIT = None        # key of the ring unit
@@ -44,7 +38,7 @@ class _LinComb:
     _ONE = ONE          # unit of the coefficient ring
 
     def __init__(self, terms=None):
-        self._t = _clean(dict(terms or {}))
+        self._t = {k: c for k, c in dict(terms or {}).items() if c}
 
     @classmethod
     def scalar(cls, p):
@@ -93,22 +87,13 @@ class _LinComb:
         return out
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = other * self._ONE
-        if isinstance(other, type(self._ONE)):
-            out = object.__new__(type(self))
-            out._t = _clean({k: other * c for k, c in self._t.items()})
-            return out
-        if isinstance(other, Poly2):
+        if isinstance(other, (int, Poly2)):
             other = self.scalar(other)
         if not isinstance(other, type(self)):
             return NotImplemented
         return self._mul(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, (Poly2, int)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -134,14 +119,10 @@ class TensorElem(_LinComb):
         if not self._t:
             return "TensorElem(0)"
         parts = [
-            f"({c!s})*[{word_to_str(w) or '1'}]"
+            f"({c!s})*[{''.join(map(str, w)) or '1'}]"
             for w, c in sorted(self._t.items())
         ]
         return "TensorElem(" + " + ".join(parts) + ")"
-
-
-E1 = TensorElem.generator(1)
-E2 = TensorElem.generator(2)
 
 
 class ShockElem(_LinComb):
@@ -219,35 +200,18 @@ def _times_gen(t, g):
     return _times_e2(t)
 
 
-def fold_words(words, unit, times_gen):
-    """Yield (word, value) for each of the distinct `words`, in sorted
-    order, where a word's value is the left fold of times_gen(value, g)
-    over its letters g, starting from `unit`.  A stack holds the values of
-    the current word's prefixes, so each node of the word trie costs one
-    product.  Normal ordering folds (n,m)->coefficient dicts with
-    `_times_gen`; the test oracles fold band matrices the same way."""
-    stack = [unit]  # stack[i] = value of prev[:i]
-    prev = ()
-    for w in sorted(words):
-        i, top = 0, min(len(prev), len(w))
-        while i < top and prev[i] == w[i]:
-            i += 1
-        del stack[i + 1:]
-        for g in w[i:]:
-            stack.append(times_gen(stack[-1], g))
-        prev = w
-        yield w, stack[-1]
-
-
 def normal_order(x):
-    """Project a TensorElem onto the shock ring (normal-ordered form): a
-    word w of length N folds to a part of bidegree (N, N), and a term
-    c alpha^i beta^j of its coefficient moves that part to
-    (N + i, N + j)."""
+    """Project a TensorElem onto the shock ring (normal-ordered form): each
+    word w of length N folds on its own, letter by letter, to a part of
+    bidegree (N, N), and a term c alpha^i beta^j of its coefficient moves
+    that part to (N + i, N + j)."""
     t = {}
-    for w, nf in fold_words(x._t, {(0, 0): 1}, _times_gen):
+    for w, coeff in x._t.items():
+        nf = {(0, 0): 1}
+        for g in w:
+            nf = _times_gen(nf, g)
         N = len(w)
-        for (i, j), c in x._t[w]._t.items():
+        for (i, j), c in coeff._t.items():
             accumulate(t, (((N + i, N + j, n, m), c * cw)
                            for (n, m), cw in nf.items()))
     out = object.__new__(ShockElem)

@@ -1,6 +1,9 @@
 """Small-size references the tests check the library against: exponential
 or closed-form constructions that the library computes another way.
 
+* `E1` and `E2` are the generators as TensorElems, the letters the
+  tests spell words with; the library makes a generator with
+  `generator(1 | 2)` of the algebra it evaluates in.
 * `normal_order_word` rewrites adjacent e1*e2 pairs one at a time; the
   library folds a word's letters with closed-form right products.
   `poly2_fold` is that fold over Poly2 coefficients, multiplying by
@@ -16,11 +19,11 @@ or closed-form constructions that the library computes another way.
   pattern; the library evaluates P_n and Q_n in the matrix algebra by
   Horner's rule.
 * `word_fold` sums the matrices of a TensorElem's words, one band product
-  per node of the word trie; the library evaluates an expression in the
-  matrix algebra without expanding it into words.  `eval_L_matrix` is its
-  row-0 case: L of a TensorElem as entry (0,0), the row e_0 alone folded
-  over the word trie; the library takes L by normal ordering and checks
-  it against the Corteel-Williams fill.  `max_word_len` is the length of
+  per node of the word trie (`_fold_words`); the library evaluates an
+  expression in the matrix algebra without expanding it into words.
+  `eval_L_matrix` is its row-0 case: L of a TensorElem as entry (0,0),
+  the row e_0 alone folded over the word trie; the library takes L by
+  normal ordering and checks it against the Corteel-Williams fill.  `max_word_len` is the length of
   a TensorElem's longest word, and `tensor_ast` writes a TensorElem as an
   expression with one product per word.
 * `krattenthaler_matrix` and `krattenthaler_det_formula` are the
@@ -69,8 +72,11 @@ from biops.matrep import (Picture, RepMatrix, generator_matrices,
                           second_moment)
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, AB, ALPHA, BETA, K_ZERO,
                         K_ONE, accumulate, eval_numerators)
-from biops.tensor import (ShockElem, TensorElem, fold_words, _times_e2,
-                          _times_gen)
+from biops.tensor import ShockElem, TensorElem, _times_e2, _times_gen
+
+
+E1 = TensorElem.generator(1)
+E2 = TensorElem.generator(2)
 
 
 # --- normal ordering by rewriting ----------------------------------------
@@ -226,6 +232,28 @@ def pq_rep(n, which, dim):
                                 for r in rows), n)
 
 
+# --- the word trie ---------------------------------------------------------
+
+def _fold_words(words, unit, times_gen):
+    """Yield (word, value) for each of the distinct `words`, in sorted
+    order, where a word's value is the left fold of times_gen(value, g)
+    over its letters g, starting from `unit`.  A stack holds the values of
+    the current word's prefixes, so each node of the word trie costs one
+    product.  `word_fold` and `eval_L_matrix` fold band matrices, and
+    `_word_forms` folds (n, m) -> coefficient dicts with `_times_gen`."""
+    stack = [unit]  # stack[i] = value of prev[:i]
+    prev = ()
+    for w in sorted(words):
+        i, top = 0, min(len(prev), len(w))
+        while i < top and prev[i] == w[i]:
+            i += 1
+        del stack[i + 1:]
+        for g in w[i:]:
+            stack.append(times_gen(stack[-1], g))
+        prev = w
+        yield w, stack[-1]
+
+
 # --- the matrix of a tensor element, word by word --------------------------
 
 def word_fold(x, dim, rep="hat"):
@@ -250,7 +278,7 @@ def word_fold(x, dim, rep="hat"):
     unit = [[K_ONE if i == j else K_ZERO for j in range(dim)]
             for i in range(dim)]
     terms = dict(x.items())
-    for w, prod in fold_words(terms, unit, times_band):
+    for w, prod in _fold_words(terms, unit, times_band):
         for trow, prow in zip(total, prod):
             for j, e in enumerate(prow):
                 trow[j] = trow[j] + e * terms[w]
@@ -272,8 +300,8 @@ def eval_L_matrix(x):
     gens = Picture(dim).gens
     terms = dict(x.items())
     e = K_ZERO
-    for w, row in fold_words(terms, RepMatrix(dim, ({0: K_ONE},), 0),
-                             lambda m, g: m * gens[g - 1]):
+    for w, row in _fold_words(terms, RepMatrix(dim, ({0: K_ONE},), 0),
+                              lambda m, g: m * gens[g - 1]):
         e = e + row.raw(0, 0) * terms[w]
     if e.b:
         raise RuntimeError("kappa part of L did not cancel")
@@ -511,7 +539,8 @@ def _word_forms(words):
     their common prefixes, and L of a word of length N reads the power of
     alpha*beta off the bidegree (N, N)."""
     return {w: _L_graded(nf, len(w))
-            for w, nf in fold_words(set(words), {(0, 0): 1}, _times_gen)}
+            for w, nf in _fold_words(set(words), {(0, 0): 1},
+                                     _times_gen)}
 
 
 def state_weights(L):

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 from biops.ring import Poly2, ZERO, ALPHA, BETA, AB, KappaElem, K_ZERO
-from biops.tensor import TensorElem, E1, E2, linear_form
+from biops.tensor import TensorElem, linear_form
 from biops.bimoment import build_bimoment, det_closed_form
 from biops.biortho import (p_explicit, q_explicit, lambda_n, sqrt_lambda,
                            first_moment_matrices, require_generic_point,
@@ -20,7 +20,7 @@ from biops.asep import stationary_mpa, all_states
 from biops.checks import random_tensor
 from biops.errors import DegenerateParameters
 from markov_oracle import build_generator, stationary_oracle
-from oracles import (eval_L_matrix, max_word_len, pq_rep, p_cramer,
+from oracles import (E1, E2, eval_L_matrix, max_word_len, pq_rep, p_cramer,
                      q_cramer, det_fraction_free, principal_minor_polys)
 
 

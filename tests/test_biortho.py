@@ -8,8 +8,7 @@ from biops import biortho
 from biops.errors import DegenerateParameters
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, ALPHA, BETA, AB,
                         KAPPA, K_ZERO, K_ONE)
-from biops.tensor import (E1, TensorElem, ShockElem, linear_form,
-                          normal_order)
+from biops.tensor import TensorElem, ShockElem, linear_form, normal_order
 from biops.expr import parse, eval_expr
 from biops.bimoment import build_bimoment, det_closed_form
 from biops.biortho import (UniPoly, p_explicit, q_explicit, lambda_n,
@@ -17,8 +16,9 @@ from biops.biortho import (UniPoly, p_explicit, q_explicit, lambda_n,
                            _ldu_report, recurrence_check,
                            first_moment_matrices, moment_consistency,
                            require_generic_point, lambda_value, band_values)
-from oracles import (as_shock, swap_ab, p_cramer, q_cramer, biorthogonal_pair,
-                     det_fraction_free, fraction_free, long_div)
+from oracles import (E1, as_shock, swap_ab, p_cramer, q_cramer,
+                     biorthogonal_pair, det_fraction_free, fraction_free,
+                     long_div)
 
 
 def break_shift_mul(monkeypatch):

@@ -311,8 +311,12 @@ class TestFormats:
         out = SizingStdout()
         monkeypatch.setattr(sys, "stdout", out)
         assert main(list(argv)) == 0
-        assert out.getvalue() == json.dumps(obj, indent=2,
-                                            sort_keys=True) + "\n"
+        text = out.getvalue()
+        expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        # a bare `text == expected` would have pytest diff the whole answer
+        same = text == expected
+        assert same, (f"{len(text)} characters against {len(expected)}, "
+                      f"first differing at {mismatch(text, expected)}")
         # a write goes out once more than _FLUSH characters are pending,
         # so it holds at most one piece beyond them
         largest = max(map(len, cli._pieces(obj, "\n", 2)))
@@ -548,6 +552,22 @@ class TestErrors:
             os.close(write_end)
         assert r.returncode == 1
         assert r.stderr == b""
+
+    def test_reader_closes_stdout_mid_answer(self):
+        # the reader takes the first 50 bytes of a long answer and closes
+        # the pipe while the CLI is still writing
+        env = dict(os.environ, PYTHONPATH=SRC)
+        argv = ("stationary", "--L", "12", "--alpha", "2/3", "--beta", "3/7")
+        with subprocess.Popen([sys.executable, "-m", "biops.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            head = proc.stdout.read(50)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert len(head) == 50
+        assert code == 1, err.decode()
+        assert err == b""
 
     def test_bad_max_dim_exit_2(self, monkeypatch):
         monkeypatch.setenv("BIOPS_MAX_DIM", "abc")

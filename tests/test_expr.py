@@ -7,13 +7,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from biops.asep import partition_Z
 from biops.ring import Poly2, ALPHA, BETA, AB
-from biops.tensor import (TensorElem, ShockElem, E1, E2, linear_form,
-                          normal_order)
+from biops.tensor import TensorElem, ShockElem, linear_form, normal_order
 from biops.expr import (parse, eval_expr, Gen, ScalarPoly, Sum,
                         Product, Power, Negation, BiOrtho)
 from biops.biortho import p_explicit, q_explicit
 from biops.errors import ParseError
-from oracles import dehp_Z, power_sum_form, pretty
+from oracles import E1, E2, dehp_Z, power_sum_form, pretty
 
 
 class TestParse:

@@ -1,8 +1,9 @@
 """Every name a biops or test module imports is used in that module, every
 top-level function or class of biops is used somewhere else in biops, and
-so is every method of a top-level class.  Every attribute a biops class
-stores on self is read somewhere.  Every top-level name of a test oracle
-module is read by a test module.  No biops module imports dataclasses."""
+so is every method of a top-level class and every name a biops module
+assigns at top level.  Every attribute a biops class stores on self is
+read somewhere.  Every top-level name of a test oracle module is read by
+a test module.  No biops module imports dataclasses."""
 
 import ast
 from pathlib import Path
@@ -82,6 +83,39 @@ def uncalled_definitions(sources):
                 reads.setdefault(name, set()).add(own)
     return sorted(f"{module}.{name}" for module, name in defined
                   if not reads.get(name, set()) - {(module, name)})
+
+
+def unread_assignments(sources):
+    """Top-level names that an assignment in `sources` (module name ->
+    source) binds, dunders aside, and that no code outside the assigning
+    statement reads: by name, or as an attribute of a package module.
+    Imports and `__all__` strings are not reads."""
+    defined, reads = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        aliases = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and not node.module
+                   for a in node.names if a.name in sources}
+        for stmt in tree.body:
+            own = set()
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                own = {node.id for node in ast.walk(stmt)
+                       if isinstance(node, ast.Name)
+                       and isinstance(node.ctx, ast.Store)
+                       and not (node.id.startswith("__")
+                                and node.id.endswith("__"))}
+                defined.extend((module, name) for name in own)
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load)
+                        and node.id not in own):
+                    reads.add(node.id)
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id in aliases):
+                    reads.add(node.attr)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in reads)
 
 
 def uncalled_methods(sources):
@@ -214,6 +248,28 @@ def test_scan_finds_an_uncalled_definition():
     }
     assert uncalled_definitions(sources) == ["a.orphan", "a.recursive",
                                              "b.main"]
+
+
+def test_every_assigned_name_is_read():
+    package = Path(biops.__file__).parent.glob("*.py")
+    sources = {p.stem: p.read_text() for p in package}
+    assert unread_assignments(sources) == []
+
+
+def test_scan_finds_an_unread_assignment():
+    sources = {
+        "__init__": "__all__ = ['SHARED']\n__version__ = '1'\nSHARED = 1\n",
+        "a": ("from . import b as b_mod, SHARED\n"
+              "USED, ORPHAN = 1, 2\n"
+              "TABLE = TABLE_SIZE = 4\n"
+              "_private: int = 3\n"
+              "def f(): return USED + b_mod.VIA_ATTR + SHARED + _private\n"
+              "def g(): return TABLE\n"),
+        "b": ("VIA_ATTR = 1\nLOCAL = 2\nLATER = LOCAL\n"
+              "def h(): ORPHAN = 0\n"),
+    }
+    assert unread_assignments(sources) == ["a.ORPHAN", "a.TABLE_SIZE",
+                                          "b.LATER"]
 
 
 def test_every_method_has_a_caller():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from biops.ring import (Poly2, ZERO, ONE, ALPHA, BETA, AB, KappaElem, K_ZERO,
                         K_ONE, KAPPA)
-from biops.tensor import TensorElem, E1, E2, linear_form
+from biops.tensor import TensorElem, linear_form
 from biops.asep import partition_Z
 from biops.biortho import (MomentBand, first_moment_matrices, lambda_n,
                            p_explicit, q_explicit, sqrt_lambda)
@@ -18,8 +18,9 @@ from biops.matrep import (GENERATOR_REPS, generator_matrices, represent,
 from biops.checks import (check_diffusion_relation, check_two_path_L,
                           random_tensor)
 from biops.errors import TruncationTooSmall
-from oracles import (eval_L_matrix, long_div, max_word_len, power_sum,
-                     pq_rep, tensor_ast, word_fold, principal_minor_polys)
+from oracles import (E1, E2, eval_L_matrix, long_div, max_word_len,
+                     power_sum, pq_rep, tensor_ast, word_fold,
+                     principal_minor_polys)
 from test_expr import random_ast
 
 

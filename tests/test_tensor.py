@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from biops.ring import Poly2, ZERO, ONE, ALPHA, BETA, AB
 from biops.expr import eval_expr, parse
-from biops.tensor import (TensorElem, ShockElem, E1, E2, normal_order,
-                          shock_mul, linear_form, word_to_str)
-from oracles import as_shock, normal_order_word, poly2_fold, power_sum
+from biops.tensor import (TensorElem, ShockElem, normal_order, shock_mul,
+                          linear_form)
+from oracles import (E1, E2, as_shock, normal_order_word, poly2_fold,
+                     power_sum)
 
 # every word of length <= 10: 2047 words
 ALL_WORDS = [w for n in range(11) for w in itertools.product((1, 2), repeat=n)]
@@ -42,10 +43,10 @@ def rand_poly(rng):
     })
 
 
-def test_word_text_syntax():
-    assert word_to_str((2, 1)) == "21"
-    assert word_to_str((1, 1, 2, 2)) == "1122"
-    assert word_to_str(()) == ""
+def test_repr_spells_each_word():
+    assert repr(TensorElem()) == "TensorElem(0)"
+    assert repr(TensorElem({(2, 1): ONE, (): ALPHA, (1, 1, 2, 2): -ONE})) \
+        == f"TensorElem(({ALPHA})*[1] + ({-ONE})*[1122] + ({ONE})*[21])"
 
 
 class TestNormalOrder:
@@ -298,9 +299,19 @@ class TestBidegree:
 
     def test_poly2_scalar_moves_the_bidegree(self):
         e1 = ShockElem.generator(1)
-        assert ALPHA * e1 == e1 * ALPHA == ShockElem.scalar(ALPHA) * e1
         assert ALPHA * e1 == ShockElem({(2, 1, 0, 1): 1})
         assert ALPHA * e1 == normal_order(ALPHA * E1)
+        constants = (0, 1, -3, ZERO, ONE, ALPHA, AB - 2 * BETA)
+        for T in (TensorElem, ShockElem):
+            g1, g2 = T.generator(1), T.generator(2)
+            for x in (g1, g1 * g2 - g2 * g2 * g1, T.scalar(5), T()):
+                for c in constants:
+                    assert c * x == x * c == T.scalar(c) * x
+                assert not T.scalar(0) * x
+                assert not x * T.scalar(ZERO)
+        x = E1 * E2 - E2 * E2 * E1
+        for c in constants:
+            assert normal_order(c * x) == c * normal_order(x)
         with pytest.raises(TypeError):
             e1 + E1
 
