@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from .report import CheckReport
-from .ring import Poly2, ONE, ALPHA, BETA, AB, poly_dot
+from .ring import Poly2, ONE, ALPHA, BETA, AB, accumulate, poly_dot
 from .tensor import TensorElem, linear_form, normal_order, shock_mul
 from .biortho import (check_orthogonality, recurrence_check, ldu_certificate,
                       moment_consistency)
@@ -30,10 +30,9 @@ def random_word(rng, max_len):
 
 def random_tensor(rng, max_len):
     """A sum of 1 to 3 random words of length <= max_len."""
-    t = TensorElem()
-    for _ in range(rng.randint(1, 3)):
-        t = t + TensorElem({random_word(rng, max_len): random_poly(rng)})
-    return t
+    return TensorElem(accumulate({}, (
+        (random_word(rng, max_len), random_poly(rng))
+        for _ in range(rng.randint(1, 3)))))
 
 
 def check_two_path_L(seed=0):
@@ -54,12 +53,18 @@ def check_two_path_L(seed=0):
 
 
 def check_shock_homomorphism(seed=1):
+    """normal_order(x*y) against the shock-ring product of normal_order(x)
+    and normal_order(y) on 50 random pairs, where x*y is word
+    concatenation: the sum of c d (v w) over the terms c v of x and d w
+    of y."""
     rng = random.Random(seed)
     rep = CheckReport("normal-order homomorphism on 50 random pairs")
     for k in range(50):
         x = random_tensor(rng, max_len=6)
         y = random_tensor(rng, max_len=6)
-        rep.record(normal_order(x * y)
+        xy = TensorElem(accumulate({}, ((v + w, c * d) for v, c in x.items()
+                                        for w, d in y.items())))
+        rep.record(normal_order(xy)
                    == shock_mul(normal_order(x), normal_order(y)),
                    f"pair {k}")
     return rep

@@ -234,8 +234,10 @@ def eval_expr(node, algebra):
     `generator(1 | 2)` and every constant, 0 and 1 included, with
     `scalar(c)`: `tensor.ShockElem` evaluates it in the shock ring over
     the integers, where a power stays a product of normal-ordered factors
-    (normal ordering is a ring homomorphism); `tensor.TensorElem` expands
-    it into words; a `matrep.Picture` into its truncated matrices."""
+    (normal ordering is a ring homomorphism); a `matrep.Picture` in its
+    truncated matrices.  The tests' word algebra, the `TensorElem` of
+    `tests/oracles.py`, expands it into words; the library's
+    `tensor.TensorElem` only holds words, so it is no algebra here."""
     if isinstance(node, Gen):
         return algebra.generator(node.which)
     if isinstance(node, ScalarPoly):

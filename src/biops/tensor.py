@@ -1,5 +1,5 @@
-"""Tensor algebra over {e1, e2}, shock-ring normal ordering, and the
-linear form L defined by the two-parameter stationarity equations.
+"""Normal ordering of words over {e1, e2}, the shock ring, and the linear
+form L defined by the two-parameter stationarity equations.
 
 Words are tuples over {1, 2} (1 = e1, 2 = e2); the empty tuple is the
 ring unit.  Normal ordering reduces modulo e1*e2 = alpha*beta*(e1 + e2)
@@ -15,123 +15,46 @@ keyed (I, J, n, m), and L of such a term is the integer times
 alpha^(I-n) beta^(J-m).  A right product by e1 or e2 maps a part of
 bidegree (I, J) to one of (I+1, J+1) with integer additions alone
 (`_times_gen`), so a product costs time polynomial in the degree.
-Normal ordering folds each word of a TensorElem on its own, letter by
-letter.  L of a TensorElem is L of its normal order: one path to L.
+TensorElem only holds words with their coefficients; the tensor algebra,
+with concatenation as its product, is a test oracle.  Normal ordering
+folds each word of a TensorElem on its own, letter by letter, and L of a
+TensorElem is L of its normal order: one path to L.
 """
 
-from .ring import Poly2, ONE, accumulate
+from .ring import Poly2, accumulate
 
 
-class _LinComb:
-    """Shared machinery for finite linear combinations with coefficients
-    in the ring of `_ONE`.  A constant, an int or a Poly2 of integer
-    coefficients, multiplies as `scalar(c)`, by the ring product, and on
-    either side, since constants commute with everything.
-
-    A subclass supplies `_mul`, its product with an element of its own
-    type, and the keys of its unit and generators; constants (`scalar`),
-    products by a constant and powers live here."""
+class TensorElem:
+    """Words with coefficients, word -> nonzero Poly2: the container that
+    normal_order and linear_form read.  The word algebra on it, with the
+    concatenation product, is a test oracle."""
 
     __slots__ = ("_t",)
-    _UNIT = None        # key of the ring unit
-    _GENERATORS = None  # keys of e1 and e2
-    _ONE = ONE          # unit of the coefficient ring
+
+    def __init__(self, terms=None):
+        self._t = {k: c for k, c in dict(terms or {}).items() if c}
+
+    def items(self):
+        return self._t.items()
+
+
+class ShockElem:
+    """Element of the shock ring over Z[alpha, beta]: the int c at
+    (I, J, n, m) stands for c alpha^(I-n-m) beta^(J-n-m) e2^n e1^m.  A
+    constant, an int or a Poly2 of integer coefficients, multiplies as
+    `scalar(c)`, by the ring product, and on either side, since constants
+    commute with everything."""
+
+    __slots__ = ("_t",)
 
     def __init__(self, terms=None):
         self._t = {k: c for k, c in dict(terms or {}).items() if c}
 
     @classmethod
-    def scalar(cls, p):
-        if isinstance(p, int):
-            p = p * cls._ONE
-        return cls({cls._UNIT: p})
-
-    @classmethod
-    def generator(cls, i):
-        if i not in (1, 2):
-            raise ValueError("generator index must be 1 or 2")
-        return cls({cls._GENERATORS[i - 1]: cls._ONE})
-
-    def items(self):
-        return self._t.items()
-
-    def __bool__(self):
-        return bool(self._t)
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._t == other._t
-
-    def __hash__(self):
-        return hash(frozenset(self._t.items()))
-
-    def _combine(self, pairs):
-        out = object.__new__(type(self))
-        out._t = accumulate(dict(self._t), pairs)
+    def _raw(cls, t):
+        out = object.__new__(cls)
+        out._t = t
         return out
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._combine(other._t.items())
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._combine((k, -c) for k, c in other._t.items())
-
-    def __neg__(self):
-        out = object.__new__(type(self))
-        out._t = {k: -c for k, c in self._t.items()}
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Poly2)):
-            other = self.scalar(other)
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._mul(other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = self.scalar(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-
-class TensorElem(_LinComb):
-    """Element of the tensor algebra: map word -> nonzero Poly2."""
-
-    _UNIT = ()
-    _GENERATORS = ((1,), (2,))
-
-    def _mul(self, other):
-        pairs = ((w1 + w2, c1 * c2) for w1, c1 in self._t.items()
-                 for w2, c2 in other._t.items())
-        return TensorElem(accumulate({}, pairs))
-
-    def __repr__(self):
-        if not self._t:
-            return "TensorElem(0)"
-        parts = [
-            f"({c!s})*[{''.join(map(str, w)) or '1'}]"
-            for w, c in sorted(self._t.items())
-        ]
-        return "TensorElem(" + " + ".join(parts) + ")"
-
-
-class ShockElem(_LinComb):
-    """Element of the shock ring over Z[alpha, beta]: the int c at
-    (I, J, n, m) stands for c alpha^(I-n-m) beta^(J-n-m) e2^n e1^m."""
-
-    _UNIT = (0, 0, 0, 0)
-    _GENERATORS = ((1, 1, 0, 1), (1, 1, 1, 0))
-    _ONE = 1
 
     @classmethod
     def scalar(cls, p):
@@ -140,8 +63,49 @@ class ShockElem(_LinComb):
             p = Poly2.const(p)
         return cls({(i, j, 0, 0): c for (i, j), c in p._t.items()})
 
-    def _mul(self, other):
+    @classmethod
+    def generator(cls, i):
+        """e1 = e2^0 e1^1 at (1, 1, 0, 1), e2 = e2^1 e1^0 at (1, 1, 1, 0)."""
+        if i not in (1, 2):
+            raise ValueError("generator index must be 1 or 2")
+        return cls({(1, 1, i - 1, 2 - i): 1})
+
+    def items(self):
+        return self._t.items()
+
+    def __bool__(self):
+        return bool(self._t)
+
+    def __eq__(self, other):
+        if not isinstance(other, ShockElem):
+            return NotImplemented
+        return self._t == other._t
+
+    def __hash__(self):
+        return hash(frozenset(self._t.items()))
+
+    def __add__(self, other):
+        if not isinstance(other, ShockElem):
+            return NotImplemented
+        return self._raw(accumulate(dict(self._t), other._t.items()))
+
+    def __sub__(self, other):
+        if not isinstance(other, ShockElem):
+            return NotImplemented
+        return self._raw(accumulate(dict(self._t), (
+            (k, -c) for k, c in other._t.items())))
+
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self._t.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Poly2)):
+            other = self.scalar(other)
+        elif not isinstance(other, ShockElem):
+            return NotImplemented
         return shock_mul(self, other)
+
+    __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -214,9 +178,7 @@ def normal_order(x):
         for (i, j), c in coeff._t.items():
             accumulate(t, (((N + i, N + j, n, m), c * cw)
                            for (n, m), cw in nf.items()))
-    out = object.__new__(ShockElem)
-    out._t = t
-    return out
+    return ShockElem._raw(t)
 
 
 # --- shock ring product -------------------------------------------------
@@ -248,10 +210,8 @@ def _times_parts(parts, y):
 
 
 def _from_parts(parts):
-    out = object.__new__(ShockElem)
-    out._t = {(I, J, n, m): c for (I, J), part in parts.items()
-              for (n, m), c in part.items()}
-    return out
+    return ShockElem._raw({(I, J, n, m): c for (I, J), part in parts.items()
+                           for (n, m), c in part.items()})
 
 
 def shock_mul(x, y):

@@ -1,6 +1,12 @@
 """Small-size references the tests check the library against: exponential
 or closed-form constructions that the library computes another way.
 
+* `TensorElem` is the tensor algebra over {e1, e2}: the library's word
+  container with the concatenation product, constants (`scalar`),
+  `generator`, powers, sums and differences.  The library expands
+  nothing into words: it evaluates an expression in the shock ring or in
+  truncated matrices, and normal-orders each word it is given on its
+  own.
 * `E1` and `E2` are the generators as TensorElems, the letters the
   tests spell words with; the library makes a generator with
   `generator(1 | 2)` of the algebra it evaluates in.
@@ -72,7 +78,84 @@ from biops.matrep import (Picture, RepMatrix, generator_matrices,
                           second_moment)
 from biops.ring import (Poly2, KappaElem, ZERO, ONE, AB, ALPHA, BETA, K_ZERO,
                         K_ONE, accumulate, eval_numerators)
-from biops.tensor import ShockElem, TensorElem, _times_e2, _times_gen
+import biops.tensor
+from biops.tensor import ShockElem, _times_e2, _times_gen
+
+
+# --- the tensor algebra ---------------------------------------------------
+
+class TensorElem(biops.tensor.TensorElem):
+    """Element of the tensor algebra: map word -> nonzero Poly2.  A
+    constant, an int or a Poly2, multiplies as `scalar(c)`, by the
+    concatenation product, and on either side, since constants commute
+    with everything."""
+
+    __slots__ = ()
+
+    @classmethod
+    def scalar(cls, p):
+        if isinstance(p, int):
+            p = p * ONE
+        return cls({(): p})
+
+    @classmethod
+    def generator(cls, i):
+        if i not in (1, 2):
+            raise ValueError("generator index must be 1 or 2")
+        return cls({(i,): ONE})
+
+    def __bool__(self):
+        return bool(self._t)
+
+    def __eq__(self, other):
+        if not isinstance(other, TensorElem):
+            return NotImplemented
+        return self._t == other._t
+
+    def __hash__(self):
+        return hash(frozenset(self._t.items()))
+
+    def __add__(self, other):
+        if not isinstance(other, TensorElem):
+            return NotImplemented
+        return TensorElem(accumulate(dict(self._t), other._t.items()))
+
+    def __sub__(self, other):
+        if not isinstance(other, TensorElem):
+            return NotImplemented
+        return TensorElem(accumulate(dict(self._t), (
+            (w, -c) for w, c in other._t.items())))
+
+    def __neg__(self):
+        return TensorElem({w: -c for w, c in self._t.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Poly2)):
+            other = self.scalar(other)
+        elif not isinstance(other, TensorElem):
+            return NotImplemented
+        return TensorElem(accumulate({}, (
+            (w1 + w2, c1 * c2) for w1, c1 in self._t.items()
+            for w2, c2 in other._t.items())))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        out = self.scalar(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __repr__(self):
+        if not self._t:
+            return "TensorElem(0)"
+        parts = [
+            f"({c!s})*[{''.join(map(str, w)) or '1'}]"
+            for w, c in sorted(self._t.items())
+        ]
+        return "TensorElem(" + " + ".join(parts) + ")"
 
 
 E1 = TensorElem.generator(1)

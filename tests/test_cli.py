@@ -18,7 +18,8 @@ from biops.cli import main
 from biops.expr import eval_expr, parse
 from biops.report import CheckReport
 from biops.ring import Poly2, ALPHA, BETA, AB
-from biops.tensor import TensorElem, linear_form
+from biops.tensor import linear_form
+from oracles import TensorElem
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(biops.__file__)))
 CORPUS = json.loads(Path(__file__).with_name("stdout_corpus.json").read_text())

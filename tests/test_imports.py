@@ -118,14 +118,15 @@ def unread_assignments(sources):
                   if name not in reads)
 
 
-def uncalled_methods(sources):
+def uncalled_methods(sources, readers=()):
     """Non-dunder methods of top-level classes in `sources` (module name ->
     source) whose name nothing reads outside their own body, as `x.name`
-    or as a bare name."""
+    or as a bare name.  A read in a source of `readers` counts too."""
     defined, reads = [], {}
-    for module, source in sources.items():
+    for module, source in [*sources.items(), *((None, r) for r in readers)]:
         for stmt in ast.parse(source).body:
-            is_class = isinstance(stmt, ast.ClassDef)
+            # a reader defines nothing: its classes are walked whole
+            is_class = module and isinstance(stmt, ast.ClassDef)
             for part in stmt.body if is_class else [stmt]:
                 own = None
                 if (is_class and isinstance(part, (ast.FunctionDef,
@@ -276,6 +277,11 @@ def test_every_method_has_a_caller():
     # the session worker rebuilds Poly2 coefficients from JSON
     sources = {p.stem: p.read_text() for p in MODULES}
     assert uncalled_methods(sources) == ["ring.Poly2.from_obj"]
+    # a method of an oracle class is read by a test or an oracle module
+    here = Path(__file__).parent
+    oracles = {m: (here / f"{m}.py").read_text() for m in ORACLES}
+    tests = [p.read_text() for p in TESTS if p.name.startswith("test_")]
+    assert uncalled_methods(oracles, tests) == []
 
 
 def test_scan_finds_an_uncalled_method():
@@ -293,6 +299,17 @@ def test_scan_finds_an_uncalled_method():
         "b": "def f(x): return x.size\n",
     }
     assert uncalled_methods(sources) == ["a.A.orphan", "a.A.recursive"]
+
+
+def test_scan_counts_a_read_by_a_reader():
+    sources = {"oracle": ("class A:\n"
+                          "    def by_name(self): pass\n"
+                          "    def by_attr(self): pass\n"
+                          "    def orphan(self): pass\n")}
+    readers = ["def test_a(x): return by_name, x.by_attr\n",
+               "def test_b(orphan=None): return orphan\n"]
+    assert uncalled_methods(sources, readers[:1]) == ["oracle.A.orphan"]
+    assert uncalled_methods(sources, readers) == []
 
 
 def test_every_stored_attribute_is_read():

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from biops.ring import Poly2, ZERO, ONE, ALPHA, BETA, AB
 from biops.expr import eval_expr, parse
-from biops.tensor import (TensorElem, ShockElem, normal_order, shock_mul,
-                          linear_form)
-from oracles import (E1, E2, as_shock, normal_order_word, poly2_fold,
-                     power_sum)
+import biops.tensor
+from biops.tensor import ShockElem, normal_order, shock_mul, linear_form
+from oracles import (E1, E2, TensorElem, as_shock, normal_order_word,
+                     poly2_fold, power_sum)
 
 # every word of length <= 10: 2047 words
 ALL_WORDS = [w for n in range(11) for w in itertools.product((1, 2), repeat=n)]
@@ -41,6 +41,18 @@ def rand_poly(rng):
         (rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-4, 4)
         for _ in range(rng.randint(1, 3))
     })
+
+
+def test_library_words_have_no_algebra():
+    # the library's TensorElem only holds words; their product, and an
+    # expression evaluated into words, live in the oracles' TensorElem
+    x = biops.tensor.TensorElem({(1,): ONE})
+    y = biops.tensor.TensorElem({(2,): ONE})
+    with pytest.raises(TypeError):
+        x * y
+    with pytest.raises(AttributeError):
+        eval_expr(parse("e1*e2"), biops.tensor.TensorElem)
+    assert linear_form(x) == ALPHA and linear_form(y) == BETA
 
 
 def test_repr_spells_each_word():
@@ -315,6 +327,15 @@ class TestBidegree:
         with pytest.raises(TypeError):
             e1 + E1
 
+    def test_equal_elements_hash_equal(self):
+        # built two ways: a product of letters against the relation, and a
+        # power over parts against a product of its factors
+        for a, b in (("e1*e2", "a*b*(e1 + e2)"),
+                     ("(e1+e2)^3", "(e1+e2)*(e1+e2)*(e1+e2)")):
+            x, y = (eval_expr(parse(src), ShockElem) for src in (a, b))
+            assert x == y and hash(x) == hash(y), a
+            assert len({x, y}) == 1, a
+
     def test_int_coefficients_on_bidegree_keys(self):
         # every coordinate is an int, and alpha^(I-n-m) beta^(J-n-m) has
         # no negative exponent, whatever built the element
@@ -328,7 +349,7 @@ class TestBidegree:
             y = normal_order(x)
             values += [y, y * y, y ** 3, y - normal_order(rand_words(rng))]
         for x in values:
-            assert x
+            assert x and not x - x and not -x + x
             for (I, J, n, m), c in x.items():
                 assert type(c) is int and c
                 assert min(I, J) >= n + m >= 0 and n >= 0 and m >= 0
