@@ -15,8 +15,10 @@ weights.  A table keeps the fill's integer list as it is, and one dict
 keyed by the states for the probabilities.
 `compare` certifies the normalized weights exactly on those integers:
 with the rates scaled to integers, pi G = 0 at every state, sum(pi) = 1,
-and the chain irreducible, so pi is the one stationary state; no
-generator matrix is built and no linear system is solved.  States are
+and the chain irreducible, so pi is the one stationary state.  One pass
+over the transitions gives the residuals and two order marks per state
+that prove irreducibility; no generator matrix or edge list is built, no
+graph is searched and no linear system is solved.  States are
 bit tuples with site 1 first, listed in the order of their little-endian
 integer encoding (site 1 = least significant bit), the order of the
 indices that `transitions` uses.
@@ -236,51 +238,47 @@ def certify_stationary(L, a, b, n, nz):
     With alpha = p/q and beta = r/s, the rates times q*s are the integers
     p*s, r*q and q*s, and pi is the numerators n_i over nz.  One pass over
     `transitions` gives the residual sum_i n_i R_ij of pi G = 0 at every
-    state j, and the forward and backward edges of the chain.  Records the
-    residual at every state, then sum(pi) = 1 as sum n_i = nz, then
-    irreducibility: every state reaches the empty state and is reached
-    from it.  Irreducibility makes the kernel of G one-dimensional, so a
-    passing report proves pi is the unique stationary state; without it a
-    chain with no transitions would pass the residual check vacuously."""
+    state j, and two marks per state.  Records the residual at every
+    state, then sum(pi) = 1 as sum n_i = nz, then irreducibility, which
+    makes the kernel of G one-dimensional, so a passing report proves pi
+    is the unique stationary state.
+
+    Irreducibility: the empty state is the only minimum of the index and
+    of the reversed index (site 1 read as the high bit).  If every other
+    state has an edge to one of smaller reversed index ("down") and an
+    edge from one of smaller index ("up"), down edges lead every state to
+    the empty one and up edges, read backwards, lead it to every state.
+    The marks read the endpoints only, never the rates, and a self-loop
+    lowers neither order.  The test is sufficient, and the true chain
+    passes it at every L: an exit, or the hop of the rightmost particle,
+    lowers the reversed index; an entry, or the hop of the leftmost
+    particle, comes from a smaller index."""
     q, s = a.denominator, b.denominator
     rates = (a.numerator * s, b.numerator * q, q * s)
     dim = len(n)
     residual = [0] * dim
-    # transitions yields each edge once, so lists hold no repeat
-    forward = [[] for _ in range(dim)]
-    backward = [[] for _ in range(dim)]
+    marks = bytearray(dim)  # bit 1: down, bit 2: up
     for i, j, k in transitions(L):
         flow = n[i] * rates[k]
         residual[j] += flow
         residual[i] -= flow
-        forward[i].append(j)
-        backward[j].append(i)
+        d = i ^ j
+        if i & d & -d:  # i is occupied at the first site where they differ
+            marks[i] |= 1
+        if i < j:
+            marks[j] |= 2
     rep = CheckReport(f"TASEP L={L} alpha={a} beta={b}")
     fmt = f"0{L}b"
     for i, r in enumerate(residual):
         # a label, as `_state_strings` writes it, only for a failing state
         rep.record(not r, r and "state " + format(i, fmt)[::-1])
     rep.record(sum(n) == nz, "probabilities sum to 1")
-    rep.record(_reaches_all(backward) and _reaches_all(forward),
-               "generator is irreducible")
+    # the empty state, least in both orders, holds neither mark
+    rep.record(marks.count(3) == dim - 1, "generator is irreducible")
     # residual_j / (nz q s) is (pi G)_j
     top = ratios((max(map(abs, residual)),), nz * q * s)[0]
     rep.note(f"max residual {top}")
     return rep
-
-
-def _reaches_all(edges):
-    """Whether a search from the empty state (index 0) along edges[i]
-    visits every state."""
-    seen = bytearray(len(edges))
-    seen[0] = 1
-    stack = [0]
-    while stack:
-        for j in edges[stack.pop()]:
-            if not seen[j]:
-                seen[j] = 1
-                stack.append(j)
-    return 0 not in seen
 
 
 def compare(L, a, b):

@@ -1,7 +1,9 @@
 """Independent stationary solver for the TASEP, used by the tests as an
 oracle for the matrix-product weights: its own sparse Markov generator G,
 with Fraction rates, and exact sparse elimination on the dict rows of G^T.
-Nothing here shares the library's dynamics (`biops.asep.transitions`)."""
+Nothing here shares the library's dynamics (`biops.asep.transitions`).
+Also a graph search that decides strong connectivity of any edge list,
+the oracle for the certificate's irreducibility record."""
 
 from fractions import Fraction
 
@@ -102,3 +104,29 @@ def stationary_oracle(g):
         raise SingularSystem("solution is not the stationary state")
     L = n.bit_length() - 1
     return {state_from_index(i, L): x[i] for i in range(n)}
+
+
+def strongly_connected(dim, edges):
+    """Whether the edges (i, j, k) over the states 0..dim-1 make a
+    strongly connected graph: searches from the empty state (index 0)
+    along the edges and along them reversed each visit every state."""
+    forward = [[] for _ in range(dim)]
+    backward = [[] for _ in range(dim)]
+    for i, j, _ in edges:
+        forward[i].append(j)
+        backward[j].append(i)
+    return _reaches_all(forward) and _reaches_all(backward)
+
+
+def _reaches_all(edges):
+    """Whether a search from the empty state (index 0) along edges[i]
+    visits every state."""
+    seen = bytearray(len(edges))
+    seen[0] = 1
+    stack = [0]
+    while stack:
+        for j in edges[stack.pop()]:
+            if not seen[j]:
+                seen[j] = 1
+                stack.append(j)
+    return 0 not in seen

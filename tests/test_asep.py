@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -12,7 +13,7 @@ from biops.asep import (all_states, state_index, partition_Z,
                         certify_stationary, compare)
 from biops.errors import DegenerateParameters
 from markov_oracle import (SingularSystem, build_generator, state_from_index,
-                           stationary_oracle)
+                           stationary_oracle, strongly_connected)
 from oracles import (dehp_Z, normal_order_word, power_sum_form,
                      state_weights, state_word, stationary_probabilities,
                      swap_ab, weights_evaluator)
@@ -552,3 +553,68 @@ class TestCertificate:
         rep = certify_table(table)
         assert rep.failures == ["generator is irreducible"]
         assert rep.notes == ["max residual 0"]
+
+    def test_irreducibility_record_and_oracle_pass_the_chain_up_to_L10(self):
+        a, b = Fraction(2, 3), Fraction(3, 7)
+        for L in range(1, 11):
+            assert compare(L, a, b).ok, L
+            assert strongly_connected(1 << L, transitions(L)), L
+
+    @settings(max_examples=300, deadline=None)
+    @given(L=st.integers(1, 5), keep=st.sampled_from([1, 0.97, 0.9, 0.6]),
+           loops=st.booleans(), relabel=st.booleans(),
+           rnd=st.randoms(use_true_random=False))
+    def test_irreducibility_record_is_sound(self, L, keep, loops, relabel,
+                                           rnd):
+        # a random subset of the chain's edges, some with self-loops added
+        # and some with the rate labels redrawn: whenever the record
+        # passes, the oracle's search finds the edges strongly connected
+        edges = [(i, j, rnd.randrange(3) if relabel else k)
+                 for i, j, k in transitions(L) if rnd.random() < keep]
+        if loops:
+            edges += [(i, i, rnd.randrange(3)) for i in range(1 << L)
+                      if rnd.random() < 0.5]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(asep, "transitions", lambda L: edges)
+            rep = compare(L, Fraction(2, 3), Fraction(3, 7))
+        assert rep.checked == 2**L + 2
+        if "generator is irreducible" not in rep.failures:
+            assert strongly_connected(1 << L, edges)
+
+    def test_irreducibility_reads_no_rate(self, monkeypatch):
+        # every edge relabelled as a hop: pi G = 0 fails, the edges stand
+        right = asep.transitions
+        monkeypatch.setattr(asep, "transitions", lambda L: [
+            (i, j, 2) for i, j, _ in right(L)])
+        rep = compare(4, Fraction(2, 3), Fraction(3, 7))
+        assert rep.failures
+        assert all(f.startswith("state ") for f in rep.failures)
+
+    def test_self_loops_rejected_by_irreducibility(self, monkeypatch):
+        monkeypatch.setattr(asep, "transitions", lambda L: [
+            (i, i, k) for i in range(1 << L) for k in range(3)])
+        rep = compare(4, Fraction(2, 3), Fraction(3, 7))
+        assert rep.failures == ["generator is irreducible"]
+        assert rep.notes == ["max residual 0"]
+
+    def test_edges_up_the_index_alone_rejected_by_irreducibility(
+            self, monkeypatch):
+        # entries and hops raise the index; without exits the empty state
+        # is out of reach
+        drop_transitions(monkeypatch, lambda i, j, k: i < j)
+        rep = compare(4, Fraction(2, 3), Fraction(3, 7))
+        assert rep.failures[-1] == "generator is irreducible"
+        assert not strongly_connected(16, asep.transitions(4))
+
+    def test_certificate_memory_per_state(self):
+        # the record keeps a few bytes per state, not a list of edges
+        a, b = Fraction(2, 3), Fraction(3, 7)
+        n = numerators_at(14, a, b)
+        tracemalloc.start()
+        try:
+            rep = certify_stationary(14, a, b, n, sum(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok
+        assert peak / 2**14 <= 128
